@@ -46,21 +46,25 @@ std::vector<double> tridiag_subset(idx n, const double* d, const double* e,
                                    const SyevOptions& opts, idx m_default,
                                    Matrix& z) {
   std::vector<double> w;
-  switch (opts.sel) {
-    case range::by_index:
-      require(0 <= opts.il && opts.il <= opts.iu && opts.iu < n,
-              "syev: bad index range");
-      w = tridiag::stebz_index(n, d, e, opts.il, opts.iu);
-      break;
-    case range::by_value:
-      require(opts.vl < opts.vu, "syev: bad value range");
-      w = tridiag::stebz_value(n, d, e, opts.vl, opts.vu);
-      break;
-    case range::all:
-      w = tridiag::stebz_index(n, d, e, 0, m_default - 1);
-      break;
+  {
+    obs::Span span("stebz");
+    switch (opts.sel) {
+      case range::by_index:
+        require(0 <= opts.il && opts.il <= opts.iu && opts.iu < n,
+                "syev: bad index range");
+        w = tridiag::stebz_index(n, d, e, opts.il, opts.iu);
+        break;
+      case range::by_value:
+        require(opts.vl < opts.vu, "syev: bad value range");
+        w = tridiag::stebz_value(n, d, e, opts.vl, opts.vu);
+        break;
+      case range::all:
+        w = tridiag::stebz_index(n, d, e, 0, m_default - 1);
+        break;
+    }
   }
   if (opts.job == jobz::vectors && !w.empty()) {
+    obs::Span span("stein");
     z.reshape(n, static_cast<idx>(w.size()));
     tridiag::stein(n, d, e, w, z.data(), z.ld());
   }

@@ -20,7 +20,9 @@ namespace tseig::tridiag {
 idx sturm_count(idx n, const double* d, const double* e, double x);
 
 /// Eigenvalues with 0-based indices il..iu (inclusive, ascending) computed
-/// by bisection to roughly eps * |T| accuracy.
+/// by bisection to roughly eps * |T| accuracy.  The indices are bisected in
+/// parallel over blas::kernel_workers(); each one independently, so the
+/// result is bitwise the same at every worker count.
 std::vector<double> stebz_index(idx n, const double* d, const double* e,
                                 idx il, idx iu);
 
@@ -29,8 +31,12 @@ std::vector<double> stebz_value(idx n, const double* d, const double* e,
                                 double vl, double vu);
 
 /// Inverse iteration: computes eigenvectors for the given eigenvalues
-/// (ascending, as produced by stebz) into z (n-by-w.size()).  Eigenvalues
-/// closer than 1e-3 * |T| are treated as a cluster and reorthogonalized.
+/// (ascending, as produced by stebz) into z (n-by-w.size()).  A cluster is a
+/// maximal run of eigenvalues whose consecutive gaps are at most
+/// 1e-3 * max(|gl|, |gu|), the larger Gershgorin bound; its vectors are
+/// reorthogonalized against each other.  Clusters run in parallel over
+/// blas::kernel_workers(), and vector j starts from a generator seeded by j,
+/// so z is bitwise the same at every worker count.
 void stein(idx n, const double* d, const double* e,
            const std::vector<double>& w, double* z, idx ldz);
 

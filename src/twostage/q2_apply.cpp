@@ -121,6 +121,11 @@ void apply_q2(op trans, const V2Factor& v2, double* e, idx lde, idx ncols,
   if (nsweeps == 0 || ncols == 0) return;
   ell = std::max<idx>(1, ell);
   num_workers = rt::resolve_num_workers(num_workers);
+  // A narrow E (a subset of eigenvectors) still gets one block per worker;
+  // blocks stay multiples of 8 columns.  Each column's arithmetic does not
+  // depend on its block, so the result does not either.
+  const idx per_worker = (ncols + num_workers - 1) / num_workers;
+  col_block = std::min(col_block, (per_worker + 7) / 8 * 8);
 
   // Build every diamond's WY factor once (shared read-only by all tasks),
   // then sweep them over each column block of E (Figure 3c: communication-

@@ -36,7 +36,8 @@ void apply_q2_naive(op trans, const V2Factor& v2, double* e, idx lde,
 ///                 blocked form of the naive order).
 ///   num_workers-- workers for the column-block parallel task graph
 ///                 (<= 0 = library default, TSEIG_NUM_THREADS).
-///   col_block  -- columns of E per task.
+///   col_block  -- largest number of columns of E per task; a narrower E is
+///                 cut into about one block per worker (multiples of 8).
 void apply_q2(op trans, const V2Factor& v2, double* e, idx lde, idx ncols,
               idx ell = 32, int num_workers = 1, idx col_block = 256);
 

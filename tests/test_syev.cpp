@@ -273,22 +273,30 @@ TEST(Syev, MatgenTortureCatalogBothMethods) {
   // Adversarial spectra with known ground truth (tests/support/matgen):
   // clustered at ulp spacing, graded to condition 1e15, Wilkinson ladders,
   // sign flips, exact zeros, each at scales 1e-120 / 1 / 1e120.  Both
-  // reduction methods must pass the residual/orthogonality oracles AND
-  // reproduce the prescribed eigenvalues to the Weyl-scaled bound.
+  // reduction methods, with the default solver and with bisection + inverse
+  // iteration, must pass the residual/orthogonality oracles AND reproduce
+  // the prescribed eigenvalues to the Weyl-scaled bound.
   const idx n = 48;
   for (const auto& spec : testing::matgen::torture_cases(n, 2026)) {
     const auto g = testing::matgen::generate(spec);
     for (method algo : {method::one_stage, method::two_stage}) {
-      SCOPED_TRACE(::testing::Message()
-                   << testing::matgen::class_name(spec.cls) << " scale "
-                   << spec.scale << (algo == method::one_stage ? " one" : " two")
-                   << "-stage");
-      SyevOptions opts;
-      opts.algo = algo;
-      opts.nb = 16;
-      auto res = syev(n, g.a.data(), g.a.ld(), opts);
-      EXPECT_TRUE(testing::check_eigen_pairs(g.a, res.eigenvalues, res.z));
-      EXPECT_TRUE(testing::check_eigenvalues(g.eigs, res.eigenvalues));
+      for (eig_solver sol : {eig_solver::dc, eig_solver::bisect}) {
+        SCOPED_TRACE(::testing::Message()
+                     << testing::matgen::class_name(spec.cls) << " scale "
+                     << spec.scale
+                     << (algo == method::one_stage ? " one" : " two")
+                     << "-stage"
+                     << (sol == eig_solver::bisect ? " bisect" : " dc"));
+        SyevOptions opts;
+        opts.algo = algo;
+        opts.solver = sol;
+        opts.nb = 16;
+        auto res = syev(n, g.a.data(), g.a.ld(), opts);
+        const double otol = sol == eig_solver::bisect ? 1e4 : 50.0;
+        EXPECT_TRUE(testing::check_eigen_pairs(g.a, res.eigenvalues, res.z,
+                                               50.0, otol));
+        EXPECT_TRUE(testing::check_eigenvalues(g.eigs, res.eigenvalues));
+      }
     }
   }
 }
