@@ -1,9 +1,10 @@
-// Execution-trace harness for the bulge-chasing DAG (the paper's Figure 2
-// shows exactly this kernel-execution view) and for the parallel D&C solve:
-// runs stage 2 and stedc with the unified telemetry layer (tseig::obs)
-// recording, writes Chrome-tracing JSONs (open in chrome://tracing or
-// Perfetto, or feed to tseig_prof), and prints per-lane utilization and the
-// DAG critical path for the dynamic vs pinned-subset schedules.
+// Execution-trace harness for the bulge chase (the paper's Figure 2 shows
+// exactly this kernel-execution view; here one "chase" span per sweep) and
+// for the parallel D&C solve: runs stage 2 and stedc with the unified
+// telemetry layer (tseig::obs) recording, writes Chrome-tracing JSONs (open
+// in chrome://tracing or Perfetto, or feed to tseig_prof), and prints
+// per-lane utilization for the all-workers vs width-2 sweep pipelines (and
+// the DAG critical path of the stages that run task graphs).
 //
 // Usage: bench_trace_schedule [--n N] [--nb NB] [--workers W]
 //                             [--lookahead D] [--json /path/out.json]
@@ -129,9 +130,9 @@ int main(int argc, char** argv) {
     const char* out;
   };
   const Cfg cfgs[] = {
-      {"dynamic (all workers)", "stage2/dynamic", 0,
+      {"sweep pipeline, all workers", "stage2/dynamic", 0,
        "/tmp/trace_stage2_dynamic.json"},
-      {"pinned subset (2)", "stage2/pinned2", 2,
+      {"sweep pipeline, width 2", "stage2/pinned2", 2,
        "/tmp/trace_stage2_pinned.json"},
   };
   for (const Cfg& c : cfgs) {
@@ -141,7 +142,6 @@ int main(int argc, char** argv) {
         twostage::Sb2stOptions o;
         o.num_workers = workers;
         o.stage2_workers = c.subset;
-        o.group = 4;
         (void)twostage::sb2st(s1.band, o);
       });
     });
@@ -175,9 +175,10 @@ int main(int argc, char** argv) {
     std::printf("  trace written to /tmp/trace_stedc.json\n");
   }
 
-  std::printf("\npaper shape (Figure 2 / Section 6): the chase lattice admits\n"
-              "limited pipelined parallelism; pinning it to a worker subset\n"
-              "concentrates the same work on fewer, better-utilized cores.\n"
+  std::printf("\npaper shape (Figure 2 / Section 6): the sweep pipeline admits\n"
+              "limited parallelism (each sweep trails its predecessor by two\n"
+              "hops); a narrower pipeline concentrates the same work on\n"
+              "fewer, better-utilized cores.\n"
               "The D&C tree is the opposite: wide independent leaves that\n"
               "narrow into a few GEMM-dominated merges near the root.\n");
   return 0;

@@ -10,13 +10,14 @@
 #   kernel_avx2.o    -- ymm allowed, zmm forbidden (built -mavx2 -mno-avx512f);
 #   everything else  -- no ymm, no zmm.
 #
-# Additionally, the bitwise cross-tier contract: kernel_*.o and blas3.o must
+# Additionally, the bitwise contracts: kernel_*.o, blas3.o and sb2st.o must
 # contain NO fused-multiply-add instructions (vfmadd/vfmsub/vfnmadd/vfnmsub)
 # on ANY tier -- those TUs build with -ffp-contract=off precisely so that
-# TSEIG_KERNEL=scalar reproduces the SIMD tiers bit for bit, and one fused
-# instruction (an intrinsic slipping in, or the flag falling off a TU)
-# silently breaks that.  This scan is valid on every build, including
-# -march=native ones, because the per-TU flags always win.
+# TSEIG_KERNEL=scalar reproduces the SIMD tiers bit for bit, and so that a
+# bulge-chase hop rounds the same whichever worker (and scratch alignment)
+# runs it.  One fused instruction (an intrinsic slipping in, or the flag
+# falling off a TU) silently breaks that.  This scan is valid on every
+# build, including -march=native ones, because the per-TU flags always win.
 #
 # The wide-register scan is only meaningful on a build whose global flags do
 # not enable AVX themselves, so it requires TSEIG_NATIVE=OFF in the build's
@@ -43,8 +44,9 @@ if [ ! -f "$CACHE" ]; then
   echo "check_isa_leak: no CMake cache at $CACHE" >&2
   exit 1
 fi
-OBJDIR=$(dirname "$(find "$BUILD" -path '*tseig.dir*' -name 'blas3*.o*' \
-                   | head -n 1)")
+# The library's object root (objects sit in per-directory subtrees below it:
+# blas/, blas/kernels/, twostage/, ...).
+OBJDIR=$(find "$BUILD" -type d -name 'tseig.dir' | head -n 1)
 if [ -z "$OBJDIR" ] || [ ! -d "$OBJDIR" ]; then
   echo "check_isa_leak: cannot locate tseig object files under $BUILD" >&2
   exit 1
@@ -63,7 +65,8 @@ uses_fma() { # obj
 fail=0
 fma_checked=0
 for obj in $(find "$OBJDIR" \( -name 'kernel_*.o' -o -name 'blas3*.o' \
-             -o -name 'kernel_*.obj' -o -name 'blas3*.obj' \) | sort); do
+             -o -name 'sb2st*.o' -o -name 'kernel_*.obj' -o -name 'blas3*.obj' \
+             -o -name 'sb2st*.obj' \) | sort); do
   fma_checked=$((fma_checked + 1))
   if uses_fma "$obj"; then
     echo "FMA LEAK: $(basename "$obj") contains fused multiply-add" \

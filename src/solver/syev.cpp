@@ -243,7 +243,6 @@ SyevResult solve_two_stage(idx n, const double* a, idx lda,
     twostage::Sb2stOptions o2;
     o2.num_workers = opts.num_workers;
     o2.stage2_workers = opts.stage2_workers;
-    o2.group = opts.group;
     o2.successive = opts.successive_bands;
     s2 = twostage::sb2st(s1.band, o2);
   });

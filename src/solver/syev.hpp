@@ -78,9 +78,11 @@ struct SyevOptions {
   /// in flight with critical-path priorities, < 0 = TSEIG_LOOKAHEAD
   /// (default 1).  Never changes results.
   int lookahead = -1;
-  /// Worker subset for the memory-bound bulge chasing (0 = all).
+  /// Pipeline width of the memory-bound bulge chase (sweeps in flight at
+  /// once; 0 = num_workers, see Sb2stOptions::stage2_workers).
   int stage2_workers = 0;
-  /// Chase hops coalesced per stage-2 task.
+  /// Has no effect (see Sb2stOptions::group); kept because existing callers
+  /// assign it.
   idx group = 4;
   /// Stage 2 as a successive band reduction (nb -> nb/2 -> 1, see
   /// Sb2stOptions::successive) instead of one direct chase.

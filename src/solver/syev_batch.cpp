@@ -11,8 +11,8 @@
 namespace tseig::solver {
 namespace {
 
-/// Region tag for batch tasks (tags 1-9 are taken by sy2sb / sb2st / q2 /
-/// stedc / tests).  Problem i's region is its *input* matrix, which syev
+/// Region tag for batch tasks (tags 1-9 are taken by sy2sb / q2 / stedc /
+/// tests).  Problem i's region is its *input* matrix, which syev
 /// never modifies, so every task declares a read: distinct keys mean no
 /// edges (every task is immediately ready), and the static audit accepts
 /// batches where several problems alias one matrix -- while still flagging

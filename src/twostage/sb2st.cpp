@@ -1,16 +1,16 @@
 #include "twostage/sb2st.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include "blas/blas1.hpp"
 #include "common/flops.hpp"
 #include "lapack/householder.hpp"
 #include "obs/telemetry.hpp"
-#include "runtime/task_graph.hpp"
 #include "runtime/thread_pool.hpp"
-#include "runtime/validate.hpp"
 
 namespace tseig::twostage {
 
@@ -177,162 +177,79 @@ void hbrel_hblru(const WorkBand& b, idx n, idx nb, idx d, idx r1, idx lenU,
   sym_two_sided(b, K1, lenN, vn, taun, w);
 }
 
-constexpr std::uint32_t kTagLattice = 7;
+/// Finished hops of one sweep, on its own cache line: the body running
+/// sweep s+1 polls it while the body running sweep s stores to it.
+struct alignas(64) SweepProgress {
+  std::atomic<idx> hops{0};
+};
 
-std::uint64_t lat_key(idx s, idx c) {
-  return rt::region_key(kTagLattice, static_cast<std::uint32_t>(s),
-                        static_cast<std::uint32_t>(c));
-}
-
-/// Appends rows [ilo, ihi) of band column j (contiguous in storage).
-void add_band_col(rt::RegionExtent& e, const WorkBand& b, idx j, idx ilo,
-                  idx ihi) {
-  if (ihi <= ilo) return;
-  e.add(b.col(ilo, j), static_cast<std::size_t>(ihi - ilo) * sizeof(double));
-}
-
-/// Byte footprint of coarse lattice task (s, c): the band columns its chase
-/// hops read/write (per-column intervals -- neighboring hops interleave in
-/// the column-major band store, so bounding boxes would falsely overlap)
-/// plus the reflector slots it fills in V2Factor.
-rt::RegionExtent lattice_extent(const WorkBand& b, V2Factor& v2, idx n,
-                                idx nb, idx group, std::uint32_t s32,
-                                std::uint32_t c32) {
-  const idx s = static_cast<idx>(s32);
-  const idx c = static_cast<idx>(c32);
-  rt::RegionExtent e;
-  if (s >= v2.nsweeps()) return e;
-  const idx nbl = v2.nblocks(s);
-  const idx u0 = c * group;
-  const idx u1 = std::min(nbl, u0 + group);
-  for (idx u = u0; u < u1; ++u) {
-    if (u == 0) {
-      // hbceu: band column s below sub-diagonal target(), the d-1 in-band
-      // columns sharing the reflector rows, and the symmetric block (the
-      // geometry comes from the factor, so every chase level maps).
-      const idx r1 = v2.start(s, 0);
-      const idx len = v2.len(s, 0);
-      for (idx q = s; q < r1; ++q) add_band_col(e, b, q, r1, r1 + len);
-      for (idx q = r1; q < r1 + len; ++q) add_band_col(e, b, q, q, r1 + len);
-    } else {
-      // hbrel/hblru: bulge block G = B(J1:J2, r1:r2), the in-band columns
-      // between the previous and the new reflector span (d-1 of them), and
-      // the next symmetric block.
-      const idx r1 = v2.start(s, u - 1);
-      const idx lenU = v2.len(s, u - 1);
-      const idx J1 = r1 + lenU;
-      const idx lenB = std::min(nb, n - J1);
-      const idx K1 = v2.start(s, u);
-      const idx lenN = v2.len(s, u);
-      for (idx q = r1; q < J1; ++q) add_band_col(e, b, q, J1, J1 + lenB);
-      for (idx q = J1; q < K1; ++q) add_band_col(e, b, q, K1, K1 + lenN);
-      for (idx q = K1; q < K1 + lenN; ++q)
-        add_band_col(e, b, q, q, K1 + lenN);
-    }
+/// Returns once at least `target` hops are published.  Spins first, since
+/// the sweep ahead is normally only a hop away, then yields so that a
+/// descheduled producer can get the core back.
+void wait_for_hops(const std::atomic<idx>& hops, idx target) {
+  constexpr int kSpins = 256;
+  for (int k = 0; hops.load(std::memory_order_acquire) < target;) {
+    if (k < kSpins)
+      ++k;
+    else
+      std::this_thread::yield();
   }
-  if (u1 == nbl && nbl > 0) {
-    // Sweep tail: the final reflector's deferred right application to any
-    // rows left below its block (empty for target() == 1).
-    const idx rl = v2.start(s, nbl - 1);
-    const idx Jt = rl + v2.len(s, nbl - 1);
-    for (idx q = rl; q < Jt; ++q)
-      add_band_col(e, b, q, Jt, std::min(n, Jt + nb));
-  }
-  if (u1 > u0) {
-    // Reflector slots (s, u0..u1-1) are contiguous in the packed store.
-    e.add(v2.v(s, u0),
-          static_cast<std::size_t>((u1 - u0) * v2.nb()) * sizeof(double));
-    e.add(&v2.tau(s, u0), static_cast<std::size_t>(u1 - u0) * sizeof(double));
-  }
-  return e;
 }
 
 /// One chase level: reduces the working band (bandwidth nb, bulge headroom
 /// already allocated in wb) to bandwidth d in place, recording every
-/// reflector.  This is the sweep-by-block lattice pipeline of the paper; d
-/// only changes the geometry of each sweep's starting reflector, so all
-/// levels of a successive reduction share the kernels, the task lattice and
-/// the validator's region resolver.
-V2Factor chase_level(const WorkBand& wb, idx n, idx nb, idx d,
-                     const Sb2stOptions& opts) {
+/// reflector.  d only changes the geometry of each sweep's starting
+/// reflector, so all levels of a successive reduction share the kernels and
+/// this pipeline.
+///
+/// Up to `width` bodies each take the next sweep from a shared counter and
+/// run its hops in order.  Hop u of sweep s starts once sweep s-1 has
+/// finished hops 0..u+1: the lattice dependences (s,u) <- (s-1,u), (s-1,u+1)
+/// of the paper's Section 5.2, checked per hop; (s,u) <- (s,u-1) is program
+/// order.  Every hop does the same arithmetic whichever body runs it, so the
+/// result is bitwise identical at every width.
+V2Factor chase_level(const WorkBand& wb, idx n, idx nb, idx d, int width) {
   V2Factor v2(n, std::max<idx>(nb, 1), std::min(d, std::max<idx>(nb, 1)));
   if (nb <= d || n < d + 2) return v2;  // nothing below the target band
 
-  const idx group = std::max<idx>(1, opts.group);
-  const int num_workers = rt::resolve_num_workers(opts.num_workers);
-  const bool parallel = num_workers > 1;
-  rt::TaskGraph graph;
-  rt::RegionMap region_map;
-  if (parallel && graph.validation_enabled()) {
-    region_map.add_resolver(
-        kTagLattice, [&wb, &v2, n, nb, group](std::uint32_t s,
-                                              std::uint32_t c) {
-          return lattice_extent(wb, v2, n, nb, group, s, c);
-        });
-    graph.set_region_map(&region_map);
-  }
-  const int w2 = opts.stage2_workers > 0
-                     ? std::min(opts.stage2_workers, num_workers)
-                     : num_workers;
-
-  idx submitted = 0;
-  for (idx s = 0; s < v2.nsweeps(); ++s) {
-    const idx nbl = v2.nblocks(s);
-    const idx ncoarse = (nbl + group - 1) / group;
-    for (idx c = 0; c < ncoarse; ++c) {
-      const idx u0 = c * group;
-      const idx u1 = std::min(nbl, u0 + group);
-      auto body = [&wb, &v2, n, nb, d, s, c, u0, u1, nbl] {
-        rt::touch_write(lat_key(s, c));
-        if (c > 0) rt::touch_read(lat_key(s, c - 1));
-        std::vector<double> w(static_cast<size_t>(nb));
-        for (idx u = u0; u < u1; ++u) {
-          if (u == 0) {
-            hbceu(wb, n, nb, d, s, v2.v(s, 0), v2.tau(s, 0), w.data());
-          } else {
-            hbrel_hblru(wb, n, nb, d, v2.start(s, u - 1), v2.len(s, u - 1),
-                        v2.v(s, u - 1), v2.tau(s, u - 1), v2.v(s, u),
-                        v2.tau(s, u), w.data());
-          }
+  const idx nsweeps = v2.nsweeps();
+  std::vector<SweepProgress> progress(static_cast<size_t>(nsweeps));
+  std::atomic<idx> next{0};
+  auto body = [&] {
+    std::vector<double> w(static_cast<size_t>(nb));
+    for (idx s = next++; s < nsweeps; s = next++) {
+      obs::Span span("chase", static_cast<std::int32_t>(s));
+      const idx nbl = v2.nblocks(s);
+      std::atomic<idx>& done = progress[static_cast<size_t>(s)].hops;
+      for (idx u = 0; u < nbl; ++u) {
+        if (s > 0)
+          wait_for_hops(progress[static_cast<size_t>(s - 1)].hops,
+                        std::min(v2.nblocks(s - 1), u + 2));
+        if (u == 0) {
+          hbceu(wb, n, nb, d, s, v2.v(s, 0), v2.tau(s, 0), w.data());
+        } else {
+          hbrel_hblru(wb, n, nb, d, v2.start(s, u - 1), v2.len(s, u - 1),
+                      v2.v(s, u - 1), v2.tau(s, u - 1), v2.v(s, u),
+                      v2.tau(s, u), w.data());
         }
-        // Sweep tail: the final reflector can leave rows below its block
-        // (at most d-1; none for d == 1) with no next hop to right-apply
-        // it -- finish the application here.
-        if (u1 == nbl)
-          apply_right(wb, n, nb, v2.start(s, nbl - 1), v2.len(s, nbl - 1),
-                      v2.v(s, nbl - 1), v2.tau(s, nbl - 1), w.data());
-      };
-      if (!parallel) {
-        // Same "chase" span the graph tasks record, so the serial path
-        // shows up on the unified timeline too (arg = sweep index).
-        obs::Span span("chase", static_cast<std::int32_t>(s));
-        body();
-        continue;
+        if (u + 1 < nbl) done.store(u + 1, std::memory_order_release);
       }
-      // Functional dependences of the chase lattice (paper Section 5.2):
-      // coarse task (s, c) after (s, c-1) and after (s-1, c), (s-1, c+1).
-      std::vector<rt::Access> acc;
-      // Fault-injection knob for validator tests: the selected task omits
-      // its write declaration, exactly the bug class the dynamic checker
-      // exists to catch.
-      if (submitted != opts.drop_write_task)
-        acc.push_back(rt::wr(lat_key(s, c)));
-      if (c > 0) acc.push_back(rt::rd(lat_key(s, c - 1)));
-      if (s > 0) {
-        acc.push_back(rt::rd(lat_key(s - 1, c)));
-        acc.push_back(rt::rd(lat_key(s - 1, c + 1)));
-      }
-      rt::TaskGraph::Options topts;
-      // Early sweeps lead the pipeline; pin chase positions to the
-      // stage-2 worker subset for band locality.
-      topts.priority = static_cast<int>(-s);
-      topts.worker_hint = static_cast<int>(c % w2);
-      topts.label = "chase";
-      graph.submit(std::move(body), acc, topts);
-      ++submitted;
+      // Sweep tail: the final reflector can leave rows below its block (at
+      // most d-1; none for d == 1) with no next hop to right-apply it --
+      // finish the application here, before the last hop is published.
+      apply_right(wb, n, nb, v2.start(s, nbl - 1), v2.len(s, nbl - 1),
+                  v2.v(s, nbl - 1), v2.tau(s, nbl - 1), w.data());
+      done.store(nbl, std::memory_order_release);
     }
-  }
-  if (parallel) graph.run(num_workers);
+  };
+  // A body only waits on the sweep before its own, which a body that is
+  // already running took earlier; fork_join keeps every body live at once,
+  // so each wait ends.  One body runs the sweeps in order and never waits.
+  const int bodies = static_cast<int>(std::min<idx>(width, nsweeps));
+  if (bodies <= 1 || rt::ThreadPool::in_parallel_region())
+    body();
+  else
+    rt::ThreadPool::instance().fork_join(bodies, [&](int) { body(); });
   return v2;
 }
 
@@ -346,6 +263,11 @@ Sb2stResult sb2st(const BandMatrix& band, const Sb2stOptions& opts) {
   result.e.assign(static_cast<size_t>(std::max<idx>(n, 1)), 0.0);
   result.v2 = V2Factor(n, std::max<idx>(nb, 1));
   if (n == 0) return result;
+
+  const int num_workers = rt::resolve_num_workers(opts.num_workers);
+  const int width = opts.stage2_workers > 0
+                        ? std::min(opts.stage2_workers, num_workers)
+                        : num_workers;
 
   // Copy the band into working storage with bulge headroom (2nb+1 rows).
   const idx ldwb = 2 * std::max<idx>(nb, 1) + 1;
@@ -362,11 +284,8 @@ Sb2stResult sb2st(const BandMatrix& band, const Sb2stOptions& opts) {
   const bool successive = opts.successive && d1 >= 2 && n >= 3;
 
   if (successive) {
-    // Level A: nb -> d1.  The fault-injection knob stays on the final level
-    // so validator tests keep addressing tasks by submission index.
-    Sb2stOptions level_opts = opts;
-    level_opts.drop_write_task = -1;
-    result.pre_levels.push_back(chase_level(wb, n, nb, d1, level_opts));
+    // Level A: nb -> d1.
+    result.pre_levels.push_back(chase_level(wb, n, nb, d1, width));
 
     // Repack the narrowed band into working storage sized for level B's
     // bulges (2*d1+1 rows); the wider level-A store is released here.
@@ -380,7 +299,7 @@ Sb2stResult sb2st(const BandMatrix& band, const Sb2stOptions& opts) {
     std::vector<double>().swap(wstore);
 
     // Level B: d1 -> 1.
-    result.v2 = chase_level(wb2, n, d1, 1, opts);
+    result.v2 = chase_level(wb2, n, d1, 1, width);
     for (idx i = 0; i < n; ++i)
       result.d[static_cast<size_t>(i)] = wb2.at(i, i);
     for (idx i = 0; i + 1 < n; ++i)
@@ -388,7 +307,7 @@ Sb2stResult sb2st(const BandMatrix& band, const Sb2stOptions& opts) {
     return result;
   }
 
-  result.v2 = chase_level(wb, n, std::max<idx>(nb, 1), 1, opts);
+  result.v2 = chase_level(wb, n, std::max<idx>(nb, 1), 1, width);
   for (idx i = 0; i < n; ++i) result.d[static_cast<size_t>(i)] = wb.at(i, i);
   for (idx i = 0; i + 1 < n; ++i)
     result.e[static_cast<size_t>(i)] = wb.at(i + 1, i);

@@ -205,6 +205,55 @@ TEST(ConcurrentClients, ConcurrentBatchesMatchSequential) {
   }
 }
 
+TEST(ConcurrentClients, TinyBatchesFromManyHostThreadsMatchSequential) {
+  // Every member of these batches runs its bulge chase on whichever pool
+  // worker takes it, with scratch at whatever heap address that thread's
+  // allocator hands out.  No n <= 8 result may depend on either: the chase
+  // is built without FMA contraction, whose peeled loop iterations depend on
+  // buffer alignment.  n = 1..3 go through the closed-form lane.
+  constexpr int kProblems = 128;
+  constexpr int kBatchRounds = 8;
+  Rng rng(1017);
+  std::vector<Matrix> mats;
+  for (int i = 0; i < kProblems; ++i)
+    mats.push_back(testing::random_symmetric(1 + i % 8, rng));
+  std::vector<solver::BatchProblem> problems;
+  std::vector<solver::SyevResult> refs;
+  for (const Matrix& m : mats) {
+    problems.push_back({m.rows(), m.data(), m.ld(), {}});
+    refs.push_back(syev(m.rows(), m.data(), m.ld(), problems.back().opts));
+  }
+
+  std::vector<std::vector<solver::SyevBatchResult>> outs(kClients);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c)
+    threads.emplace_back([&, c] {
+      for (int round = 0; round < kBatchRounds; ++round) {
+        solver::SyevBatchOptions bopts;
+        bopts.num_workers = 2 + (c + round) % 3;
+        outs[static_cast<size_t>(c)].push_back(
+            solver::syev_batch(problems, bopts));
+      }
+    });
+  for (std::thread& t : threads) t.join();
+
+  int mismatches = 0;
+  for (const auto& client : outs) {
+    ASSERT_EQ(client.size(), static_cast<size_t>(kBatchRounds));
+    for (const auto& out : client) {
+      ASSERT_EQ(out.results.size(), refs.size());
+      for (size_t i = 0; i < refs.size(); ++i) {
+        const auto& r = out.results[i];
+        if (r.eigenvalues != refs[i].eigenvalues ||
+            testing::max_abs_diff(r.z, refs[i].z) > 0.0)
+          ++mismatches;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << kClients * kBatchRounds * kProblems
+                           << " batch members";
+}
+
 TEST(ConcurrentClients, FlopCountsStayPerClient) {
   // Regression for the process-global flop counter: a FlopScope around one
   // client's solve must see exactly that solve's flops even while other

@@ -44,7 +44,6 @@ TEST(ParallelStress, RepeatedFullSolvesAreBitIdentical) {
     solver::SyevOptions par = seq;
     par.num_workers = 8;  // heavy oversubscription on this host
     par.stage2_workers = 1 + round % 3;
-    par.group = 1 + round;
     auto got = solver::syev(n, a.data(), a.ld(), par);
     ASSERT_EQ(got.eigenvalues.size(), ref.eigenvalues.size());
     for (size_t i = 0; i < ref.eigenvalues.size(); ++i)
@@ -66,7 +65,7 @@ TEST(ParallelStress, Sy2sbManyWorkerCounts) {
   }
 }
 
-TEST(ParallelStress, Sb2stLatticeUnderOversubscription) {
+TEST(ParallelStress, Sb2stPipelineUnderOversubscription) {
   const idx n = 120, bw = 8;
   Rng rng(7);
   twostage::BandMatrix band(n, bw);
@@ -76,8 +75,7 @@ TEST(ParallelStress, Sb2stLatticeUnderOversubscription) {
   auto ref = twostage::sb2st(band);
   for (int round = 0; round < 4; ++round) {
     twostage::Sb2stOptions o;
-    o.num_workers = 6;
-    o.group = 1 + round;
+    o.num_workers = 6 + 2 * round;  // up to 12 sweeps in flight
     auto got = twostage::sb2st(band, o);
     EXPECT_EQ(got.d, ref.d) << "round " << round;
     EXPECT_EQ(got.e, ref.e) << "round " << round;

@@ -1,5 +1,7 @@
 // Tests for the stage-2 bulge chasing (band -> tridiagonal, recording Q2).
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include "lapack/steqr.hpp"
 #include "matgen.hpp"
 #include "onestage/sytrd.hpp"
+#include "runtime/thread_pool.hpp"
 #include "test_support.hpp"
 #include "twostage/sb2st.hpp"
 #include "twostage/sy2sb.hpp"
@@ -111,43 +114,63 @@ INSTANTIATE_TEST_SUITE_P(Shapes, Sb2stShapes,
                                            std::make_tuple<idx, idx>(64, 16),
                                            std::make_tuple<idx, idx>(50, 2)));
 
+/// Bitwise equality of two chase results: d, e, and every reflector and tau
+/// of every level.
+void expect_same_chase(const twostage::Sb2stResult& a,
+                       const twostage::Sb2stResult& b) {
+  EXPECT_EQ(a.d, b.d);
+  EXPECT_EQ(a.e, b.e);
+  auto same_factor = [](const twostage::V2Factor& x,
+                        const twostage::V2Factor& y) {
+    ASSERT_EQ(x.nsweeps(), y.nsweeps());
+    for (idx s = 0; s < x.nsweeps(); ++s) {
+      for (idx bk = 0; bk < x.nblocks(s); ++bk) {
+        EXPECT_EQ(x.tau(s, bk), y.tau(s, bk));
+        EXPECT_LE(max_abs_diff(x.v(s, bk), y.v(s, bk), x.len(s, bk)), 0.0);
+      }
+    }
+  };
+  same_factor(a.v2, b.v2);
+  ASSERT_EQ(a.pre_levels.size(), b.pre_levels.size());
+  for (size_t l = 0; l < a.pre_levels.size(); ++l)
+    same_factor(a.pre_levels[l], b.pre_levels[l]);
+}
+
 class Sb2stSchedules
-    : public ::testing::TestWithParam<std::tuple<int, int, idx>> {};
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(Sb2stSchedules, ParallelMatchesSequentialBitwise) {
-  const auto [workers, stage2_workers, group] = GetParam();
-  const idx n = 60, bw = 8;
-  Rng rng(5);
-  auto band = random_band(n, bw, rng);
-
-  auto seq = twostage::sb2st(band);
-  twostage::Sb2stOptions opts;
-  opts.num_workers = workers;
-  opts.stage2_workers = stage2_workers;
-  opts.group = group;
-  auto par = twostage::sb2st(band, opts);
-
-  EXPECT_EQ(seq.d, par.d);
-  EXPECT_EQ(seq.e, par.e);
-  for (idx s = 0; s < seq.v2.nsweeps(); ++s) {
-    for (idx b = 0; b < seq.v2.nblocks(s); ++b) {
-      EXPECT_EQ(seq.v2.tau(s, b), par.v2.tau(s, b));
-      EXPECT_LE(max_abs_diff(seq.v2.v(s, b), par.v2.v(s, b),
-                             seq.v2.len(s, b)),
-                0.0);
-    }
+  const auto [workers, stage2_workers] = GetParam();
+  // n = 4, bw = 2 has 2 sweeps, fewer than most pipeline widths here.
+  for (const auto& [n, bw] : {std::pair<idx, idx>{60, 8}, {4, 2}}) {
+    SCOPED_TRACE("n " + std::to_string(n) + " bw " + std::to_string(bw));
+    Rng rng(5);
+    auto band = random_band(n, bw, rng);
+    twostage::Sb2stOptions opts;
+    opts.num_workers = workers;
+    opts.stage2_workers = stage2_workers;
+    expect_same_chase(twostage::sb2st(band), twostage::sb2st(band, opts));
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Schedules, Sb2stSchedules,
-    ::testing::Values(std::make_tuple<int, int, idx>(2, 0, 1),
-                      std::make_tuple<int, int, idx>(4, 0, 1),
-                      std::make_tuple<int, int, idx>(4, 2, 1),
-                      std::make_tuple<int, int, idx>(4, 1, 1),
-                      std::make_tuple<int, int, idx>(4, 0, 2),
-                      std::make_tuple<int, int, idx>(3, 2, 4),
-                      std::make_tuple<int, int, idx>(8, 3, 3)));
+INSTANTIATE_TEST_SUITE_P(Schedules, Sb2stSchedules,
+                         ::testing::Combine(::testing::Values(2, 3, 4, 8),
+                                            ::testing::Values(0, 1, 2, 3)));
+
+TEST(Sb2st, NestedInsidePoolRegionMatchesSequentialBitwise) {
+  // A call from inside a fork_join body runs the pipeline on one worker.
+  const idx n = 60, bw = 8;
+  Rng rng(6);
+  auto band = random_band(n, bw, rng);
+  const auto seq = twostage::sb2st(band);
+  std::vector<twostage::Sb2stResult> got(2);
+  rt::ThreadPool::instance().fork_join(2, [&](int t) {
+    twostage::Sb2stOptions opts;
+    opts.num_workers = 4;
+    got[static_cast<size_t>(t)] = twostage::sb2st(band, opts);
+  });
+  for (const auto& g : got) expect_same_chase(seq, g);
+}
 
 TEST(Sb2st, AlreadyTridiagonalIsPassedThrough) {
   const idx n = 12;
@@ -245,27 +268,12 @@ TEST(Sb2stSuccessive, ParallelMatchesSequentialBitwise) {
   twostage::Sb2stOptions sopts;
   sopts.successive = true;
   auto seq = twostage::sb2st(band, sopts);
-  twostage::Sb2stOptions popts = sopts;
-  popts.num_workers = 4;
-  popts.group = 2;
-  auto par = twostage::sb2st(band, popts);
-
-  EXPECT_EQ(seq.d, par.d);
-  EXPECT_EQ(seq.e, par.e);
-  ASSERT_EQ(seq.pre_levels.size(), par.pre_levels.size());
-  auto expect_factor_equal = [](const twostage::V2Factor& a,
-                                const twostage::V2Factor& b) {
-    ASSERT_EQ(a.nsweeps(), b.nsweeps());
-    for (idx s = 0; s < a.nsweeps(); ++s) {
-      for (idx bk = 0; bk < a.nblocks(s); ++bk) {
-        EXPECT_EQ(a.tau(s, bk), b.tau(s, bk));
-        EXPECT_LE(max_abs_diff(a.v(s, bk), b.v(s, bk), a.len(s, bk)), 0.0);
-      }
-    }
-  };
-  expect_factor_equal(seq.v2, par.v2);
-  for (size_t l = 0; l < seq.pre_levels.size(); ++l)
-    expect_factor_equal(seq.pre_levels[l], par.pre_levels[l]);
+  for (const int workers : {3, 4, 8}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    twostage::Sb2stOptions popts = sopts;
+    popts.num_workers = workers;
+    expect_same_chase(seq, twostage::sb2st(band, popts));
+  }
 }
 
 TEST(Sb2stSuccessive, NarrowBandFallsBackToDirectChase) {

@@ -362,14 +362,14 @@ void check_kernel_fp_contract(const Ctx& ctx, const std::string& path) {
 
 const char kTaskTouchDiscipline[] = "tseig-task-touch-discipline";
 
-/// Tile/chase kernels whose presence marks a lambda as a task body under the
-/// declared-access (DTL) contract.
+/// Tile kernels whose presence marks a lambda as a task body under the
+/// declared-access (DTL) contract.  The chase kernels (hbceu, hbrel_hblru)
+/// are not listed: the bulge chase runs as a sweep pipeline, not as tasks.
 const std::set<std::string>& tile_kernel_names() {
   static const std::set<std::string> kNames = {
       "geqrt",      "ormqr_tile",  "syrfb",
       "tsqrt",      "tsmqr_left",  "tsmqr_right",
-      "tsmqr_corner", "tsmqr_left_hetra",
-      "hbceu",      "hbrel_hblru"};
+      "tsmqr_corner", "tsmqr_left_hetra"};
   return kNames;
 }
 

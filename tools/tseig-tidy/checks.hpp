@@ -16,9 +16,9 @@
 //                                 pragmas.  One contracted multiply and
 //                                 TSEIG_KERNEL=scalar can no longer
 //                                 reproduce the SIMD tiers bit for bit.
-//   tseig-task-touch-discipline-- a lambda body that calls a tile/chase
-//                                 kernel is (by construction in this code
-//                                 base) a task body; it must report its
+//   tseig-task-touch-discipline-- a lambda body that calls a tile kernel
+//                                 is (by construction in this code base)
+//                                 a task body; it must report its
 //                                 footprint via rt::touch_read/touch_write
 //                                 or the dynamic hazard checker goes blind
 //                                 for exactly the tasks it exists to watch.

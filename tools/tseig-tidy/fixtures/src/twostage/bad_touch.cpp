@@ -1,11 +1,15 @@
 // Fixture: tseig-task-touch-discipline.  The first lambda calls a tile
 // kernel without declaring its footprint -- finding.  The second declares
 // touches before the call -- clean, even though it reaches submit() through
-// a run() helper exactly like src/twostage/sy2sb.cpp does.
+// a run() helper exactly like src/twostage/sy2sb.cpp does.  A pipeline body
+// calling the chase kernels without touches is clean too: the bulge chase
+// (src/twostage/sb2st.cpp) runs no tasks, so there is nothing to declare.
 struct Tile {};
 
 void geqrt(Tile&, Tile&);
 void tsmqr_corner(Tile&, Tile&, Tile&);
+void hbceu(Tile&);
+void hbrel_hblru(Tile&);
 void touch_read(const Tile&);
 void touch_write(Tile&);
 
@@ -34,6 +38,13 @@ void good_corner(Tile& a, Tile& b, Tile& c) {
     touch_write(b);
     touch_write(c);
     tsmqr_corner(a, b, c);
+  });
+}
+
+void chase_pipeline_body(Tile& band) {
+  run([&] {
+    hbceu(band);  // not a tile kernel: no finding
+    hbrel_hblru(band);
   });
 }
 

@@ -112,8 +112,8 @@ public:
 };
 
 // ---------------------------------------------------------------------------
-// tseig-task-touch-discipline: a lambda that calls a tile/chase kernel must
-// also call rt::touch_read / rt::touch_write.
+// tseig-task-touch-discipline: a lambda that calls a tile kernel must also
+// call rt::touch_read / rt::touch_write.
 
 class TaskTouchDisciplineCheck : public ClangTidyCheck {
 public:
@@ -123,7 +123,7 @@ public:
   void registerMatchers(MatchFinder *Finder) override {
     const auto TileKernel = callExpr(callee(functionDecl(hasAnyName(
         "geqrt", "ormqr_tile", "syrfb", "tsqrt", "tsmqr_left", "tsmqr_right",
-        "tsmqr_corner", "tsmqr_left_hetra", "hbceu", "hbrel_hblru"))));
+        "tsmqr_corner", "tsmqr_left_hetra"))));
     const auto Touch = callExpr(
         callee(functionDecl(hasAnyName("touch_read", "touch_write"))));
     Finder->addMatcher(
