@@ -6,9 +6,7 @@
 #      no-wallclock).  The token-engine binary builds with any C++20
 #      compiler, so this layer ALWAYS runs and is BLOCKING -- a finding
 #      fails the script on every toolchain, including the CI lint job.
-#   2. stock clang-tidy with the repo .clang-tidy profile, plus the
-#      tseig_tidy_plugin module via -load when it was built
-#      (-DTSEIG_TIDY_PLUGIN=ON with Clang dev libraries).  Skipped with a
+#   2. stock clang-tidy with the repo .clang-tidy profile.  Skipped with a
 #      notice when clang-tidy is not installed; blocking when it runs.
 #
 # Usage: scripts/run_tidy.sh [--self-test] [build-dir]   (default: build-tidy)
@@ -62,25 +60,17 @@ FILES=$(find src -name '*.cpp' -o -name '*.hpp' -o -name '*.inl' | sort)
 "$TSEIG_TIDY" --src-root . $FILES
 
 # ---------------------------------------------------------------------------
-# Layer 2: stock clang-tidy (+ plugin when built), blocking when available.
+# Layer 2: stock clang-tidy, blocking when available.
 TIDY=${CLANG_TIDY:-clang-tidy}
 if ! command -v "$TIDY" >/dev/null 2>&1; then
   echo "run_tidy.sh: $TIDY not found; ran the tseig-tidy layer only" >&2
   exit 0
 fi
 
-PLUGIN=""
-for so in "$BUILD"/tools/tseig-tidy/libtseig_tidy_plugin.*; do
-  [ -f "$so" ] && PLUGIN="-load=$so"
-done
-CHECKS_ARG=""
-[ -n "$PLUGIN" ] && CHECKS_ARG="--checks=tseig-*"
-
 STATUS=0
 for f in $(find src/runtime src/twostage src/tridiag src/solver \
            -name '*.cpp' | sort); do
   echo "== $TIDY $f"
-  # shellcheck disable=SC2086
-  "$TIDY" $PLUGIN $CHECKS_ARG -p "$BUILD" --quiet "$f" || STATUS=1
+  "$TIDY" -p "$BUILD" --quiet "$f" || STATUS=1
 done
 exit $STATUS

@@ -120,7 +120,7 @@ Report analyze(const Snapshot& snap);
 /// critical-path report from the trace file alone.
 std::string to_chrome_trace_json(const Snapshot& snap);
 
-/// The stable metrics document ("schema": "tseig-metrics-v1").
+/// The stable metrics document ("schema": "tseig-metrics-v2").
 std::string to_metrics_json(const Snapshot& snap);
 
 /// Human-readable summary of a report.

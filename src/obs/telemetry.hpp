@@ -4,7 +4,7 @@
 // The paper's argument is read off execution traces (Figure 2's kernel
 // timeline, Figure 1's phase breakdown); before this layer each producer
 // (sy2sb/sb2st/q2 graphs, stedc's merge tree, syev_batch) kept its own
-// TraceEvent vector with its own per-run epoch, so a full syev could not be
+// event vector with its own per-run epoch, so a full syev could not be
 // inspected as one timeline.  Design, following StarNEig-style task-library
 // tracing:
 //

@@ -164,7 +164,6 @@ void TaskGraph::run_elided() {
       }
     }
     const double t1 = obs::now_seconds();
-    if (tracing_) trace_.push_back({t.label, -1, 0, t0, t1});
     if (observing) {
       durations[static_cast<size_t>(id)] = t1 - t0;
       obs::record_span(t.label, t0, t1);
@@ -174,10 +173,7 @@ void TaskGraph::run_elided() {
   tasks_.clear();
   regions_.clear();
   edge_count_ = 0;
-  if (first_error) {
-    trace_.clear();
-    std::rethrow_exception(first_error);
-  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 void TaskGraph::record_run(int num_workers, double run_start,
@@ -213,7 +209,6 @@ void TaskGraph::run(int num_workers) {
   // execute on the calling thread only -- the outer graph's workers already
   // own the machine.
   if (ThreadPool::in_parallel_region()) num_workers = 1;
-  trace_.clear();
 
   if (validate_) {
     try {
@@ -417,9 +412,6 @@ void TaskGraph::run(int num_workers) {
         waits.max_seconds = std::max(waits.max_seconds, wait);
         obs::record_histogram(obs::Histogram::task_wait, wait);
       }
-      if (tracing_) {
-        trace_.push_back({t.label, -1, worker_id, t0, t1});
-      }
       bool woke_pinned_other = false;
       for (idx s : t.successors) {
         Task& succ = tasks_[static_cast<size_t>(s)];
@@ -449,10 +441,7 @@ void TaskGraph::run(int num_workers) {
   tasks_.clear();
   regions_.clear();
   edge_count_ = 0;
-  if (first_error) {
-    trace_.clear();
-    std::rethrow_exception(first_error);
-  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace tseig::rt

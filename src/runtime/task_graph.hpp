@@ -88,18 +88,6 @@ constexpr std::uint64_t region_key(std::uint32_t tag, std::uint32_t i,
 inline Access rd(std::uint64_t region) { return {region, access::read}; }
 inline Access wr(std::uint64_t region) { return {region, access::write}; }
 
-/// Execution trace entry (enabled via TaskGraph::enable_tracing).  The
-/// label is the task's interned label (a borrowed static string, never
-/// copied); timestamps are on the process-wide obs epoch so traces from
-/// different graphs/subsystems line up without splicing.
-struct TraceEvent {
-  const char* label = "";
-  idx arg = -1;  ///< optional instance id (e.g. batch problem index)
-  int worker = 0;
-  double start_seconds = 0.0;
-  double end_seconds = 0.0;
-};
-
 /// A dependency-tracked task graph.  Usage:
 ///
 ///   TaskGraph g;
@@ -120,7 +108,7 @@ public:
     /// >= 0 pins the task to worker (hint % num_workers); -1 lets any worker
     /// run it.
     int worker_hint = -1;
-    /// Label recorded in traces and telemetry.  Interned: the pointer is
+    /// Label recorded in telemetry spans.  Interned: the pointer is
     /// stored verbatim (no copy), so it must be a static string.
     const char* label = "";
   };
@@ -194,12 +182,6 @@ public:
 
   /// Total dependency edges derived so far (for tests/diagnostics).
   idx edges() const { return edge_count_; }
-
-  /// Enables collection of per-task trace events during the next run().
-  void enable_tracing(bool on) { tracing_ = on; }
-
-  /// Trace of the last run() (empty unless tracing was enabled).
-  const std::vector<TraceEvent>& trace() const { return trace_; }
 
   /// Enables the validation mode for this graph: submit() records each
   /// task's declared accesses, run() performs the GraphValidator cycle check
@@ -278,13 +260,11 @@ private:
   idx aging_window_ = kDefaultAgingWindow;
   int run_lookahead_ = -1;
   const char* run_priority_scheme_ = "";
-  bool tracing_ = false;
   bool validate_ = false;
   bool fuzz_ = false;
   bool serial_elision_ = false;
   std::uint64_t fuzz_seed_ = 0;
   const RegionMap* region_map_ = nullptr;
-  std::vector<TraceEvent> trace_;
 };
 
 }  // namespace tseig::rt

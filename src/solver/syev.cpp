@@ -32,11 +32,12 @@ idx auto_nb(idx n) {
   return std::clamp<idx>(nb - nb % 8, 32, 96);
 }
 
-/// Number of eigenvector columns implied by the fraction option.
+/// Number of eigenvector columns implied by the fraction option (syev()
+/// has already checked 0 < fraction <= 1).
 idx subset_size(idx n, const SyevOptions& opts) {
   if (opts.job == jobz::values_only) return 0;
-  const double f = std::clamp(opts.fraction, 0.0, 1.0);
-  return std::max<idx>(1, static_cast<idx>(std::llround(f * static_cast<double>(n))));
+  return std::max<idx>(
+      1, static_cast<idx>(std::llround(opts.fraction * static_cast<double>(n))));
 }
 
 /// Subset eigen-solution of the tridiagonal (d, e): bisection eigenvalues
@@ -128,11 +129,61 @@ SyevResult solve_small_n(idx n, const double* a, idx lda,
   return res;
 }
 
+/// Tridiagonal solve and back-transformation shared by both drivers: the
+/// eigenvalues of T = (d, e) under the range/fraction selection and, with
+/// vectors, T's eigenvectors mapped back to A's basis by
+/// back_transform(z) -- ormtr for the one-stage reduction, Q2 then Q1 for
+/// the two-stage one.  d and e are overwritten.
+template <class BackTransform>
+void solve_tridiagonal(idx n, std::vector<double>& d, std::vector<double>& e,
+                       const SyevOptions& opts, SyevResult& res,
+                       BackTransform&& back_transform) {
+  const idx m = subset_size(n, opts);
+  if (opts.job == jobz::values_only && opts.sel == range::all &&
+      opts.solver != eig_solver::bisect) {
+    timed(obs::Phase::solve, "solve", res.phases.solve_seconds,
+          res.phases.solve_flops,
+          [&] { lapack::sterf(n, d.data(), e.data()); });
+    res.eigenvalues = d;
+    return;
+  }
+  if (opts.sel != range::all || opts.solver == eig_solver::bisect) {
+    // Subset path (MRRR role): bisection + inverse iteration.
+    timed(obs::Phase::solve, "solve", res.phases.solve_seconds,
+          res.phases.solve_flops, [&] {
+      res.eigenvalues =
+          tridiag_subset(n, d.data(), e.data(), opts,
+                         opts.job == jobz::values_only ? n : m, res.z);
+    });
+  } else {
+    // Full spectrum of T with vectors: QL/QR or divide and conquer.
+    Matrix evec(n, n);
+    timed(obs::Phase::solve, "solve", res.phases.solve_seconds,
+          res.phases.solve_flops, [&] {
+      if (opts.solver == eig_solver::qr) {
+        lapack::laset(n, n, 0.0, 1.0, evec.data(), evec.ld());
+        lapack::steqr(n, d.data(), e.data(), evec.data(), evec.ld(), n);
+      } else {
+        tridiag::StedcOptions sopts;
+        sopts.crossover = opts.dc_crossover;
+        sopts.num_workers = opts.num_workers;
+        tridiag::stedc(n, d.data(), e.data(), evec.data(), evec.ld(), sopts);
+      }
+    });
+    // SyevResult invariant: eigenvalues match z's m columns on every path.
+    res.eigenvalues.assign(d.begin(), d.begin() + m);
+    res.z.reshape(n, m);
+    lapack::lacpy(n, m, evec.data(), evec.ld(), res.z.data(), res.z.ld());
+  }
+  if (res.z.cols() > 0) {
+    timed(obs::Phase::update, "update", res.phases.update_seconds,
+          res.phases.update_flops, [&] { back_transform(res.z); });
+  }
+}
+
 SyevResult solve_one_stage(idx n, const double* a, idx lda,
                            const SyevOptions& opts) {
   SyevResult res;
-  const idx m = subset_size(n, opts);
-
   Matrix work(n, n);
   lapack::lacpy(n, n, a, lda, work.data(), work.ld());
   std::vector<double> d(static_cast<size_t>(n)), e(static_cast<size_t>(n)),
@@ -144,85 +195,37 @@ SyevResult solve_one_stage(idx n, const double* a, idx lda,
                     opts.nb);
   });
 
-  if (opts.job == jobz::values_only && opts.sel == range::all &&
-      opts.solver != eig_solver::bisect) {
+  if (opts.job == jobz::vectors && opts.sel == range::all &&
+      opts.solver == eig_solver::qr) {
+    // EV: Q built explicitly (Table 1's "Gen Q"), rotations accumulate in it.
+    const idx m = subset_size(n, opts);
+    Matrix q(n, n);
+    timed(obs::Phase::update, "gen_q", res.phases.update_seconds,
+          res.phases.update_flops, [&] {
+      lapack::laset(n, n, 0.0, 1.0, q.data(), q.ld());
+      onestage::ormtr(op::none, n, n, work.data(), work.ld(), tau.data(),
+                      q.data(), q.ld(), opts.nb);
+    });
     timed(obs::Phase::solve, "solve", res.phases.solve_seconds,
-          res.phases.solve_flops,
-          [&] { lapack::sterf(n, d.data(), e.data()); });
-    res.eigenvalues = d;
-    return res;
-  }
-  if (opts.sel != range::all || opts.solver == eig_solver::bisect) {
-    // Subset path (MRRR role): bisection + inverse iteration.
-    std::vector<double> w;
-    timed(obs::Phase::solve, "solve", res.phases.solve_seconds,
-          res.phases.solve_flops,
-          [&] {
-            w = tridiag_subset(
-                n, d.data(), e.data(), opts,
-                opts.job == jobz::values_only ? n : m, res.z);
-          });
-    res.eigenvalues = w;
-    if (opts.job == jobz::vectors && res.z.cols() > 0) {
-      timed(obs::Phase::update, "update", res.phases.update_seconds,
-            res.phases.update_flops, [&] {
-        onestage::ormtr(op::none, n, res.z.cols(), work.data(), work.ld(),
-                        tau.data(), res.z.data(), res.z.ld(), opts.nb);
-      });
-    }
+          res.phases.solve_flops, [&] {
+      lapack::steqr(n, d.data(), e.data(), q.data(), q.ld(), n);
+    });
+    res.eigenvalues.assign(d.begin(), d.begin() + m);
+    res.z.reshape(n, m);
+    lapack::lacpy(n, m, q.data(), q.ld(), res.z.data(), res.z.ld());
     return res;
   }
 
-  switch (opts.solver) {
-    case eig_solver::qr: {
-      // Q built explicitly (Table 1's "Gen Q"), rotations accumulate in it.
-      Matrix q(n, n);
-      timed(obs::Phase::update, "gen_q", res.phases.update_seconds,
-            res.phases.update_flops, [&] {
-        lapack::laset(n, n, 0.0, 1.0, q.data(), q.ld());
-        onestage::ormtr(op::none, n, n, work.data(), work.ld(), tau.data(),
-                        q.data(), q.ld(), opts.nb);
-      });
-      timed(obs::Phase::solve, "solve", res.phases.solve_seconds,
-            res.phases.solve_flops, [&] {
-        lapack::steqr(n, d.data(), e.data(), q.data(), q.ld(), n);
-      });
-      // SyevResult invariant: with vectors, eigenvalues match z's columns
-      // (the m smallest), on every solver path.
-      res.eigenvalues.assign(d.begin(), d.begin() + m);
-      res.z.reshape(n, m);
-      lapack::lacpy(n, m, q.data(), q.ld(), res.z.data(), res.z.ld());
-      break;
-    }
-    case eig_solver::dc: {
-      Matrix evec(n, n);
-      timed(obs::Phase::solve, "solve", res.phases.solve_seconds,
-            res.phases.solve_flops, [&] {
-        tridiag::StedcOptions sopts;
-        sopts.crossover = opts.dc_crossover;
-        sopts.num_workers = opts.num_workers;
-        tridiag::stedc(n, d.data(), e.data(), evec.data(), evec.ld(), sopts);
-      });
-      res.eigenvalues.assign(d.begin(), d.begin() + m);
-      res.z.reshape(n, m);
-      lapack::lacpy(n, m, evec.data(), evec.ld(), res.z.data(), res.z.ld());
-      timed(obs::Phase::update, "update", res.phases.update_seconds,
-            res.phases.update_flops, [&] {
-        onestage::ormtr(op::none, n, m, work.data(), work.ld(), tau.data(),
-                        res.z.data(), res.z.ld(), opts.nb);
-      });
-      break;
-    }
-    case eig_solver::bisect:
-      break;  // handled by the subset path above
-  }
+  solve_tridiagonal(n, d, e, opts, res, [&](Matrix& z) {
+    onestage::ormtr(op::none, n, z.cols(), work.data(), work.ld(), tau.data(),
+                    z.data(), z.ld(), opts.nb);
+  });
   return res;
 }
 
 SyevResult solve_two_stage(idx n, const double* a, idx lda,
                            const SyevOptions& opts) {
   SyevResult res;
-  const idx m = subset_size(n, opts);
   // Band width can never exceed n - 1 (the previous max(2, n-1) clamp let
   // nb = 2 through for n <= 2, feeding sy2sb a band wider than the matrix);
   // n == 1 degenerates to the 1x1 "band" nb = 1 that sy2sb accepts.
@@ -243,99 +246,17 @@ SyevResult solve_two_stage(idx n, const double* a, idx lda,
     twostage::Sb2stOptions o2;
     o2.num_workers = opts.num_workers;
     o2.stage2_workers = opts.stage2_workers;
-    o2.successive = opts.successive_bands;
     s2 = twostage::sb2st(s1.band, o2);
   });
   res.phases.reduction_seconds =
       res.phases.stage1_seconds + res.phases.stage2_seconds;
 
-  std::vector<double>& d = s2.d;
-  std::vector<double>& e = s2.e;
-
-  if (opts.job == jobz::values_only && opts.sel == range::all &&
-      opts.solver != eig_solver::bisect) {
-    timed(obs::Phase::solve, "solve", res.phases.solve_seconds,
-          res.phases.solve_flops,
-          [&] { lapack::sterf(n, d.data(), e.data()); });
-    res.eigenvalues = d;
-    return res;
-  }
-  if (opts.sel != range::all || opts.solver == eig_solver::bisect) {
-    // Subset path; back-transformation below handles whatever came back.
-    std::vector<double> w;
-    timed(obs::Phase::solve, "solve", res.phases.solve_seconds,
-          res.phases.solve_flops,
-          [&] {
-            w = tridiag_subset(
-                n, d.data(), e.data(), opts,
-                opts.job == jobz::values_only ? n : m, res.z);
-          });
-    res.eigenvalues = w;
-    if (opts.job == jobz::vectors && res.z.cols() > 0) {
-      timed(obs::Phase::update, "update", res.phases.update_seconds,
-            res.phases.update_flops, [&] {
-        twostage::apply_q2(op::none, s2.v2, res.z.data(), res.z.ld(),
-                           res.z.cols(), opts.ell, opts.num_workers);
-        // Successive band reduction: outer levels re-applied innermost
-        // first (Q2 = pre_levels[0] * ... * v2).
-        for (auto it = s2.pre_levels.rbegin(); it != s2.pre_levels.rend();
-             ++it) {
-          twostage::apply_q2(op::none, *it, res.z.data(), res.z.ld(),
-                             res.z.cols(), opts.ell, opts.num_workers);
-        }
-        twostage::apply_q1(op::none, s1.q1, res.z.data(), res.z.ld(),
-                           res.z.cols(), opts.num_workers);
-      });
-    }
-    return res;
-  }
-
-  // Phase 2: eigenpairs of T.
-  switch (opts.solver) {
-    case eig_solver::qr: {
-      Matrix evec(n, n);
-      timed(obs::Phase::solve, "solve", res.phases.solve_seconds,
-            res.phases.solve_flops, [&] {
-        lapack::laset(n, n, 0.0, 1.0, evec.data(), evec.ld());
-        lapack::steqr(n, d.data(), e.data(), evec.data(), evec.ld(), n);
-      });
-      // SyevResult invariant: eigenvalues match z's m columns on every path.
-      res.eigenvalues.assign(d.begin(), d.begin() + m);
-      res.z.reshape(n, m);
-      lapack::lacpy(n, m, evec.data(), evec.ld(), res.z.data(), res.z.ld());
-      break;
-    }
-    case eig_solver::dc: {
-      Matrix evec(n, n);
-      timed(obs::Phase::solve, "solve", res.phases.solve_seconds,
-            res.phases.solve_flops, [&] {
-        tridiag::StedcOptions sopts;
-        sopts.crossover = opts.dc_crossover;
-        sopts.num_workers = opts.num_workers;
-        tridiag::stedc(n, d.data(), e.data(), evec.data(), evec.ld(), sopts);
-      });
-      res.eigenvalues.assign(d.begin(), d.begin() + m);
-      res.z.reshape(n, m);
-      lapack::lacpy(n, m, evec.data(), evec.ld(), res.z.data(), res.z.ld());
-      break;
-    }
-    case eig_solver::bisect:
-      break;  // handled by the subset path above
-  }
-
   // Back-transformation Z = Q1 Q2 E (Eq. 3): the 4 n^3 f phase that the
   // diamond-blocked Q2 and tiled Q1 keep compute-bound.
-  timed(obs::Phase::update, "update", res.phases.update_seconds,
-        res.phases.update_flops, [&] {
-    twostage::apply_q2(op::none, s2.v2, res.z.data(), res.z.ld(), m, opts.ell,
+  solve_tridiagonal(n, s2.d, s2.e, opts, res, [&](Matrix& z) {
+    twostage::apply_q2(op::none, s2.v2, z.data(), z.ld(), z.cols(), opts.ell,
                        opts.num_workers);
-    // Successive band reduction: outer levels re-applied innermost first
-    // (Q2 = pre_levels[0] * ... * v2).
-    for (auto it = s2.pre_levels.rbegin(); it != s2.pre_levels.rend(); ++it) {
-      twostage::apply_q2(op::none, *it, res.z.data(), res.z.ld(), m, opts.ell,
-                         opts.num_workers);
-    }
-    twostage::apply_q1(op::none, s1.q1, res.z.data(), res.z.ld(), m,
+    twostage::apply_q1(op::none, s1.q1, z.data(), z.ld(), z.cols(),
                        opts.num_workers);
   });
   return res;

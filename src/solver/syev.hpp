@@ -84,9 +84,6 @@ struct SyevOptions {
   /// Has no effect (see Sb2stOptions::group); kept because existing callers
   /// assign it.
   idx group = 4;
-  /// Stage 2 as a successive band reduction (nb -> nb/2 -> 1, see
-  /// Sb2stOptions::successive) instead of one direct chase.
-  bool successive_bands = false;
   /// D&C crossover to QL/QR.
   idx dc_crossover = 32;
   /// Closed-form fast lane for n <= 3 (solver::small): branch-light direct
@@ -98,7 +95,7 @@ struct SyevOptions {
   bool small_n_closed_form = true;
   /// Per-solve telemetry export (tseig::obs): non-empty paths turn recording
   /// on for this call and write a Chrome/Perfetto trace and/or a
-  /// "tseig-metrics-v1" JSON when the solve returns.  Independent of the
+  /// "tseig-metrics-v2" JSON when the solve returns.  Independent of the
   /// process-wide TSEIG_TRACE / TSEIG_METRICS environment activation (which
   /// records everything and exports once at process exit).
   std::string trace_path;

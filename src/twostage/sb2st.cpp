@@ -14,9 +14,8 @@
 
 namespace tseig::twostage {
 
-V2Factor::V2Factor(idx n, idx nb, idx d) : n_(n), nb_(nb), d_(d) {
-  require(n >= 0 && nb >= 1 && d >= 1 && d <= nb,
-          "V2Factor: bad dimensions");
+V2Factor::V2Factor(idx n, idx nb) : n_(n), nb_(nb) {
+  require(n >= 0 && nb >= 1, "V2Factor: bad dimensions");
   sweep_offset_.assign(static_cast<size_t>(nsweeps()) + 1, 0);
   idx total = 0;
   for (idx s = 0; s < nsweeps(); ++s) {
@@ -88,15 +87,12 @@ void apply_left_col(const WorkBand& b, idx r1, idx len, idx j,
 }
 
 /// Type 1 (xHBCEU): start sweep s -- generate the reflector annihilating the
-/// band column s below its d-th sub-diagonal (d = 1 for the tridiagonal
-/// chase, d > 1 for an intermediate successive-reduction level) and update
-/// the symmetric block it touches.  For d > 1 the reflector rows also hold
-/// in-band entries of the d-1 not-yet-reduced columns s+1..s+d-1, which see
-/// the reflector from the left (their transposed images via symmetry).
-void hbceu(const WorkBand& b, idx n, idx nb, idx d, idx s, double* v,
-           double& tau, double* w) {
-  const idx r1 = s + d;
-  const idx len = std::min(nb - d + 1, n - r1);
+/// band column s below its sub-diagonal and update the symmetric block it
+/// touches.
+void hbceu(const WorkBand& b, idx n, idx nb, idx s, double* v, double& tau,
+           double* w) {
+  const idx r1 = s + 1;
+  const idx len = std::min(nb, n - r1);
   // Column s, rows r1..r1+len-1 is contiguous in band storage.
   double* x = b.col(r1, s);
   v[0] = 1.0;
@@ -107,10 +103,6 @@ void hbceu(const WorkBand& b, idx n, idx nb, idx d, idx s, double* v,
     x[i] = 0.0;  // annihilated entries
   }
   x[0] = alpha;
-  if (tau != 0.0) {
-    count_flops(4 * len * (d - 1));
-    for (idx j = s + 1; j < r1; ++j) apply_left_col(b, r1, len, j, v, tau);
-  }
   sym_two_sided(b, r1, len, v, tau, w);
 }
 
@@ -142,21 +134,17 @@ void apply_right(const WorkBand& b, idx n, idx nb, idx r1, idx lenU,
 /// Type 2 + type 3 (xHBREL then xHBLRU): one chase hop of sweep s.
 ///  - apply the previous reflector (vp over rows r1..r1+lenU-1) from the
 ///    right to the rows below its block, materializing the bulge;
-///  - annihilate column r1's out-of-band fill with a new reflector (vn)
-///    pivoting on the last in-band row K1 = r1 + nb;
-///  - apply vn from the left to the delayed columns r1+1 .. K1-1 (the bulge
-///    remainder plus, for d > 1, the d-1 in-band columns between the two
-///    reflector spans);
+///  - annihilate the bulge's first column r1 with a new reflector (vn)
+///    pivoting on row K1 = r1 + nb, where the bulge block starts;
+///  - apply vn from the left to the delayed bulge columns r1+1 .. K1-1;
 ///  - apply vn two-sidedly to the symmetric block B(K1:K2, K1:K2).
-/// For d = 1 the new span starts exactly where the bulge block does
-/// (K1 == r1 + lenU) and this is the classic kernel pair.
-void hbrel_hblru(const WorkBand& b, idx n, idx nb, idx d, idx r1, idx lenU,
+void hbrel_hblru(const WorkBand& b, idx n, idx nb, idx r1, idx lenU,
                  const double* vp, double taup, double* vn, double& taun,
                  double* w) {
   // --- hbrel: deferred right application, creating the bulge. ---
   apply_right(b, n, nb, r1, lenU, vp, taup, w);
   const idx K1 = r1 + nb;
-  const idx lenN = std::min(nb - d + 1, n - K1);
+  const idx lenN = std::min(nb, n - K1);
   // --- new reflector from the chased column's fill (pivot in band). ---
   double* x = b.col(K1, r1);
   vn[0] = 1.0;
@@ -196,11 +184,9 @@ void wait_for_hops(const std::atomic<idx>& hops, idx target) {
   }
 }
 
-/// One chase level: reduces the working band (bandwidth nb, bulge headroom
-/// already allocated in wb) to bandwidth d in place, recording every
-/// reflector.  d only changes the geometry of each sweep's starting
-/// reflector, so all levels of a successive reduction share the kernels and
-/// this pipeline.
+/// The bulge chase: reduces the working band (bandwidth nb, bulge headroom
+/// already allocated in wb) to tridiagonal form in place, recording every
+/// reflector.
 ///
 /// Up to `width` bodies each take the next sweep from a shared counter and
 /// run its hops in order.  Hop u of sweep s starts once sweep s-1 has
@@ -208,9 +194,9 @@ void wait_for_hops(const std::atomic<idx>& hops, idx target) {
 /// of the paper's Section 5.2, checked per hop; (s,u) <- (s,u-1) is program
 /// order.  Every hop does the same arithmetic whichever body runs it, so the
 /// result is bitwise identical at every width.
-V2Factor chase_level(const WorkBand& wb, idx n, idx nb, idx d, int width) {
-  V2Factor v2(n, std::max<idx>(nb, 1), std::min(d, std::max<idx>(nb, 1)));
-  if (nb <= d || n < d + 2) return v2;  // nothing below the target band
+V2Factor chase(const WorkBand& wb, idx n, idx nb, int width) {
+  V2Factor v2(n, nb);
+  if (nb <= 1 || n < 3) return v2;  // already tridiagonal
 
   const idx nsweeps = v2.nsweeps();
   std::vector<SweepProgress> progress(static_cast<size_t>(nsweeps));
@@ -226,20 +212,14 @@ V2Factor chase_level(const WorkBand& wb, idx n, idx nb, idx d, int width) {
           wait_for_hops(progress[static_cast<size_t>(s - 1)].hops,
                         std::min(v2.nblocks(s - 1), u + 2));
         if (u == 0) {
-          hbceu(wb, n, nb, d, s, v2.v(s, 0), v2.tau(s, 0), w.data());
+          hbceu(wb, n, nb, s, v2.v(s, 0), v2.tau(s, 0), w.data());
         } else {
-          hbrel_hblru(wb, n, nb, d, v2.start(s, u - 1), v2.len(s, u - 1),
+          hbrel_hblru(wb, n, nb, v2.start(s, u - 1), v2.len(s, u - 1),
                       v2.v(s, u - 1), v2.tau(s, u - 1), v2.v(s, u),
                       v2.tau(s, u), w.data());
         }
-        if (u + 1 < nbl) done.store(u + 1, std::memory_order_release);
+        done.store(u + 1, std::memory_order_release);
       }
-      // Sweep tail: the final reflector can leave rows below its block (at
-      // most d-1; none for d == 1) with no next hop to right-apply it --
-      // finish the application here, before the last hop is published.
-      apply_right(wb, n, nb, v2.start(s, nbl - 1), v2.len(s, nbl - 1),
-                  v2.v(s, nbl - 1), v2.tau(s, nbl - 1), w.data());
-      done.store(nbl, std::memory_order_release);
     }
   };
   // A body only waits on the sweep before its own, which a body that is
@@ -278,36 +258,7 @@ Sb2stResult sb2st(const BandMatrix& band, const Sb2stOptions& opts) {
     for (idx i = j; i < iend; ++i) wb.at(i, j) = band.at(i, j);
   }
 
-  // Successive band reduction (nb -> nb/2 -> 1) when the intermediate level
-  // actually shrinks the band; otherwise one direct nb -> 1 chase.
-  const idx d1 = nb / 2;
-  const bool successive = opts.successive && d1 >= 2 && n >= 3;
-
-  if (successive) {
-    // Level A: nb -> d1.
-    result.pre_levels.push_back(chase_level(wb, n, nb, d1, width));
-
-    // Repack the narrowed band into working storage sized for level B's
-    // bulges (2*d1+1 rows); the wider level-A store is released here.
-    const idx ldwb2 = 2 * d1 + 1;
-    std::vector<double> wstore2(static_cast<size_t>(ldwb2 * n), 0.0);
-    WorkBand wb2{wstore2.data(), ldwb2};
-    for (idx j = 0; j < n; ++j) {
-      const idx iend = std::min(n, j + d1 + 1);
-      for (idx i = j; i < iend; ++i) wb2.at(i, j) = wb.at(i, j);
-    }
-    std::vector<double>().swap(wstore);
-
-    // Level B: d1 -> 1.
-    result.v2 = chase_level(wb2, n, d1, 1, width);
-    for (idx i = 0; i < n; ++i)
-      result.d[static_cast<size_t>(i)] = wb2.at(i, i);
-    for (idx i = 0; i + 1 < n; ++i)
-      result.e[static_cast<size_t>(i)] = wb2.at(i + 1, i);
-    return result;
-  }
-
-  result.v2 = chase_level(wb, n, std::max<idx>(nb, 1), 1, width);
+  result.v2 = chase(wb, n, std::max<idx>(nb, 1), width);
   for (idx i = 0; i < n; ++i) result.d[static_cast<size_t>(i)] = wb.at(i, i);
   for (idx i = 0; i + 1 < n; ++i)
     result.e[static_cast<size_t>(i)] = wb.at(i + 1, i);

@@ -1,5 +1,6 @@
 // Tests for the data-hazard task-graph runtime.
 #include <atomic>
+#include <map>
 #include <numeric>
 #include <set>
 #include <string>
@@ -10,6 +11,7 @@
 #include <cstdlib>
 
 #include "common/rng.hpp"
+#include "obs/telemetry.hpp"
 #include "runtime/env.hpp"
 #include "runtime/task_graph.hpp"
 #include "runtime/thread_pool.hpp"
@@ -143,48 +145,63 @@ INSTANTIATE_TEST_SUITE_P(Workers, RuntimeWorkers, ::testing::Values(1, 2, 4, 8))
 
 TEST(Runtime, WorkerHintPinsExecution) {
   TaskGraph g;
+  // Serial elision runs every task on the caller; pin the scheduler.
+  g.enable_serial_elision(false);
   const int workers = 4;
   std::vector<std::atomic<int>> ran_on(16);
   for (auto& r : ran_on) r = -1;
   for (int i = 0; i < 16; ++i) {
     TaskGraph::Options opts;
-    opts.worker_hint = i % workers;
+    opts.worker_hint = i;  // wraps: hint i pins to worker i % workers
     g.submit(
-        [&ran_on, i, &g] {
-          (void)g;
-          // Worker id is recoverable from the trace; store hint order here.
-          ran_on[static_cast<size_t>(i)] = 1;
+        [&ran_on, i] {
+          ran_on[static_cast<size_t>(i)] = TaskGraph::current_worker();
         },
         {wr(region_key(6, static_cast<std::uint32_t>(i), 0))}, opts);
   }
-  g.enable_tracing(true);
   g.run(workers);
-  for (auto& r : ran_on) EXPECT_EQ(r.load(), 1);
+  for (int i = 0; i < 16; ++i)
+    EXPECT_EQ(ran_on[static_cast<size_t>(i)].load(), i % workers) << i;
 }
 
 TEST(Runtime, TracingRecordsWorkerAssignment) {
+  // Each hint gets its own label, so the telemetry spans of one hint must
+  // all sit on the lane of the thread that ran that worker.
+  static const char* const kLabels[] = {"pinned0", "pinned1", "pinned2"};
   TaskGraph g;
+  g.enable_serial_elision(false);
   const int workers = 3;
+  std::vector<std::atomic<int>> ran_on(12);
   for (int i = 0; i < 12; ++i) {
     TaskGraph::Options opts;
     opts.worker_hint = i % workers;
-    opts.label = "pinned";
-    g.submit([] {}, {wr(region_key(7, static_cast<std::uint32_t>(i), 0))},
-             opts);
+    opts.label = kLabels[i % workers];
+    g.submit(
+        [&ran_on, i] {
+          ran_on[static_cast<size_t>(i)] = TaskGraph::current_worker();
+        },
+        {wr(region_key(7, static_cast<std::uint32_t>(i), 0))}, opts);
   }
-  g.enable_tracing(true);
+  obs::reset();
+  obs::set_enabled(true);
   g.run(workers);
-  ASSERT_EQ(g.trace().size(), 12u);
-  // Each pinned task must have run on its hinted worker.
-  std::set<int> seen;
-  for (const auto& ev : g.trace()) {
-    EXPECT_STREQ(ev.label, "pinned");
-    EXPECT_GE(ev.worker, 0);
-    EXPECT_LT(ev.worker, workers);
-    EXPECT_LE(ev.start_seconds, ev.end_seconds);
-    seen.insert(ev.worker);
+  const obs::Snapshot snap = obs::snapshot();
+  obs::set_enabled(false);
+
+  for (int i = 0; i < 12; ++i)
+    EXPECT_EQ(ran_on[static_cast<size_t>(i)].load(), i % workers) << i;
+  std::map<std::string, std::set<int>> lanes;
+  for (const obs::SpanRecord& s : snap.spans) {
+    EXPECT_LE(s.start_seconds, s.end_seconds);
+    lanes[s.label].insert(s.lane);
   }
-  EXPECT_EQ(seen.size(), 3u);
+  ASSERT_EQ(lanes.size(), 3u);
+  std::set<int> distinct;
+  for (const auto& [label, on] : lanes) {
+    EXPECT_EQ(on.size(), 1u) << label;
+    distinct.insert(*on.begin());
+  }
+  EXPECT_EQ(distinct.size(), 3u);
 }
 
 TEST(Runtime, PriorityOrdersReadyTasksOnOneWorker) {

@@ -114,26 +114,19 @@ INSTANTIATE_TEST_SUITE_P(Shapes, Sb2stShapes,
                                            std::make_tuple<idx, idx>(64, 16),
                                            std::make_tuple<idx, idx>(50, 2)));
 
-/// Bitwise equality of two chase results: d, e, and every reflector and tau
-/// of every level.
+/// Bitwise equality of two chase results: d, e, and every reflector and tau.
 void expect_same_chase(const twostage::Sb2stResult& a,
                        const twostage::Sb2stResult& b) {
   EXPECT_EQ(a.d, b.d);
   EXPECT_EQ(a.e, b.e);
-  auto same_factor = [](const twostage::V2Factor& x,
-                        const twostage::V2Factor& y) {
-    ASSERT_EQ(x.nsweeps(), y.nsweeps());
-    for (idx s = 0; s < x.nsweeps(); ++s) {
-      for (idx bk = 0; bk < x.nblocks(s); ++bk) {
-        EXPECT_EQ(x.tau(s, bk), y.tau(s, bk));
-        EXPECT_LE(max_abs_diff(x.v(s, bk), y.v(s, bk), x.len(s, bk)), 0.0);
-      }
+  ASSERT_EQ(a.v2.nsweeps(), b.v2.nsweeps());
+  for (idx s = 0; s < a.v2.nsweeps(); ++s) {
+    for (idx bk = 0; bk < a.v2.nblocks(s); ++bk) {
+      EXPECT_EQ(a.v2.tau(s, bk), b.v2.tau(s, bk));
+      EXPECT_LE(max_abs_diff(a.v2.v(s, bk), b.v2.v(s, bk), a.v2.len(s, bk)),
+                0.0);
     }
-  };
-  same_factor(a.v2, b.v2);
-  ASSERT_EQ(a.pre_levels.size(), b.pre_levels.size());
-  for (size_t l = 0; l < a.pre_levels.size(); ++l)
-    same_factor(a.pre_levels[l], b.pre_levels[l]);
+  }
 }
 
 class Sb2stSchedules
@@ -197,98 +190,6 @@ TEST(Sb2st, TinyMatrices) {
     for (idx i = 0; i < n; ++i)
       EXPECT_NEAR(d[static_cast<size_t>(i)], expect[static_cast<size_t>(i)], 1e-13);
   }
-}
-
-// ---- Successive band reduction (nb -> nb/2 -> 1) ---------------------------
-
-TEST(Sb2stSuccessive, SpectrumAndCombinedSimilarityHold) {
-  const idx n = 48, bw = 8;  // intermediate bandwidth nb/2 = 4
-  Rng rng(21);
-  auto band = random_band(n, bw, rng);
-  Matrix bdense = band.to_dense();
-
-  twostage::Sb2stOptions opts;
-  opts.successive = true;
-  auto res = twostage::sb2st(band, opts);
-  ASSERT_EQ(res.pre_levels.size(), 1u);
-  EXPECT_EQ(res.pre_levels[0].target(), 4);
-  EXPECT_EQ(res.pre_levels[0].nb(), 8);
-  EXPECT_EQ(res.v2.nb(), 4);
-  EXPECT_EQ(res.v2.target(), 1);
-
-  // Eigenvalues survive both levels.
-  auto expect = dense_eigenvalues(bdense);
-  std::vector<double> d = res.d, e = res.e;
-  lapack::sterf(n, d.data(), e.data());
-  for (idx i = 0; i < n; ++i)
-    EXPECT_NEAR(d[static_cast<size_t>(i)], expect[static_cast<size_t>(i)],
-                1e-10 * n)
-        << i;
-
-  // The intermediate matrix Q_A^T B Q_A must actually have bandwidth nb/2.
-  Matrix qa = dense_q2(res.pre_levels[0]);
-  Matrix qb = dense_q2(res.v2);
-  EXPECT_LE(orthogonality_error(qa), 1e-12 * n);
-  EXPECT_LE(orthogonality_error(qb), 1e-12 * n);
-  Matrix bqa(n, n), b1(n, n);
-  blas::gemm(op::none, op::none, n, n, n, 1.0, bdense.data(), bdense.ld(),
-             qa.data(), qa.ld(), 0.0, bqa.data(), bqa.ld());
-  blas::gemm(op::trans, op::none, n, n, n, 1.0, qa.data(), qa.ld(),
-             bqa.data(), bqa.ld(), 0.0, b1.data(), b1.ld());
-  for (idx j = 0; j < n; ++j)
-    for (idx i = 0; i < n; ++i)
-      if (std::abs(i - j) > 4)
-        EXPECT_NEAR(b1(i, j), 0.0, 1e-11 * n) << i << "," << j;
-
-  // Combined Q2 = Q_A Q_B tridiagonalizes B: Q2^T B Q2 == T.
-  Matrix q2(n, n);
-  blas::gemm(op::none, op::none, n, n, n, 1.0, qa.data(), qa.ld(),
-             qb.data(), qb.ld(), 0.0, q2.data(), q2.ld());
-  Matrix bq(n, n), t(n, n);
-  blas::gemm(op::none, op::none, n, n, n, 1.0, bdense.data(), bdense.ld(),
-             q2.data(), q2.ld(), 0.0, bq.data(), bq.ld());
-  blas::gemm(op::trans, op::none, n, n, n, 1.0, q2.data(), q2.ld(),
-             bq.data(), bq.ld(), 0.0, t.data(), t.ld());
-  for (idx j = 0; j < n; ++j) {
-    for (idx i = 0; i < n; ++i) {
-      double expect_t = 0.0;
-      if (i == j) expect_t = res.d[static_cast<size_t>(i)];
-      if (i == j + 1) expect_t = res.e[static_cast<size_t>(j)];
-      if (j == i + 1) expect_t = res.e[static_cast<size_t>(i)];
-      EXPECT_NEAR(t(i, j), expect_t, 1e-11 * n) << i << "," << j;
-    }
-  }
-}
-
-TEST(Sb2stSuccessive, ParallelMatchesSequentialBitwise) {
-  const idx n = 60, bw = 8;
-  Rng rng(23);
-  auto band = random_band(n, bw, rng);
-
-  twostage::Sb2stOptions sopts;
-  sopts.successive = true;
-  auto seq = twostage::sb2st(band, sopts);
-  for (const int workers : {3, 4, 8}) {
-    SCOPED_TRACE("workers " + std::to_string(workers));
-    twostage::Sb2stOptions popts = sopts;
-    popts.num_workers = workers;
-    expect_same_chase(seq, twostage::sb2st(band, popts));
-  }
-}
-
-TEST(Sb2stSuccessive, NarrowBandFallsBackToDirectChase) {
-  // bw = 3 gives nb/2 = 1: the intermediate level would not shrink the
-  // band, so the option must fall back to the direct chase.
-  const idx n = 20, bw = 3;
-  Rng rng(25);
-  auto band = random_band(n, bw, rng);
-  auto direct = twostage::sb2st(band);
-  twostage::Sb2stOptions opts;
-  opts.successive = true;
-  auto res = twostage::sb2st(band, opts);
-  EXPECT_TRUE(res.pre_levels.empty());
-  EXPECT_EQ(direct.d, res.d);
-  EXPECT_EQ(direct.e, res.e);
 }
 
 TEST(Sb2st, TwoStagePipelinePreservesSpectrum) {

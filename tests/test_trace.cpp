@@ -1,22 +1,30 @@
-// Tests for the runtime trace export (Chrome tracing JSON + summaries).
+// Tests for the task-trace export: a TaskGraph run recorded by the unified
+// telemetry layer (tseig::obs) comes out of the Chrome-tracing exporter as
+// one complete ("X") event per task, carrying the task's label.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "obs/json.hpp"
+#include "obs/report.hpp"
+#include "obs/telemetry.hpp"
 #include "runtime/task_graph.hpp"
-#include "runtime/trace_io.hpp"
 
 namespace tseig {
 namespace {
 
-std::vector<rt::TraceEvent> run_traced(int workers, int tasks) {
+/// Records one run of `tasks` independent tasks labelled `label` on
+/// `workers` workers and returns the telemetry snapshot.
+obs::Snapshot record_run(int workers, int tasks, const char* label) {
+  obs::reset();
+  obs::set_enabled(true);
   rt::TaskGraph g;
   for (int i = 0; i < tasks; ++i) {
     rt::TaskGraph::Options opts;
-    opts.label = "work";
+    opts.label = label;
     g.submit(
         [] {
           volatile double x = 0.0;
@@ -24,88 +32,61 @@ std::vector<rt::TraceEvent> run_traced(int workers, int tasks) {
         },
         {rt::wr(rt::region_key(42, static_cast<std::uint32_t>(i), 0))}, opts);
   }
-  g.enable_tracing(true);
   g.run(workers);
-  return g.trace();
+  const obs::Snapshot snap = obs::snapshot();
+  obs::set_enabled(false);
+  return snap;
 }
 
-TEST(TraceIo, JsonIsWellFormedAndComplete) {
-  auto events = run_traced(3, 17);
+/// The complete events of a Chrome trace document.
+std::vector<obs::JsonValue> complete_events(const std::string& json) {
+  const obs::JsonValue doc = obs::json_parse(json);  // throws if malformed
+  const obs::JsonValue* events = doc.find("traceEvents");
+  EXPECT_NE(events, nullptr);
+  std::vector<obs::JsonValue> out;
+  if (events == nullptr) return out;
+  for (const obs::JsonValue& ev : events->as_array())
+    if (ev.string_or("ph", "") == "X") out.push_back(ev);
+  return out;
+}
+
+TEST(TraceExport, GraphRunExportsOneCompleteEventPerTask) {
+  const obs::Snapshot snap = record_run(3, 17, "work");
+  const auto events = complete_events(obs::to_chrome_trace_json(snap));
   ASSERT_EQ(events.size(), 17u);
-  const std::string json = rt::to_chrome_trace(events);
-  // Structural sanity (no JSON parser offline): brace balance and one
-  // record per task.
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  size_t count = 0;
-  for (size_t pos = 0; (pos = json.find("\"ph\":\"X\"", pos)) != std::string::npos;
-       ++count, ++pos) {
+  for (const obs::JsonValue& ev : events) {
+    EXPECT_EQ(ev.string_or("name", ""), "work");
+    EXPECT_EQ(ev.string_or("cat", ""), "task");
+    EXPECT_GE(ev.number_or("dur", -1.0), 0.0);
+    EXPECT_GE(ev.number_or("tid", -1.0), 0.0);
   }
-  EXPECT_EQ(count, 17u);
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"work\""), std::string::npos);
 }
 
-TEST(TraceIo, WriteCreatesFile) {
-  auto events = run_traced(2, 5);
-  const std::string path = "/tmp/tseig_trace_test.json";
-  rt::write_chrome_trace(events, path);
+TEST(TraceExport, WriteCreatesFile) {
+  const obs::Snapshot snap = record_run(2, 5, "work");
+  const std::string path = ::testing::TempDir() + "tseig_trace_test.json";
+  obs::write_chrome_trace_file(snap, path);
   std::ifstream f(path);
   ASSERT_TRUE(f.good());
   std::stringstream buf;
   buf << f.rdbuf();
-  EXPECT_EQ(buf.str(), rt::to_chrome_trace(events));
+  EXPECT_EQ(buf.str(), obs::to_chrome_trace_json(snap));
   std::remove(path.c_str());
 }
 
-TEST(TraceIo, SummaryAccountsAllTasks) {
-  auto events = run_traced(4, 32);
-  auto s = rt::summarize(events);
-  EXPECT_EQ(s.tasks, 32);
-  EXPECT_GT(s.makespan, 0.0);
-  double total = 0.0;
-  for (double b : s.busy_seconds) total += b;
-  EXPECT_GT(total, 0.0);
-  // Busy time can never exceed workers * makespan.
-  EXPECT_LE(total, s.busy_seconds.size() * s.makespan * 1.0001 + 1e-9);
-}
-
-TEST(TraceIo, EscapesHostileLabels) {
-  // Regression: labels containing '"' or '\' used to be pasted verbatim into
-  // the JSON, producing a document Perfetto rejects.
-  rt::TraceEvent ev;
-  ev.label = "evil \"quote\" and \\backslash\\ and \ttab";
-  ev.worker = 0;
-  ev.start_seconds = 0.5;
-  ev.end_seconds = 1.5;
-  const std::string json = rt::to_chrome_trace({ev});
-  const obs::JsonValue doc = obs::json_parse(json);  // throws if malformed
-  const auto& events = doc.find("traceEvents")->as_array();
+TEST(TraceExport, EscapesHostileLabels) {
+  // Labels containing '"' or '\' must not break the JSON document.
+  static const char* const kLabel = "evil \"quote\" and \\backslash\\ and \ttab";
+  const obs::Snapshot snap = record_run(1, 1, kLabel);
+  const auto events = complete_events(obs::to_chrome_trace_json(snap));
   ASSERT_EQ(events.size(), 1u);
   // The parser unescapes back to the original label: a true round trip.
-  EXPECT_EQ(events[0].string_or("name", ""), ev.label);
+  EXPECT_EQ(events[0].string_or("name", ""), kLabel);
 }
 
-TEST(TraceIo, SummarizeMakespanIsExtentNotMaxEnd) {
-  // Regression: timestamps sit on the shared process-wide epoch, so they do
-  // not start near zero.  Makespan must be max(end) - min(start).
-  std::vector<rt::TraceEvent> events;
-  events.push_back({"a", -1, 0, 1000.0, 1000.5});
-  events.push_back({"b", -1, 1, 1000.25, 1001.0});
-  const auto s = rt::summarize(events);
-  EXPECT_EQ(s.tasks, 2);
-  EXPECT_NEAR(s.makespan, 1.0, 1e-9);
-  ASSERT_EQ(s.busy_seconds.size(), 2u);
-  EXPECT_NEAR(s.busy_seconds[0], 0.5, 1e-9);
-  EXPECT_NEAR(s.busy_seconds[1], 0.75, 1e-9);
-}
-
-TEST(TraceIo, EmptyTrace) {
-  std::vector<rt::TraceEvent> none;
-  EXPECT_EQ(rt::to_chrome_trace(none), "{\"traceEvents\":[]}");
-  auto s = rt::summarize(none);
-  EXPECT_EQ(s.tasks, 0);
-  EXPECT_EQ(s.makespan, 0.0);
+TEST(TraceExport, EmptyRunHasNoCompleteEvents) {
+  const obs::Snapshot snap = record_run(2, 0, "work");
+  EXPECT_TRUE(complete_events(obs::to_chrome_trace_json(snap)).empty());
 }
 
 }  // namespace

@@ -11,10 +11,9 @@
 // Token-level implementation of the tseig-* checks.  Deliberately not a C++
 // parser: every invariant below is expressible over the identifier/punctuation
 // stream plus the preprocessor lines, which keeps the tool dependency-free
-// (buildable with the same GCC that builds the library) while the clang-tidy
-// plugin (plugin/TseigTidyModule.cpp) provides the AST-exact variant where
-// Clang dev libraries exist.  Comments, string and char literals are stripped
-// before matching, so "std::thread" in a docstring never fires.
+// (buildable with the same GCC that builds the library).  Comments, string
+// and char literals are stripped before matching, so "std::thread" in a
+// docstring never fires.
 
 namespace tseig::tidy {
 namespace {

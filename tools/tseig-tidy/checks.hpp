@@ -27,12 +27,11 @@
 //                                 system_clock/gettimeofday timestamps jump
 //                                 under NTP and break trace merging.
 //
-// Two implementations share this contract: the dependency-free token-level
-// engine in checks.cpp (built everywhere, drives the blocking CI leg and the
-// gtest fixtures) and the clang-tidy AST plugin in plugin/TseigTidyModule.cpp
-// (built where Clang dev libraries exist, loaded by scripts/run_tidy.sh via
-// -load).  Fixture files under fixtures/ seed one violation per check; the
-// tests assert both engines' check names against them.
+// The checks run on a dependency-free token-level engine (checks.cpp), built
+// with any C++20 compiler; it drives the blocking lint leg
+// (scripts/run_tidy.sh) and the gtest fixtures.  Fixture files under
+// fixtures/ seed one violation per check; the tests assert each check name
+// fires on them.
 #pragma once
 
 #include <string>

@@ -1,5 +1,4 @@
-// tseig-tidy command-line driver (token-engine build; see checks.hpp for the
-// check catalogue and the clang-tidy plugin twin).
+// tseig-tidy command-line driver (see checks.hpp for the check catalogue).
 //
 //   tseig-tidy [--src-root DIR] [--list-checks] FILE...
 //
