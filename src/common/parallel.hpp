@@ -1,15 +1,18 @@
-// Minimal fork-join parallel_for used inside the BLAS substrate.
+// Fork-join loops for work without dependence edges.
 //
-// This is intentionally separate from the task runtime in src/runtime: the
-// runtime schedules coarse algorithm tasks over a DAG, while parallel_for
-// gives individual Level-3 kernels a way to use idle cores for very large
-// flat loops (e.g. the baseline's SYR2K trailing update).  Worker count
-// defaults to TSEIG_NUM_THREADS or the hardware concurrency.
+// The task runtime in src/runtime schedules algorithm tasks over a DAG;
+// these two helpers cover the loops whose items are independent:
+//  * parallel_for splits a flat index range into one static chunk per
+//    worker (Level-3 kernels' row blocks, the secular roots of a merge);
+//  * run_self_scheduled runs one body per worker, and each body takes the
+//    next item from a shared counter (D&C tree levels, Q2 column blocks,
+//    bisection, the bulge-chase sweeps), so a slowed core takes fewer items.
+// Worker count defaults to TSEIG_NUM_THREADS or the hardware concurrency.
 //
-// Both constructs execute on the same persistent rt::ThreadPool, so a warm
-// call spawns no OS threads, and parallel_for invoked from *inside* a pool
-// worker (a BLAS-3 kernel running in a TaskGraph tile task) detects the
-// nesting and runs serially instead of oversubscribing the machine.
+// All of them execute on the same persistent rt::ThreadPool, so a warm call
+// spawns no OS threads, and a loop started from *inside* a pool worker (a
+// BLAS-3 kernel running in a TaskGraph tile task) detects the nesting and
+// runs serially instead of oversubscribing the machine.
 #pragma once
 
 #include <algorithm>
@@ -44,6 +47,19 @@ inline void parallel_for(int num_workers, idx begin, idx end, idx grain,
     const idx hi = std::min(end, lo + chunk);
     for (idx i = lo; i < hi; ++i) fn(i);
   });
+}
+
+/// Runs body() once on each of `workers` pool workers, or once on the
+/// caller when workers <= 1 or the caller is already inside a pool region.
+/// The bodies run through fork_join, which keeps all of them live at once,
+/// so a body may wait for progress made by another body.
+template <class Body>
+void run_self_scheduled(int workers, Body&& body) {
+  if (workers <= 1 || rt::ThreadPool::in_parallel_region()) {
+    body();
+    return;
+  }
+  rt::ThreadPool::instance().fork_join(workers, [&](int) { body(); });
 }
 
 /// Worker count defaulted to the library-wide setting (TSEIG_NUM_THREADS or

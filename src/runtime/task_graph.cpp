@@ -104,7 +104,6 @@ idx TaskGraph::submit(std::function<void()> fn,
   Task t;
   t.fn = std::move(fn);
   t.priority = opts.priority;
-  t.worker_hint = opts.worker_hint;
   t.label = opts.label;
   if (validate_) t.accesses = accesses;
   tasks_.push_back(std::move(t));
@@ -257,8 +256,6 @@ void TaskGraph::run(int num_workers) {
   std::uint64_t shared_pops = 0;
   // Fuzz mode replaces the priority queue with seeded random popping.
   std::vector<idx> fuzz_ready;
-  // Per-worker FIFO queues for pinned tasks.
-  std::vector<std::queue<idx>> pinned(static_cast<size_t>(num_workers));
   idx remaining = static_cast<idx>(tasks_.size());
   idx executing = 0;    // bodies currently running (deadlock detection)
   bool deadlocked = false;
@@ -269,7 +266,7 @@ void TaskGraph::run(int num_workers) {
   std::vector<double> durations;   // per-task measured duration
   std::vector<double> ready_at;    // per-task ready (deps met) stamp
   WaitStats waits;
-  idx ready_depth = 0;             // tasks currently ready, all queues
+  idx ready_depth = 0;             // tasks currently ready
   if (observing) {
     durations.resize(tasks_.size(), 0.0);
     ready_at.resize(tasks_.size(), run_start);
@@ -287,13 +284,10 @@ void TaskGraph::run(int num_workers) {
 
   auto enqueue_ready = [&](idx id) {
     // Caller holds `mu`.
-    Task& t = tasks_[static_cast<size_t>(id)];
-    if (t.worker_hint >= 0) {
-      pinned[static_cast<size_t>(t.worker_hint % num_workers)].push(id);
-    } else if (fuzz_) {
+    if (fuzz_) {
       fuzz_ready.push_back(id);
     } else {
-      shared_ready.push({t.priority, id, id});
+      shared_ready.push({tasks_[static_cast<size_t>(id)].priority, id, id});
       if (aging) aged_ready.push_back({id, shared_pops});
       ++shared_live;
     }
@@ -317,14 +311,8 @@ void TaskGraph::run(int num_workers) {
     GraphWorkerGuard guard(worker_id);
     LockGuard lock(mu);
     for (;;) {
-      // Pinned tasks first (they are on this worker's critical path by
-      // construction), then the shared pool.
       idx id = -1;
-      auto& mine = pinned[static_cast<size_t>(worker_id)];
-      if (!mine.empty()) {
-        id = mine.front();
-        mine.pop();
-      } else if (fuzz_ && !fuzz_ready.empty()) {
+      if (fuzz_ && !fuzz_ready.empty()) {
         const size_t r = static_cast<size_t>(rng_next() % fuzz_ready.size());
         id = fuzz_ready[r];
         fuzz_ready[r] = fuzz_ready.back();
@@ -358,13 +346,7 @@ void TaskGraph::run(int num_workers) {
         // Nothing ready anywhere and nothing running: the rest of the graph
         // is unreachable (a manual-edge cycle).  Without this check every
         // worker would wait on `cv` forever.
-        bool any_pinned = false;
-        for (const auto& q : pinned)
-          if (!q.empty()) {
-            any_pinned = true;
-            break;
-          }
-        if (!any_pinned && executing == 0) {
+        if (executing == 0) {
           deadlocked = true;
           if (!first_error)
             first_error = std::make_exception_ptr(validation_error(
@@ -412,19 +394,12 @@ void TaskGraph::run(int num_workers) {
         waits.max_seconds = std::max(waits.max_seconds, wait);
         obs::record_histogram(obs::Histogram::task_wait, wait);
       }
-      bool woke_pinned_other = false;
       for (idx s : t.successors) {
-        Task& succ = tasks_[static_cast<size_t>(s)];
-        if (--succ.unmet_dependencies == 0) {
+        if (--tasks_[static_cast<size_t>(s)].unmet_dependencies == 0)
           enqueue_ready(s);
-          if (succ.worker_hint >= 0 &&
-              succ.worker_hint % num_workers != worker_id)
-            woke_pinned_other = true;
-        }
       }
       --remaining;
-      if (remaining == 0 || !t.successors.empty() || woke_pinned_other)
-        cv.notify_all();
+      if (remaining == 0 || !t.successors.empty()) cv.notify_all();
     }
   };
 

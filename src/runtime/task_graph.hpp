@@ -6,13 +6,10 @@
 // standard hazards (read-after-write, write-after-read, write-after-write)
 // and executes it on a worker pool.
 //
-// Two scheduling ingredients from the paper's Section 6 are supported:
-//  * dynamic scheduling -- any idle worker picks the highest-priority ready
-//    task (priorities let the caller keep the critical path moving);
-//  * static mapping -- a task may carry a worker hint that pins it to one
-//    worker, used to confine the memory-bound bulge chasing to a small core
-//    subset and to give the eigenvector update its communication-free
-//    per-core column-block ownership (Figure 3c).
+// Scheduling is dynamic, as in the paper's Section 6: any idle worker picks
+// the highest-priority ready task (priorities let the caller keep the
+// critical path moving).  Loops whose items have no dependence edges do not
+// use a graph; they run through run_self_scheduled (common/parallel.hpp).
 //
 // Regions are opaque 64-bit keys.  This is the paper's "data translation
 // layer" (DTL): bulge chasing tasks touch *overlapping* windows of the band
@@ -105,9 +102,6 @@ public:
   struct Options {
     /// Larger values run earlier among ready tasks.
     int priority = 0;
-    /// >= 0 pins the task to worker (hint % num_workers); -1 lets any worker
-    /// run it.
-    int worker_hint = -1;
     /// Label recorded in telemetry spans.  Interned: the pointer is
     /// stored verbatim (no copy), so it must be a static string.
     const char* label = "";
@@ -211,7 +205,7 @@ public:
   void disable_fuzzing() { fuzz_ = false; }
 
   /// Forces the next run() to execute tasks on the calling thread in
-  /// submission order (the serial elision), ignoring priorities, hints and
+  /// submission order (the serial elision), ignoring priorities and
   /// num_workers.  Submission order satisfies every hazard edge by
   /// construction, so this is the oracle fuzzed parallel runs are compared
   /// against.
@@ -225,7 +219,6 @@ private:
     std::vector<idx> successors;
     idx unmet_dependencies = 0;
     int priority = 0;
-    int worker_hint = -1;
     /// Interned label: a borrowed static string (no per-task allocation).
     const char* label = "";
     /// Declared accesses, recorded only when validation is enabled.

@@ -57,9 +57,9 @@ struct ThreadPool::Impl {
   std::vector<std::thread> workers TSEIG_GUARDED_BY(mu);
   // Workers currently executing a ticket body.  The pool keeps
   // workers.size() >= busy + queue.size() so that every queued ticket has a
-  // live worker available: TaskGraph pins tasks to logical workers, and a
-  // pinned task can only run if its worker loop actually executes
-  // concurrently with the rest of the graph.
+  // live worker available: every body of one fork_join runs concurrently,
+  // which the bulge chase relies on (a body waits for hops of the sweep
+  // another body took).
   int busy TSEIG_GUARDED_BY(mu) = 0;
   bool stop TSEIG_GUARDED_BY(mu) = false;
 
@@ -121,7 +121,6 @@ struct ThreadPool::Impl {
         cost.hwc_valid = hd.valid;
         obs::record_phase_cost(obs::current_phase(), cost);
       }
-      finish_body(*t.batch);
       lock.lock();
       --busy;
       obs::WorkerMetric& wm = wtimes[static_cast<size_t>(id)];
@@ -134,6 +133,10 @@ struct ThreadPool::Impl {
         wm.stalled_cycles += hd.stalled_cycles;
         wm.hwc_valid |= hd.valid;
       }
+      // Only after `busy` dropped: a caller woken by the last body must not
+      // see this worker still busy, or its next fork_join would grow the
+      // pool although this worker is free.
+      finish_body(*t.batch);
     }
   }
 

@@ -11,11 +11,12 @@
 //  * workers are created lazily, on first demand, and then parked on a
 //    condition variable between uses -- warm calls create zero threads;
 //  * TaskGraph::run borrows workers for the duration of one graph execution
-//    (its scheduling semantics -- priorities, pinned per-worker queues --
-//    are unchanged, they just execute on borrowed pool workers);
-//  * parallel_for forks its chunks onto the same pool and, when invoked
-//    *from* a pool worker (e.g. a BLAS-3 kernel running inside a tile task),
-//    detects the nesting and runs serially instead of oversubscribing;
+//    (its priority scheduling is unchanged, it just executes on borrowed
+//    pool workers);
+//  * parallel_for and run_self_scheduled fork their bodies onto the same
+//    pool and, when invoked *from* a pool worker (e.g. a BLAS-3 kernel
+//    running inside a tile task), detect the nesting and run serially
+//    instead of oversubscribing;
 //  * lightweight counters (threads ever created, jobs executed, park and
 //    unpark events) are queryable so tests and benches can assert the
 //    "zero new threads after warm-up" property.
@@ -73,9 +74,10 @@ public:
   /// Runs job(0), job(1), ..., job(njobs - 1) concurrently: job(0) on the
   /// calling thread, the rest on pool workers.  Returns once every body has
   /// finished.  The pool grows (once) so that all bodies of concurrently
-  /// active fork_join calls can run simultaneously -- required because
-  /// TaskGraph pins tasks to specific logical workers, so every borrowed
-  /// worker must actually be live.
+  /// active fork_join calls can run simultaneously -- required because a
+  /// body may wait for progress made by another body of the same call (the
+  /// bulge chase's hop waits), so every borrowed worker must actually be
+  /// live.
   ///
   /// Must not be called from inside a parallel region; callers detect that
   /// with in_parallel_region() and fall back to serial execution (the

@@ -8,8 +8,8 @@
 
 #include "blas/blas1.hpp"
 #include "blas/blas3.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace tseig::tridiag {
 namespace {
@@ -99,20 +99,6 @@ int workers_for(idx items, double steps) {
   const auto useful = static_cast<idx>(total / kMinStepsPerWorker);
   return static_cast<int>(
       std::max<idx>(1, std::min<idx>(useful, blas::kernel_workers())));
-}
-
-/// Runs body() once on each of `workers` pool workers, or once on the
-/// caller when workers <= 1 or the caller is already inside a pool region.
-/// Each body takes items one at a time from a shared counter, so a core
-/// slowed by other load takes fewer items instead of holding up a fixed
-/// share of them.
-template <class Body>
-void run_self_scheduled(int workers, Body&& body) {
-  if (workers <= 1 || rt::ThreadPool::in_parallel_region()) {
-    body();
-    return;
-  }
-  rt::ThreadPool::instance().fork_join(workers, [&](int) { body(); });
 }
 
 }  // namespace

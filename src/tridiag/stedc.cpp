@@ -1,72 +1,28 @@
 #include "tridiag/stedc.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
-#include <mutex>
 #include <numeric>
 #include <vector>
 
 #include "blas/blas1.hpp"
 #include "blas/blas3.hpp"
 #include "common/parallel.hpp"
-#include "common/thread_annotations.hpp"
 #include "lapack/aux.hpp"
 #include "lapack/steqr.hpp"
 #include "obs/telemetry.hpp"
-#include "runtime/task_graph.hpp"
 #include "runtime/thread_pool.hpp"
-#include "runtime/validate.hpp"
 
 namespace tseig::tridiag {
 namespace {
 
-thread_local StedcStats g_stats;
-
 constexpr double kEps = std::numeric_limits<double>::epsilon();
-
-// Region-key tag for the column-partitioned merge GEMM (tags 1-4, 7, 8 are
-// taken by the two-stage pipeline).
-constexpr std::uint32_t kTagDcGemm = 9;
-
-// Region-key tag for one D&C tree node's (d, e) slice: key(11, off, n).
-constexpr std::uint32_t kTagDcNode = 11;
-
-// Column-block width of the parallel back-multiplication.  Wide enough that
-// each task is a real Level-3 call, narrow enough to load-balance the merges
-// near the root.
-constexpr idx kGemmColBlock = 64;
 
 // Secular roots / Gu-Eisenstat rows per parallel_for chunk (each iteration
 // is O(k) work).
 constexpr idx kSecularGrain = 8;
-
-/// Shared state of one stedc() call: worker budget and thread-safe stats
-/// aggregation.  Merge tasks running on pool workers accumulate a private
-/// StedcStats and flush it exactly once through add_stats(); the previous
-/// thread_local accumulator lost every count recorded on a borrowed pool
-/// thread.  (Timeline recording goes through tseig::obs on the shared
-/// process-wide epoch -- the per-call trace vector, its private clock and
-/// the offset-splicing of TaskGraph traces are gone.)
-struct Ctx {
-  int workers = 1;
-
-  void add_stats(const StedcStats& s) TSEIG_EXCLUDES(mu_) {
-    LockGuard lock(mu_);
-    stats_.merges += s.merges;
-    stats_.total_size += s.total_size;
-    stats_.deflated += s.deflated;
-    stats_.secular_solves += s.secular_solves;
-  }
-  StedcStats stats() const TSEIG_EXCLUDES(mu_) {
-    LockGuard lock(mu_);
-    return stats_;
-  }
-
-private:
-  mutable Mutex mu_;
-  StedcStats stats_ TSEIG_GUARDED_BY(mu_);
-};
 
 /// Root of the secular equation f(x) = 1 + sum_i zsq[i]/(delta[i] - x) in
 /// interval j, represented as delta[anchor] + tau for accuracy.
@@ -145,64 +101,18 @@ SecularRoot solve_secular(idx k, const double* delta, const double* zsq,
   return {a, tau};
 }
 
-/// G = Qk * U back-multiplication, column-partitioned over the shared pool
-/// with the static block -> worker ownership of apply_q2 (Figure 3c).  Falls
-/// back to one plain GEMM when serial, nested in a pool worker, or too small
-/// to split.
-void gemm_cols(idx rows, idx k, const Matrix& qk, const Matrix& u, Matrix& g,
-               int nw) {
-  if (nw <= 1 || rt::ThreadPool::in_parallel_region() ||
-      k < 2 * kGemmColBlock) {
-    blas::gemm(op::none, op::none, rows, k, k, 1.0, qk.data(), qk.ld(),
-               u.data(), u.ld(), 0.0, g.data(), g.ld());
-    return;
-  }
-  rt::TaskGraph graph;
-  rt::RegionMap region_map;
-  if (graph.validation_enabled()) {
-    // Column block starting at c0 of the output G (per-column intervals).
-    region_map.add_resolver(
-        kTagDcGemm, [&g, rows, k](std::uint32_t c0, std::uint32_t) {
-          const idx lo = static_cast<idx>(c0);
-          const idx nc = std::min(kGemmColBlock, k - lo);
-          rt::RegionExtent ext;
-          ext.add_strided(g.col(lo), nc,
-                          g.ld() * static_cast<idx>(sizeof(double)),
-                          rows * static_cast<idx>(sizeof(double)));
-          return ext;
-        });
-    graph.set_region_map(&region_map);
-  }
-  int hint = 0;
-  for (idx c0 = 0; c0 < k; c0 += kGemmColBlock) {
-    const idx nc = std::min(kGemmColBlock, k - c0);
-    const auto ckey =
-        rt::region_key(kTagDcGemm, static_cast<std::uint32_t>(c0), 0);
-    rt::TaskGraph::Options opts;
-    opts.worker_hint = hint++ % nw;
-    opts.label = "dc_gemm";
-    graph.submit(
-        [&qk, &u, &g, rows, k, c0, nc, ckey] {
-          rt::touch_write(ckey);
-          blas::gemm(op::none, op::none, rows, nc, k, 1.0, qk.data(), qk.ld(),
-                     u.col(c0), u.ld(), 0.0, g.col(c0), g.ld());
-        },
-        {rt::wr(ckey)}, opts);
-  }
-  graph.run(nw);
-}
-
 /// Rank-one merge: eigen-decomposes diag(dd) + z z^T where the current
 /// eigenbasis columns of `q` are given through `cols` (already sorted so
 /// that dd is ascending).  Outputs eigenvalues (ascending) in `dout` and the
 /// updated basis in `qout` (n-by-kall, rows = q.rows()).  With nw > 1 the
 /// independent secular roots, Gu-Eisenstat rows and eigenvector columns run
-/// under parallel_for and the back-multiplication as a column-partitioned
-/// GEMM; the operations per index are identical to the serial path, so the
-/// results agree to the last bit.
-void rank_one_merge(std::vector<double>& dd, std::vector<double>& zz,
-                    Matrix& q, std::vector<idx>& cols, double* dout,
-                    Matrix& qout, int nw, Ctx& ctx) {
+/// under parallel_for, and the back-multiplication GEMM splits its row
+/// blocks under the caller's kernel budget; the operations per index are
+/// identical to the serial path, so the results agree to the last bit.
+/// Returns the merge's statistics.
+StedcStats rank_one_merge(std::vector<double>& dd, std::vector<double>& zz,
+                          Matrix& q, std::vector<idx>& cols, double* dout,
+                          Matrix& qout, int nw) {
   const idx kall = static_cast<idx>(dd.size());
   const idx rows = q.rows();
   StedcStats local;
@@ -325,7 +235,8 @@ void rank_one_merge(std::vector<double>& dd, std::vector<double>& zz,
       lapack::lacpy(rows, 1, q.col(cols[static_cast<size_t>(kept[static_cast<size_t>(j)])]),
                     q.ld(), qk.col(j), qk.ld());
     g.reshape(rows, k);
-    gemm_cols(rows, k, qk, u, g, nw);
+    blas::gemm(op::none, op::none, rows, k, k, 1.0, qk.data(), qk.ld(),
+               u.data(), u.ld(), 0.0, g.data(), g.ld());
   }
 
   // --- Assemble ascending eigenvalues and matching columns. ---
@@ -353,7 +264,7 @@ void rank_one_merge(std::vector<double>& dd, std::vector<double>& zz,
             : q.col(cols[static_cast<size_t>(defl[static_cast<size_t>(en.index)])]);
     lapack::lacpy(rows, 1, src, rows, qout.col(j), qout.ld());
   }
-  ctx.add_stats(local);
+  return local;
 }
 
 /// One node of the flattened D&C recursion: the subproblem (d, e)[off ..
@@ -369,6 +280,7 @@ struct Node {
   double absb = 0.0;  // |beta| of this node's rank-one correction
   double sgn = 1.0;   // sign(beta)
   Matrix q;           // eigenbasis once solved; freed after the parent merge
+  StedcStats stats;   // this node's own merge (zero for leaves)
 };
 
 idx build_tree(std::vector<Node>& nodes, idx off, idx n, int depth, double* d,
@@ -406,7 +318,7 @@ void solve_leaf(Node& nd, double* d, double* e) {
 /// Merge: combines the children's eigensystems through the rank-one
 /// correction, writing eigenvalues into d[off..off+n) and the basis into
 /// nd.q.  Children bases are released afterwards.
-void merge_node(Node& nd, Node& lch, Node& rch, double* d, int nw, Ctx& ctx) {
+void merge_node(Node& nd, Node& lch, Node& rch, double* d, int nw) {
   const idx n = nd.n;
   const idx m = lch.n;
   Matrix& q1 = lch.q;
@@ -453,42 +365,26 @@ void merge_node(Node& nd, Node& lch, Node& rch, double* d, int nw, Ctx& ctx) {
     }
     return;
   }
-  rank_one_merge(dsort, zsort, qblk, cols, d + nd.off, nd.q, nw, ctx);
+  nd.stats = rank_one_merge(dsort, zsort, qblk, cols, d + nd.off, nd.q, nw);
 }
 
 }  // namespace
 
-void stedc(idx n, double* d, double* e, double* z, idx ldz,
-           const StedcOptions& opts) {
+StedcStats stedc(idx n, double* d, double* e, double* z, idx ldz,
+                 const StedcOptions& opts) {
   require(n >= 0, "stedc: negative n");
-  g_stats = StedcStats{};
-  if (n == 0) return;
+  if (n == 0) return {};
 
-  Ctx ctx;
-  ctx.workers = rt::resolve_num_workers(opts.num_workers);
+  int workers = rt::resolve_num_workers(opts.num_workers);
   // Nested call (stedc itself running inside a pool worker): the outer
   // construct owns the machine, run serially.
-  if (rt::ThreadPool::in_parallel_region()) ctx.workers = 1;
+  if (rt::ThreadPool::in_parallel_region()) workers = 1;
   // Level-3 kernels issued from this thread (root-merge GEMMs) get the same
   // budget — they must not fan out past what this call resolved to.
-  const blas::ScopedKernelWorkers kernel_budget(ctx.workers);
+  const blas::ScopedKernelWorkers kernel_budget(workers);
 
   std::vector<Node> nodes;
   build_tree(nodes, 0, n, 0, d, e, std::max<idx>(opts.crossover, 4));
-
-  // Region map for the level-synchronous graphs: a node's region is its
-  // (d, e) slice -- siblings within a level hold disjoint slices, which is
-  // exactly what the static audit verifies.
-  rt::RegionMap region_map;
-  region_map.add_resolver(kTagDcNode,
-                          [d, e](std::uint32_t off, std::uint32_t len) {
-                            rt::RegionExtent ext;
-                            ext.add(d + off,
-                                    static_cast<std::size_t>(len) * sizeof(double));
-                            ext.add(e + off,
-                                    static_cast<std::size_t>(len) * sizeof(double));
-                            return ext;
-                          });
 
   int max_depth = 0;
   for (const Node& nd : nodes) max_depth = std::max(max_depth, nd.depth);
@@ -497,79 +393,62 @@ void stedc(idx n, double* d, double* e, double* z, idx ldz,
     by_depth[static_cast<size_t>(nodes[static_cast<size_t>(id)].depth)]
         .push_back(id);
 
+  auto is_leaf = [&](idx id) {
+    return nodes[static_cast<size_t>(id)].left < 0;
+  };
+  auto solve_node = [&](idx id, int nw) {
+    Node& nd = nodes[static_cast<size_t>(id)];
+    if (is_leaf(id)) {
+      obs::Span span("dc_leaf");
+      solve_leaf(nd, d, e);
+    } else {
+      obs::Span span("dc_merge");
+      merge_node(nd, nodes[static_cast<size_t>(nd.left)],
+                 nodes[static_cast<size_t>(nd.right)], d, nw);
+    }
+  };
+
   // Level-synchronous bottom-up walk.  Within a level every node is
   // independent (disjoint d/e slices, own q): leaves always fan out across
   // workers; merge levels fan out while they are wide enough, and the last
   // few large merges run on the calling thread with intra-merge parallelism
-  // (secular roots, Gu-Eisenstat vectors, column-partitioned GEMM) instead.
+  // (secular roots, Gu-Eisenstat vectors, row-split GEMM) instead.
   for (int depth = max_depth; depth >= 0; --depth) {
-    std::vector<idx> leaves, merges;
-    for (idx id : by_depth[static_cast<size_t>(depth)]) {
-      (nodes[static_cast<size_t>(id)].left < 0 ? leaves : merges).push_back(id);
-    }
-    const bool leaves_across = ctx.workers > 1 && leaves.size() > 1;
-    const bool merges_across =
-        ctx.workers > 1 && merges.size() >= static_cast<size_t>(ctx.workers);
+    const std::vector<idx>& level = by_depth[static_cast<size_t>(depth)];
+    const auto nleaves = std::count_if(level.begin(), level.end(), is_leaf);
+    const auto nmerges = static_cast<std::ptrdiff_t>(level.size()) - nleaves;
+    const bool leaves_across = workers > 1 && nleaves > 1;
+    const bool merges_across = workers > 1 && nmerges >= workers;
+    std::vector<idx> fanned, serial;
+    for (idx id : level)
+      ((is_leaf(id) ? leaves_across : merges_across) ? fanned : serial)
+          .push_back(id);
 
-    if (leaves_across || merges_across) {
-      rt::TaskGraph graph;
-      if (graph.validation_enabled()) graph.set_region_map(&region_map);
-      auto submit = [&](idx id, const char* label, bool is_leaf) {
-        Node* nd = &nodes[static_cast<size_t>(id)];
-        rt::TaskGraph::Options topts;
-        // Larger subproblems first among ready tasks.
-        topts.priority = static_cast<int>(std::min<idx>(nd->n, 1 << 30));
-        topts.label = label;
-        Node* lch = is_leaf ? nullptr : &nodes[static_cast<size_t>(nd->left)];
-        Node* rch = is_leaf ? nullptr : &nodes[static_cast<size_t>(nd->right)];
-        const auto nkey =
-            rt::region_key(kTagDcNode, static_cast<std::uint32_t>(nd->off),
-                           static_cast<std::uint32_t>(nd->n));
-        graph.submit(
-            [nd, lch, rch, d, e, is_leaf, &ctx, nkey] {
-              rt::touch_write(nkey);
-              if (is_leaf) {
-                solve_leaf(*nd, d, e);
-              } else {
-                // Intra-merge constructs self-serialize on pool workers.
-                merge_node(*nd, *lch, *rch, d, 1, ctx);
-              }
-            },
-            {rt::wr(nkey)}, topts);
-      };
-      if (leaves_across)
-        for (idx id : leaves) submit(id, "dc_leaf", true);
-      if (merges_across)
-        for (idx id : merges) submit(id, "dc_merge", false);
-      graph.run(ctx.workers);
-    }
-    if (!leaves_across) {
-      for (idx id : leaves) {
-        obs::Span span("dc_leaf");
-        solve_leaf(nodes[static_cast<size_t>(id)], d, e);
-      }
-    }
-    if (!merges_across) {
-      for (idx id : merges) {
-        Node& nd = nodes[static_cast<size_t>(id)];
-        obs::Span span("dc_merge");
-        merge_node(nd, nodes[static_cast<size_t>(nd.left)],
-                   nodes[static_cast<size_t>(nd.right)], d, ctx.workers, ctx);
-      }
-    }
+    // Larger subproblems first, so the longest items do not start last.
+    std::stable_sort(fanned.begin(), fanned.end(), [&](idx a, idx b) {
+      return nodes[static_cast<size_t>(a)].n > nodes[static_cast<size_t>(b)].n;
+    });
+    std::atomic<size_t> next{0};
+    run_self_scheduled(
+        static_cast<int>(std::min<size_t>(workers, fanned.size())), [&] {
+          // Intra-merge constructs self-serialize on pool workers.
+          for (size_t i = next++; i < fanned.size(); i = next++)
+            solve_node(fanned[i], 1);
+        });
+    for (idx id : serial) solve_node(id, workers);
   }
 
   const Matrix& q = nodes[0].q;
   lapack::lacpy(n, n, q.data(), q.ld(), z, ldz);
-  g_stats = ctx.stats();
-}
 
-void stedc(idx n, double* d, double* e, double* z, idx ldz, idx crossover) {
-  StedcOptions opts;
-  opts.crossover = crossover;
-  stedc(n, d, e, z, ldz, opts);
+  StedcStats stats;
+  for (const Node& nd : nodes) {
+    stats.merges += nd.stats.merges;
+    stats.total_size += nd.stats.total_size;
+    stats.deflated += nd.stats.deflated;
+    stats.secular_solves += nd.stats.secular_solves;
+  }
+  return stats;
 }
-
-StedcStats stedc_last_stats() { return g_stats; }
 
 }  // namespace tseig::tridiag

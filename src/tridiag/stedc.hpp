@@ -14,13 +14,14 @@
 // Parallel execution flattens the recursion into an explicit merge tree and
 // walks it level by level on the shared worker pool (see StedcOptions and
 // docs/ALGORITHMS.md "Parallel merge tree"):
-//   * the 2^depth independent leaves run as concurrent TaskGraph tasks;
-//   * levels with at least num_workers merges run one task per merge;
+//   * the 2^depth independent leaves, and the merges of every level with at
+//     least num_workers of them, run as one self-scheduled loop per level,
+//     largest nodes first;
 //   * the few large merges near the root run on the calling thread with
 //     *internal* parallelism instead -- the k independent secular roots,
 //     the Gu-Eisenstat vector and the rank-one eigenvector columns via
-//     parallel_for, and the back-multiplication as a column-partitioned
-//     GEMM with the same static column-ownership task shape as apply_q2.
+//     parallel_for, and the back-multiplication as one GEMM split over row
+//     blocks under the call's worker budget.
 #pragma once
 
 #include <vector>
@@ -39,10 +40,17 @@ struct StedcOptions {
   /// (TSEIG_NUM_THREADS / hardware concurrency).
   ///
   /// Timeline inspection goes through the unified telemetry layer
-  /// (tseig::obs, TSEIG_TRACE=<path>): every leaf solve, merge and
-  /// column-block GEMM records a span ("dc_leaf" / "dc_merge" / "dc_gemm")
-  /// on the shared process-wide epoch.
+  /// (tseig::obs, TSEIG_TRACE=<path>): every leaf solve and merge records a
+  /// span ("dc_leaf" / "dc_merge") on the shared process-wide epoch.
   int num_workers = 1;
+};
+
+/// Statistics of one stedc call, summed over its merges.
+struct StedcStats {
+  idx merges = 0;          // rank-one merges performed
+  idx total_size = 0;      // sum of merge sizes
+  idx deflated = 0;        // total deflated entries across merges
+  idx secular_solves = 0;  // secular roots computed
 };
 
 /// Computes all eigenpairs of the symmetric tridiagonal (d, e).
@@ -51,24 +59,9 @@ struct StedcOptions {
 /// corresponding orthonormal eigenvectors.  `e` (capacity n, significant
 /// n-1) is destroyed.  The parallel path (num_workers > 1) executes the same
 /// floating-point operations as the serial one, merge by merge, so results
-/// agree to rounding regardless of the worker count.
-void stedc(idx n, double* d, double* e, double* z, idx ldz,
-           const StedcOptions& opts);
-
-/// Serial convenience wrapper (the pre-parallel signature).
-void stedc(idx n, double* d, double* e, double* z, idx ldz,
-           idx crossover = 32);
-
-/// Statistics of the last stedc call on this thread (test/diagnostic aid).
-/// Counts are aggregated across all workers of that call: each merge task
-/// accumulates into a private StedcStats and flushes it once, under a lock,
-/// into the call-wide collector, which is published here on return.
-struct StedcStats {
-  idx merges = 0;          // rank-one merges performed
-  idx total_size = 0;      // sum of merge sizes
-  idx deflated = 0;        // total deflated entries across merges
-  idx secular_solves = 0;  // secular roots computed
-};
-StedcStats stedc_last_stats();
+/// are bitwise identical regardless of the worker count.  Returns the
+/// call's merge statistics, which do not depend on the worker count either.
+StedcStats stedc(idx n, double* d, double* e, double* z, idx ldz,
+                 const StedcOptions& opts);
 
 }  // namespace tseig::tridiag

@@ -1,19 +1,16 @@
 #include "twostage/q2_apply.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "lapack/householder.hpp"
 #include "obs/telemetry.hpp"
-#include "runtime/task_graph.hpp"
 #include "runtime/thread_pool.hpp"
-#include "runtime/validate.hpp"
 
 namespace tseig::twostage {
 namespace {
-
-/// Region tag of the eigenvector column blocks apply_q2 partitions E into.
-constexpr std::uint32_t kTagQ2Cols = 8;
 
 /// A precomputed diamond: the compact WY factor of `w` reflectors from
 /// consecutive sweeps at the same hop level (Figure 3b), ready to be applied
@@ -127,63 +124,27 @@ void apply_q2(op trans, const V2Factor& v2, double* e, idx lde, idx ncols,
   const idx per_worker = (ncols + num_workers - 1) / num_workers;
   col_block = std::min(col_block, (per_worker + 7) / 8 * 8);
 
-  // Build every diamond's WY factor once (shared read-only by all tasks),
+  // Build every diamond's WY factor once (shared read-only by all bodies),
   // then sweep them over each column block of E (Figure 3c: communication-
-  // free per-core column ownership).
+  // free column blocks, each taken whole by one worker).
   const std::vector<Diamond> diamonds = build_diamonds(trans, v2, ell);
 
-  auto process_columns = [&](idx c0, idx nc) {
-    std::vector<double> wbuf(static_cast<size_t>(ell * nc));
-    for (const Diamond& d : diamonds) {
-      lapack::larfb(side::left, trans, d.height, nc, d.v.cols(), d.v.data(),
-                    d.v.ld(), d.t.data(), d.t.ld(), e + d.r0 + c0 * lde, lde,
-                    wbuf.data());
-    }
-  };
-
-  if (num_workers <= 1) {
-    for (idx c0 = 0; c0 < ncols; c0 += col_block) {
+  const idx nblocks = (ncols + col_block - 1) / col_block;
+  std::atomic<idx> next{0};
+  const int bodies = static_cast<int>(std::min<idx>(num_workers, nblocks));
+  run_self_scheduled(bodies, [&] {
+    for (idx b = next++; b < nblocks; b = next++) {
       obs::Span span("q2_cols");
-      process_columns(c0, std::min(col_block, ncols - c0));
+      const idx c0 = b * col_block;
+      const idx nc = std::min(col_block, ncols - c0);
+      std::vector<double> wbuf(static_cast<size_t>(ell * nc));
+      for (const Diamond& d : diamonds) {
+        lapack::larfb(side::left, trans, d.height, nc, d.v.cols(), d.v.data(),
+                      d.v.ld(), d.t.data(), d.t.ld(), e + d.r0 + c0 * lde,
+                      lde, wbuf.data());
+      }
     }
-    return;
-  }
-  rt::TaskGraph graph;
-  rt::RegionMap region_map;
-  const idx n_rows = v2.n();
-  if (graph.validation_enabled()) {
-    // Column block starting at column c0: full columns of E (per-column
-    // intervals; lde may exceed the row count).
-    region_map.add_resolver(
-        kTagQ2Cols, [e, lde, ncols, col_block, n_rows](std::uint32_t c0,
-                                                       std::uint32_t) {
-          const idx lo = static_cast<idx>(c0);
-          const idx nc = std::min(col_block, ncols - lo);
-          rt::RegionExtent ext;
-          ext.add_strided(e + lo * lde, nc,
-                          lde * static_cast<idx>(sizeof(double)),
-                          n_rows * static_cast<idx>(sizeof(double)));
-          return ext;
-        });
-    graph.set_region_map(&region_map);
-  }
-  int hint = 0;
-  for (idx c0 = 0; c0 < ncols; c0 += col_block) {
-    const idx nc = std::min(col_block, ncols - c0);
-    const auto ckey =
-        rt::region_key(kTagQ2Cols, static_cast<std::uint32_t>(c0), 0);
-    rt::TaskGraph::Options opts;
-    // Static column ownership: block -> worker, as in Figure 3c.
-    opts.worker_hint = hint++ % num_workers;
-    opts.label = "q2_cols";
-    graph.submit(
-        [process_columns, c0, nc, ckey] {
-          rt::touch_write(ckey);
-          process_columns(c0, nc);
-        },
-        {rt::wr(ckey)}, opts);
-  }
-  graph.run(num_workers);
+  });
 }
 
 }  // namespace tseig::twostage

@@ -17,8 +17,8 @@
 // BlockedMatchesNaive for the exhaustive check).
 //
 // Parallelism follows Figure 3c: E is split into column blocks, each
-// processed independently (no inter-core communication); every task applies
-// the full diamond sequence to its own block of columns.
+// processed independently (no inter-core communication); a worker takes one
+// whole block at a time and applies the full diamond sequence to it.
 #pragma once
 
 #include "common/types.hpp"
@@ -34,9 +34,9 @@ void apply_q2_naive(op trans, const V2Factor& v2, double* e, idx lde,
 /// Blocked diamond implementation of E <- op(Q2) E.
 ///   ell        -- sweeps grouped per diamond (>= 1; 1 degenerates to a
 ///                 blocked form of the naive order).
-///   num_workers-- workers for the column-block parallel task graph
+///   num_workers-- workers for the self-scheduled loop over column blocks
 ///                 (<= 0 = library default, TSEIG_NUM_THREADS).
-///   col_block  -- largest number of columns of E per task; a narrower E is
+///   col_block  -- largest number of columns of E per block; a narrower E is
 ///                 cut into about one block per worker (multiples of 8).
 void apply_q2(op trans, const V2Factor& v2, double* e, idx lde, idx ncols,
               idx ell = 32, int num_workers = 1, idx col_block = 256);

@@ -8,6 +8,7 @@
 
 #include "blas/blas1.hpp"
 #include "common/flops.hpp"
+#include "common/parallel.hpp"
 #include "lapack/householder.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/thread_pool.hpp"
@@ -223,13 +224,10 @@ V2Factor chase(const WorkBand& wb, idx n, idx nb, int width) {
     }
   };
   // A body only waits on the sweep before its own, which a body that is
-  // already running took earlier; fork_join keeps every body live at once,
-  // so each wait ends.  One body runs the sweeps in order and never waits.
-  const int bodies = static_cast<int>(std::min<idx>(width, nsweeps));
-  if (bodies <= 1 || rt::ThreadPool::in_parallel_region())
-    body();
-  else
-    rt::ThreadPool::instance().fork_join(bodies, [&](int) { body(); });
+  // already running took earlier; run_self_scheduled keeps every body live
+  // at once, so each wait ends.  One body runs the sweeps in order and never
+  // waits.
+  run_self_scheduled(static_cast<int>(std::min<idx>(width, nsweeps)), body);
   return v2;
 }
 

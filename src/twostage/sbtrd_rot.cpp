@@ -10,13 +10,10 @@
 namespace tseig::twostage {
 namespace {
 
-thread_local SbtrdStats g_stats;
-
 /// Two-sided application of the rotation in plane (p, p+1) to the dense
 /// symmetric matrix, touching only the band window [p-w, p+1+w].  Both
 /// triangles are kept coherent.
 void rot_two_sided(Matrix& a, idx n, idx p, idx w, double c, double s) {
-  ++g_stats.rotations;
   const idx q = p + 1;
   const idx lo = std::max<idx>(0, p - w);
   const idx hi = std::min<idx>(n - 1, q + w);
@@ -45,9 +42,9 @@ void rot_two_sided(Matrix& a, idx n, idx p, idx w, double c, double s) {
 
 }  // namespace
 
-void sbtrd_rotations(const BandMatrix& band, std::vector<double>& d,
-                     std::vector<double>& e) {
-  g_stats = SbtrdStats{};
+SbtrdStats sbtrd_rotations(const BandMatrix& band, std::vector<double>& d,
+                           std::vector<double>& e) {
+  SbtrdStats stats;
   const idx n = band.n();
   const idx b = band.bandwidth();
   Matrix a = band.to_dense();
@@ -67,6 +64,7 @@ void sbtrd_rotations(const BandMatrix& band, std::vector<double>& d,
         const double s = z / r;
         // Window w = bcur+1 covers the transient fill on both sides.
         rot_two_sided(a, n, row - 1, bcur + 1, c, s);
+        ++stats.rotations;
         a(row, col) = 0.0;  // annihilated exactly (round-off hygiene)
         a(col, row) = 0.0;
         // The rotation mixed columns row-1 and row: column row-1 picked up
@@ -82,8 +80,7 @@ void sbtrd_rotations(const BandMatrix& band, std::vector<double>& d,
   e.assign(static_cast<size_t>(std::max<idx>(n, 1)), 0.0);
   for (idx i = 0; i < n; ++i) d[static_cast<size_t>(i)] = a(i, i);
   for (idx i = 0; i + 1 < n; ++i) e[static_cast<size_t>(i)] = a(i + 1, i);
+  return stats;
 }
-
-SbtrdStats sbtrd_last_stats() { return g_stats; }
 
 }  // namespace tseig::twostage

@@ -18,16 +18,16 @@
 
 namespace tseig::twostage {
 
-/// Reduces the symmetric band matrix to tridiagonal form by element-wise
-/// Givens chasing (eigenvalues path only; rotations are not accumulated).
-/// On exit d[0..n) and e[0..n-1) hold the tridiagonal.
-void sbtrd_rotations(const BandMatrix& band, std::vector<double>& d,
-                     std::vector<double>& e);
-
-/// Statistics of the last sbtrd_rotations call on this thread.
+/// Statistics of one sbtrd_rotations call.
 struct SbtrdStats {
   idx rotations = 0;
 };
-SbtrdStats sbtrd_last_stats();
+
+/// Reduces the symmetric band matrix to tridiagonal form by element-wise
+/// Givens chasing (eigenvalues path only; rotations are not accumulated).
+/// On exit d[0..n) and e[0..n-1) hold the tridiagonal.  Returns the call's
+/// rotation count.
+SbtrdStats sbtrd_rotations(const BandMatrix& band, std::vector<double>& d,
+                           std::vector<double>& e);
 
 }  // namespace tseig::twostage

@@ -1,9 +1,11 @@
 // Tests for the data-hazard task-graph runtime.
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <numeric>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -143,42 +145,26 @@ TEST_P(RuntimeWorkers, GraphIsReusableAfterRun) {
 
 INSTANTIATE_TEST_SUITE_P(Workers, RuntimeWorkers, ::testing::Values(1, 2, 4, 8));
 
-TEST(Runtime, WorkerHintPinsExecution) {
-  TaskGraph g;
-  // Serial elision runs every task on the caller; pin the scheduler.
-  g.enable_serial_elision(false);
-  const int workers = 4;
-  std::vector<std::atomic<int>> ran_on(16);
-  for (auto& r : ran_on) r = -1;
-  for (int i = 0; i < 16; ++i) {
-    TaskGraph::Options opts;
-    opts.worker_hint = i;  // wraps: hint i pins to worker i % workers
-    g.submit(
-        [&ran_on, i] {
-          ran_on[static_cast<size_t>(i)] = TaskGraph::current_worker();
-        },
-        {wr(region_key(6, static_cast<std::uint32_t>(i), 0))}, opts);
-  }
-  g.run(workers);
-  for (int i = 0; i < 16; ++i)
-    EXPECT_EQ(ran_on[static_cast<size_t>(i)].load(), i % workers) << i;
-}
-
 TEST(Runtime, TracingRecordsWorkerAssignment) {
-  // Each hint gets its own label, so the telemetry spans of one hint must
-  // all sit on the lane of the thread that ran that worker.
-  static const char* const kLabels[] = {"pinned0", "pinned1", "pinned2"};
+  // Each task has its own label and records the lane and logical worker of
+  // the thread that ran it; its telemetry span must sit on that lane, and
+  // distinct workers must map to distinct lanes.
+  static const char* const kLabels[] = {"t0", "t1", "t2", "t3", "t4",  "t5",
+                                        "t6", "t7", "t8", "t9", "t10", "t11"};
+  constexpr int kTasks = 12;
   TaskGraph g;
   g.enable_serial_elision(false);
   const int workers = 3;
-  std::vector<std::atomic<int>> ran_on(12);
-  for (int i = 0; i < 12; ++i) {
+  std::vector<int> lane_of(kTasks, -1), worker_of(kTasks, -1);
+  for (int i = 0; i < kTasks; ++i) {
     TaskGraph::Options opts;
-    opts.worker_hint = i % workers;
-    opts.label = kLabels[i % workers];
+    opts.label = kLabels[i];
     g.submit(
-        [&ran_on, i] {
-          ran_on[static_cast<size_t>(i)] = TaskGraph::current_worker();
+        [&lane_of, &worker_of, i] {
+          lane_of[static_cast<size_t>(i)] = obs::thread_lane();
+          worker_of[static_cast<size_t>(i)] = TaskGraph::current_worker();
+          // Long enough that the other workers pick up tasks too.
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
         },
         {wr(region_key(7, static_cast<std::uint32_t>(i), 0))}, opts);
   }
@@ -188,20 +174,27 @@ TEST(Runtime, TracingRecordsWorkerAssignment) {
   const obs::Snapshot snap = obs::snapshot();
   obs::set_enabled(false);
 
-  for (int i = 0; i < 12; ++i)
-    EXPECT_EQ(ran_on[static_cast<size_t>(i)].load(), i % workers) << i;
-  std::map<std::string, std::set<int>> lanes;
+  std::map<std::string, int> span_lane;
   for (const obs::SpanRecord& s : snap.spans) {
     EXPECT_LE(s.start_seconds, s.end_seconds);
-    lanes[s.label].insert(s.lane);
+    span_lane[s.label] = s.lane;
   }
-  ASSERT_EQ(lanes.size(), 3u);
-  std::set<int> distinct;
-  for (const auto& [label, on] : lanes) {
-    EXPECT_EQ(on.size(), 1u) << label;
-    distinct.insert(*on.begin());
+  ASSERT_EQ(span_lane.size(), static_cast<size_t>(kTasks));
+  std::map<int, std::set<int>> lanes_of_worker;
+  std::map<int, std::set<int>> workers_on_lane;
+  for (int i = 0; i < kTasks; ++i) {
+    const int w = worker_of[static_cast<size_t>(i)];
+    const int lane = lane_of[static_cast<size_t>(i)];
+    EXPECT_GE(w, 0) << i;
+    EXPECT_LT(w, workers) << i;
+    EXPECT_EQ(span_lane[kLabels[i]], lane) << i;
+    lanes_of_worker[w].insert(lane);
+    workers_on_lane[lane].insert(w);
   }
-  EXPECT_EQ(distinct.size(), 3u);
+  for (const auto& [w, lanes] : lanes_of_worker)
+    EXPECT_EQ(lanes.size(), 1u) << "worker " << w;
+  for (const auto& [lane, ws] : workers_on_lane)
+    EXPECT_EQ(ws.size(), 1u) << "lane " << lane;
 }
 
 TEST(Runtime, PriorityOrdersReadyTasksOnOneWorker) {

@@ -57,11 +57,11 @@ TEST(SbtrdRot, TridiagonalInputPassesThrough) {
   Rng rng(3);
   auto band = random_band(n, 1, rng);
   std::vector<double> d, e;
-  twostage::sbtrd_rotations(band, d, e);
+  const twostage::SbtrdStats stats = twostage::sbtrd_rotations(band, d, e);
   for (idx i = 0; i < n; ++i) EXPECT_EQ(d[static_cast<size_t>(i)], band.at(i, i));
   for (idx i = 0; i + 1 < n; ++i)
     EXPECT_EQ(e[static_cast<size_t>(i)], band.at(i + 1, i));
-  EXPECT_EQ(twostage::sbtrd_last_stats().rotations, 0);
+  EXPECT_EQ(stats.rotations, 0);
 }
 
 TEST(SbtrdRot, RotationCountScale) {
@@ -71,8 +71,7 @@ TEST(SbtrdRot, RotationCountScale) {
   Rng rng(5);
   auto band = random_band(n, bw, rng);
   std::vector<double> d, e;
-  twostage::sbtrd_rotations(band, d, e);
-  const idx rot = twostage::sbtrd_last_stats().rotations;
+  const idx rot = twostage::sbtrd_rotations(band, d, e).rotations;
   EXPECT_GT(rot, n);                 // more than one sweep's worth
   EXPECT_LT(rot, 6 * n * n);         // but polynomially bounded
 }

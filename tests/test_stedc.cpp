@@ -37,7 +37,8 @@ void check_eigensystem(idx n, const std::vector<double>& d0,
   std::vector<double> d = d0, e = e0;
   e.resize(static_cast<size_t>(n), 0.0);
   Matrix z(n, n);
-  tridiag::stedc(n, d.data(), e.data(), z.data(), z.ld(), crossover);
+  tridiag::stedc(n, d.data(), e.data(), z.data(), z.ld(),
+                 tridiag::StedcOptions{crossover});
 
   EXPECT_TRUE(testing::check_eigen_pairs(t, d, z, 50.0 * tol_scale,
                                          50.0 * tol_scale));
@@ -75,7 +76,8 @@ TEST(Stedc, ToeplitzAnalyticSpectrum) {
   e[static_cast<size_t>(n - 1)] = 0.0;
   std::vector<double> dc = d, ec = e;
   Matrix z(n, n);
-  tridiag::stedc(n, dc.data(), ec.data(), z.data(), z.ld(), 24);
+  tridiag::stedc(n, dc.data(), ec.data(), z.data(), z.ld(),
+                 tridiag::StedcOptions{24});
   for (idx k = 0; k < n; ++k) {
     const double s = std::sin((k + 1) * M_PI / (2.0 * (n + 1)));
     EXPECT_NEAR(dc[static_cast<size_t>(k)], 4.0 * s * s, 1e-12 * n);
@@ -93,7 +95,8 @@ TEST(Stedc, CrossoverValuesAgree) {
   for (idx crossover : {idx{4}, idx{8}, idx{32}, idx{128}}) {
     std::vector<double> dc = d, ec = e;
     Matrix z(n, n);
-    tridiag::stedc(n, dc.data(), ec.data(), z.data(), z.ld(), crossover);
+    tridiag::stedc(n, dc.data(), ec.data(), z.data(), z.ld(),
+                   tridiag::StedcOptions{crossover});
     EXPECT_TRUE(testing::check_eigen_pairs(t, dc, z)) << crossover;
   }
 }
@@ -121,14 +124,14 @@ TEST(Stedc, GluedWilkinsonHeavyDeflation) {
   Matrix t = tridiag_dense(n, d, e);
   std::vector<double> dc = d, ec = e;
   Matrix z(n, n);
-  tridiag::stedc(n, dc.data(), ec.data(), z.data(), z.ld(), 16);
+  const tridiag::StedcStats stats = tridiag::stedc(
+      n, dc.data(), ec.data(), z.data(), z.ld(), tridiag::StedcOptions{16});
   // Clustered spectra stress orthogonality; allow extra headroom.
   EXPECT_TRUE(testing::check_eigen_pairs(t, dc, z, 200.0, 200.0));
   // D&C eigenvalues against the independent sterf oracle.
   EXPECT_TRUE(testing::check_eigenvalues(
       testing::matgen::tridiag_eigenvalues(glued), dc, 200.0));
 
-  const auto stats = tridiag::stedc_last_stats();
   EXPECT_GT(stats.merges, 0);
   EXPECT_GT(stats.deflated, 0);  // clustered spectrum must deflate
 }
@@ -142,7 +145,8 @@ TEST(Stedc, WilkinsonLadderNearDegeneratePairs) {
   std::vector<double> dc = wil.d, ec = wil.e;
   ec.resize(static_cast<size_t>(n), 0.0);
   Matrix z(n, n);
-  tridiag::stedc(n, dc.data(), ec.data(), z.data(), z.ld(), 8);
+  tridiag::stedc(n, dc.data(), ec.data(), z.data(), z.ld(),
+                 tridiag::StedcOptions{8});
   Matrix t = tridiag_dense(n, wil.d, wil.e);
   EXPECT_TRUE(testing::check_eigen_pairs(t, dc, z));
   EXPECT_TRUE(testing::check_eigenvalues(
@@ -157,7 +161,8 @@ TEST(Stedc, ConstantDiagonalDeflatesCompletely) {
       e(static_cast<size_t>(n), 0.0);
   Matrix z(n, n);
   std::vector<double> dc = d, ec = e;
-  tridiag::stedc(n, dc.data(), ec.data(), z.data(), z.ld(), 8);
+  tridiag::stedc(n, dc.data(), ec.data(), z.data(), z.ld(),
+                 tridiag::StedcOptions{8});
   for (idx i = 0; i < n; ++i) EXPECT_DOUBLE_EQ(dc[static_cast<size_t>(i)], 3.25);
   EXPECT_LE(orthogonality_error(z), 1e-13 * n);
 }

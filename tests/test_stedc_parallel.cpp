@@ -2,7 +2,7 @@
 // eigensolver: the merge tree executed on the worker pool must reproduce the
 // serial results (same secular iterations per root, same deflation
 // decisions) across worker counts and on pathological spectra, with the
-// call-wide StedcStats aggregated correctly from concurrent merge tasks.
+// StedcStats each call returns independent of the worker count.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -14,7 +14,6 @@
 
 #include "common/rng.hpp"
 #include "obs/telemetry.hpp"
-#include "runtime/task_graph.hpp"
 #include "test_support.hpp"
 #include "tridiag/stedc.hpp"
 
@@ -66,8 +65,8 @@ Solved run_stedc(idx n, const std::vector<double>& d0,
   tridiag::StedcOptions opts;
   opts.crossover = crossover;
   opts.num_workers = workers;
-  tridiag::stedc(n, out.d.data(), e.data(), out.z.data(), out.z.ld(), opts);
-  out.stats = tridiag::stedc_last_stats();
+  out.stats =
+      tridiag::stedc(n, out.d.data(), e.data(), out.z.data(), out.z.ld(), opts);
   return out;
 }
 
@@ -151,19 +150,26 @@ TEST(StedcParallel, ZeroCouplingEntries) {
 }
 
 TEST(StedcParallel, StatsAggregatedAcrossWorkers) {
-  // Regression for the thread_local stats bug: with merges running on pool
-  // workers, the old accumulator reported 0 merges.  The aggregated counts
-  // must be non-trivial and worker-count independent.
+  // Merges running on pool workers must all be counted: the returned counts
+  // are non-trivial and identical at every worker count.
   const idx n = 300;
   Rng rng(109);
   std::vector<double> d(static_cast<size_t>(n)), e(static_cast<size_t>(n), 0.0);
   rng.fill_uniform(d.data(), n);
   rng.fill_uniform(e.data(), n - 1);
 
-  const Solved par = run_stedc(n, d, e, 8, 8);
-  EXPECT_GT(par.stats.merges, 0);
-  EXPECT_GT(par.stats.secular_solves, 0);
-  EXPECT_GE(par.stats.total_size, n);  // the root merge alone has size n
+  const Solved serial = run_stedc(n, d, e, 1, 8);
+  EXPECT_GT(serial.stats.merges, 0);
+  EXPECT_GT(serial.stats.secular_solves, 0);
+  EXPECT_GE(serial.stats.total_size, n);  // the root merge alone has size n
+  for (int workers : {2, 4, 8}) {
+    SCOPED_TRACE("workers = " + std::to_string(workers));
+    const Solved par = run_stedc(n, d, e, workers, 8);
+    EXPECT_EQ(par.stats.merges, serial.stats.merges);
+    EXPECT_EQ(par.stats.deflated, serial.stats.deflated);
+    EXPECT_EQ(par.stats.secular_solves, serial.stats.secular_solves);
+    EXPECT_EQ(par.stats.total_size, serial.stats.total_size);
+  }
 }
 
 TEST(StedcParallel, TraceCoversLeavesAndMerges) {
@@ -173,15 +179,16 @@ TEST(StedcParallel, TraceCoversLeavesAndMerges) {
   rng.fill_uniform(d.data(), n);
   rng.fill_uniform(e.data(), n - 1);
 
-  // Record through the unified telemetry layer: graph tasks and serial
-  // fallbacks both land in the obs rings under one epoch.
+  // Record through the unified telemetry layer: fanned-out levels and
+  // serial merges both land in the obs rings under one epoch.
   obs::reset();
   obs::set_enabled(true);
   tridiag::StedcOptions opts;
   opts.crossover = 16;
   opts.num_workers = 4;
   Matrix z(n, n);
-  tridiag::stedc(n, d.data(), e.data(), z.data(), z.ld(), opts);
+  const tridiag::StedcStats stats =
+      tridiag::stedc(n, d.data(), e.data(), z.data(), z.ld(), opts);
   const obs::Snapshot snap = obs::snapshot();
   obs::set_enabled(false);
   EXPECT_EQ(snap.dropped_spans, 0u);
@@ -195,7 +202,7 @@ TEST(StedcParallel, TraceCoversLeavesAndMerges) {
   // crossover 16 on n = 300 gives > 16 leaves and at least as many merges.
   EXPECT_GT(leaves, 8);
   EXPECT_GT(merges, 8);
-  EXPECT_EQ(merges, tridiag::stedc_last_stats().merges);
+  EXPECT_EQ(merges, stats.merges);
 }
 
 TEST(StedcParallel, SmallProblemsAllWorkerCounts) {

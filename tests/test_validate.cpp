@@ -282,6 +282,9 @@ TEST(DynamicChecker, NoOpWhenValidationDisabled) {
 TEST(ValidatedPipelines, FourAlgorithmGraphsAuditClean) {
   // The acceptance bar for the audit: zero findings (no throw) on every
   // unmodified algorithm graph, with the dynamic checker armed throughout.
+  // sy2sb, apply_q1 and syev_batch run task graphs; sb2st, apply_q2 and
+  // stedc are plain self-scheduled loops with no graph to audit, but run
+  // here under validation too because they feed the end-to-end check.
   ConfigGuard guard;
   rt::set_validation(true);
   Rng rng(123);
@@ -294,18 +297,17 @@ TEST(ValidatedPipelines, FourAlgorithmGraphsAuditClean) {
   lapack::laset(n, n, 0.0, 1.0, g1.data(), g1.ld());
   twostage::apply_q1(op::none, s1.q1, g1.data(), g1.ld(), n, 4, 24);
 
-  // sb2st (stage 2): a sweep pipeline, not a task graph, so it only feeds
-  // the graphs below.
+  // sb2st (stage 2): a sweep pipeline, not a task graph.
   twostage::Sb2stOptions s2o;
   s2o.num_workers = 4;
   auto s2 = twostage::sb2st(s1.band, s2o);
 
-  // apply_q2 (back-transformation).
+  // apply_q2 (back-transformation): a loop over column blocks.
   Matrix e(n, n);
   lapack::laset(n, n, 0.0, 1.0, e.data(), e.ld());
   twostage::apply_q2(op::none, s2.v2, e.data(), e.ld(), n, 8, 4, 24);
 
-  // stedc (D&C with leaf/merge level graphs + column-partitioned GEMM).
+  // stedc (D&C): one loop per tree level, then the root merges.
   std::vector<double> d = s2.d, ee = s2.e;
   Matrix z(n, n);
   tridiag::StedcOptions dco;
