@@ -10,14 +10,15 @@
 #   kernel_avx2.o    -- ymm allowed, zmm forbidden (built -mavx2 -mno-avx512f);
 #   everything else  -- no ymm, no zmm.
 #
-# Additionally, the bitwise contracts: kernel_*.o, blas3.o and sb2st.o must
-# contain NO fused-multiply-add instructions (vfmadd/vfmsub/vfnmadd/vfnmsub)
-# on ANY tier -- those TUs build with -ffp-contract=off precisely so that
-# TSEIG_KERNEL=scalar reproduces the SIMD tiers bit for bit, and so that a
-# bulge-chase hop rounds the same whichever worker (and scratch alignment)
-# runs it.  One fused instruction (an intrinsic slipping in, or the flag
-# falling off a TU) silently breaks that.  This scan is valid on every
-# build, including -march=native ones, because the per-TU flags always win.
+# Additionally, the bitwise contracts: kernel_*.o, blas3.o, sb2st.o and
+# stedc.o must contain NO fused-multiply-add instructions
+# (vfmadd/vfmsub/vfnmadd/vfnmsub) on ANY tier -- those TUs build with
+# -ffp-contract=off precisely so that TSEIG_KERNEL=scalar reproduces the SIMD
+# tiers bit for bit, and so that a bulge-chase hop or a D&C merge rounds the
+# same whichever worker (and scratch alignment) runs it.  One fused
+# instruction (an intrinsic slipping in, or the flag falling off a TU)
+# silently breaks that.  This scan is valid on every build, including
+# -march=native ones, because the per-TU flags always win.
 #
 # The wide-register scan is only meaningful on a build whose global flags do
 # not enable AVX themselves, so it requires TSEIG_NATIVE=OFF in the build's
@@ -65,8 +66,9 @@ uses_fma() { # obj
 fail=0
 fma_checked=0
 for obj in $(find "$OBJDIR" \( -name 'kernel_*.o' -o -name 'blas3*.o' \
-             -o -name 'sb2st*.o' -o -name 'kernel_*.obj' -o -name 'blas3*.obj' \
-             -o -name 'sb2st*.obj' \) | sort); do
+             -o -name 'sb2st*.o' -o -name 'stedc*.o' -o -name 'kernel_*.obj' \
+             -o -name 'blas3*.obj' -o -name 'sb2st*.obj' -o -name 'stedc*.obj' \
+             \) | sort); do
   fma_checked=$((fma_checked + 1))
   if uses_fma "$obj"; then
     echo "FMA LEAK: $(basename "$obj") contains fused multiply-add" \

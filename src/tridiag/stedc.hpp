@@ -2,26 +2,31 @@
 //
 // This is the paper's "EVD / D&C" phase-2 solver (Table 1): eigenvalues and
 // eigenvectors of the tridiagonal matrix produced by the reduction.  The
-// implementation follows the classic Cuppen / Gu-Eisenstat scheme:
+// implementation follows the classic Cuppen / Gu-Eisenstat scheme, merge by
+// merge as LAPACK's xLAED1-4:
 //   * split T into two half-size tridiagonals plus a rank-one correction;
 //   * recurse (QL/QR iteration below a crossover size);
 //   * merge: deflate negligible/duplicate entries, solve the secular
-//     equation for each remaining eigenvalue with a bisection-safeguarded
-//     Newton iteration, recompute the rank-one vector with the
-//     Gu-Eisenstat formula for orthogonal eigenvectors, and multiply back
-//     (GEMM -- the compute-bound bulk of the phase).
+//     equation for each remaining eigenvalue with Li's two-pole rational
+//     model ("middle way", a few evaluations per root), recompute the
+//     rank-one vector with the Gu-Eisenstat formula for orthogonal
+//     eigenvectors, and multiply back with two GEMMs that skip the
+//     structural zeros of the block-diagonal basis (the compute-bound bulk
+//     of the phase, n^3 per merge of size n, 4/3 n^3 over the tree).
 //
-// Parallel execution flattens the recursion into an explicit merge tree and
-// walks it level by level on the shared worker pool (see StedcOptions and
-// docs/ALGORITHMS.md "Parallel merge tree"):
+// Every node owns a diagonal block of z and a column slice of one per-call
+// scratch, so a merge allocates no matrices.  Parallel execution flattens the
+// recursion into an explicit merge tree and walks it level by level on the
+// shared worker pool (see StedcOptions and docs/ALGORITHMS.md "Parallel
+// merge tree"):
 //   * the 2^depth independent leaves, and the merges of every level with at
 //     least num_workers of them, run as one self-scheduled loop per level,
 //     largest nodes first;
 //   * the few large merges near the root run on the calling thread with
 //     *internal* parallelism instead -- the k independent secular roots,
 //     the Gu-Eisenstat vector and the rank-one eigenvector columns via
-//     parallel_for, and the back-multiplication as one GEMM split over row
-//     blocks under the call's worker budget.
+//     parallel_for, and the back-multiplication GEMMs split over row blocks
+//     under the call's worker budget.
 #pragma once
 
 #include <vector>
@@ -51,6 +56,8 @@ struct StedcStats {
   idx total_size = 0;      // sum of merge sizes
   idx deflated = 0;        // total deflated entries across merges
   idx secular_solves = 0;  // secular roots computed
+  idx secular_iterations = 0;  // secular function evaluations (midpoint
+                               // plus model steps) over all roots
 };
 
 /// Computes all eigenpairs of the symmetric tridiagonal (d, e).

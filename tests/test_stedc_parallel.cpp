@@ -161,6 +161,7 @@ TEST(StedcParallel, StatsAggregatedAcrossWorkers) {
   const Solved serial = run_stedc(n, d, e, 1, 8);
   EXPECT_GT(serial.stats.merges, 0);
   EXPECT_GT(serial.stats.secular_solves, 0);
+  EXPECT_GT(serial.stats.secular_iterations, 0);
   EXPECT_GE(serial.stats.total_size, n);  // the root merge alone has size n
   for (int workers : {2, 4, 8}) {
     SCOPED_TRACE("workers = " + std::to_string(workers));
@@ -169,6 +170,7 @@ TEST(StedcParallel, StatsAggregatedAcrossWorkers) {
     EXPECT_EQ(par.stats.deflated, serial.stats.deflated);
     EXPECT_EQ(par.stats.secular_solves, serial.stats.secular_solves);
     EXPECT_EQ(par.stats.total_size, serial.stats.total_size);
+    EXPECT_EQ(par.stats.secular_iterations, serial.stats.secular_iterations);
   }
 }
 
