@@ -98,9 +98,12 @@ int main(int argc, char** argv) {
       for (idx count : batch_sizes) {
         const Cell cell = run_cell(a, count, workers, reps);
         cells.push_back(cell);
-        const std::string key = "b" + std::to_string(count) + "xn" +
-                                std::to_string(n) + "/w" +
-                                std::to_string(workers);
+        std::string key = "b";
+        key += std::to_string(count);
+        key += "xn";
+        key += std::to_string(n);
+        key += "/w";
+        key += std::to_string(workers);
         rec.add(key + "/seq", cell.seq_seconds,
                 {{"problems_per_sec", cell.seq_rate()}});
         rec.add(key + "/batch", cell.batch_seconds,

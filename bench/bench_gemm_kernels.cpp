@@ -6,14 +6,17 @@
 // tier plus each tier's speedup over the scalar baseline.  This is the
 // acceptance gate for the kernel engine: on a wide host the best tier must
 // deliver >= 2x scalar at n = 1024, from ONE binary, with no -march=native
-// required at build time.
+// required at build time.  Two more cells per tier time ragged tiles, which
+// the power-of-two sizes never hit: a ragged square (n = 97) and the
+// back-transformation's diamond update (C(79x256, ldc 1024) -= V(79x32)
+// W(32x256), the shape of larfb's second GEMM at nb = 48, ell = 32).
 //
 // Usage: bench_gemm_kernels [--nmax N] [--reps R] [--json /path/out.json]
 //
 // --json writes a "tseig-bench-v2" document (committed as BENCH_gemm.json
 // at the repo root so the speedup is on record per host, and compared
 // against fresh runs by `tseig_prof gate` in scripts/bench_ci.sh).  Result
-// keys are "n<size>/<tier>".
+// keys are "n<size>/<tier>", "r97/<tier>" and "d79x256x32/<tier>".
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -28,14 +31,16 @@ namespace kern = blas::kernels;
 
 namespace {
 
+double gemm_gflops(idx m, idx n, idx k, double seconds) {
+  return 2.0 * static_cast<double>(m) * static_cast<double>(n) *
+         static_cast<double>(k) / seconds * 1e-9;
+}
+
 struct Cell {
   const char* kernel;
   idx n;
   double seconds;
-  double gflops() const {
-    return 2.0 * static_cast<double>(n) * static_cast<double>(n) *
-           static_cast<double>(n) / seconds * 1e-9;
-  }
+  double gflops() const { return gemm_gflops(n, n, n, seconds); }
 };
 
 }  // namespace
@@ -71,7 +76,24 @@ int main(int argc, char** argv) {
   std::vector<Cell> cells;
   std::vector<std::string> cols;
   for (idx n : sizes) cols.push_back("n=" + std::to_string(n));
+  cols.push_back("r97");
+  cols.push_back("d79x256x32");
   bench::print_header("GFLOP/s", cols);
+
+  // Ragged cells: operands of their own so the diamond keeps ldc = 1024
+  // whatever --nmax is.
+  constexpr idx kRagged = 97;
+  constexpr idx kDm = 79, kDn = 256, kDk = 32, kDld = 1024;
+  std::vector<double> ra(static_cast<size_t>(kRagged) * kRagged);
+  std::vector<double> rb(ra.size()), rc(ra.size());
+  std::vector<double> dv(static_cast<size_t>(kDld) * kDk);
+  std::vector<double> dw(static_cast<size_t>(kDk) * kDn);
+  std::vector<double> dc(static_cast<size_t>(kDld) * kDn);
+  rng.fill_uniform(ra.data(), static_cast<idx>(ra.size()));
+  rng.fill_uniform(rb.data(), static_cast<idx>(rb.size()));
+  rng.fill_uniform(dv.data(), static_cast<idx>(dv.size()));
+  rng.fill_uniform(dw.data(), static_cast<idx>(dw.size()));
+  rng.fill_uniform(dc.data(), static_cast<idx>(dc.size()));
 
   for (const kern::Kernel* tier : tiers) {
     kern::select_kernel(tier);
@@ -83,9 +105,32 @@ int main(int argc, char** argv) {
       });
       cells.push_back({tier->name, n, s});
       row.push_back(cells.back().gflops());
-      rec.add("n" + std::to_string(n) + "/" + tier->name, s,
-              {{"gflops", cells.back().gflops()}});
+      std::string key = "n";
+      key += std::to_string(n);
+      key += "/";
+      key += tier->name;
+      rec.add(key, s, {{"gflops", cells.back().gflops()}});
     }
+    // Small ragged cells run in microseconds: time 64 calls per sample.
+    constexpr int kInner = 64;
+    const double sr =
+        bench::time_best(reps, [&] {
+          for (int i = 0; i < kInner; ++i)
+            blas::gemm(op::none, op::none, kRagged, kRagged, kRagged, 1.0,
+                       ra.data(), kRagged, rb.data(), kRagged, 0.0, rc.data(),
+                       kRagged);
+        }) / kInner;
+    row.push_back(gemm_gflops(kRagged, kRagged, kRagged, sr));
+    rec.add(std::string("r97/") + tier->name, sr, {{"gflops", row.back()}});
+    const double sd =
+        bench::time_best(reps, [&] {
+          for (int i = 0; i < kInner; ++i)
+            blas::gemm(op::none, op::none, kDm, kDn, kDk, -1.0, dv.data(),
+                       kDld, dw.data(), kDk, 1.0, dc.data(), kDld);
+        }) / kInner;
+    row.push_back(gemm_gflops(kDm, kDn, kDk, sd));
+    rec.add(std::string("d79x256x32/") + tier->name, sd,
+            {{"gflops", row.back()}});
     bench::print_row(tier->name, row);
   }
   kern::select_kernel(nullptr);

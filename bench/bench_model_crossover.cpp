@@ -85,9 +85,10 @@ int main(int argc, char** argv) {
     // The model covers reduction + update (phase 2 is identical in both).
     const double t1 = r1.phases.reduction_seconds + r1.phases.update_seconds;
     const double t2 = r2.phases.reduction_seconds + r2.phases.update_seconds;
-    rec.add("n" + std::to_string(n) + "/one_stage", t1,
-            {{"model_seconds", t1_model}});
-    rec.add("n" + std::to_string(n) + "/two_stage", t2,
+    std::string key = "n";
+    key += std::to_string(n);
+    rec.add(key + "/one_stage", t1, {{"model_seconds", t1_model}});
+    rec.add(key + "/two_stage", t2,
             {{"model_seconds", t2_model}, {"impl_model_seconds", t2_impl}});
     std::printf("  %-8lld %10.3f %10.3f %10.3f %10.3f %10.3f %8.2f %8.2f\n",
                 static_cast<long long>(n), t1_model, t1, t2_model, t2_impl,

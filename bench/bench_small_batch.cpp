@@ -89,7 +89,10 @@ int main(int argc, char** argv) {
           reps, [&] { (void)solver::syev_batch(batch, bopts); });
       cells.push_back({n, lane, s});
       row.push_back(cells.back().mproblems_per_s(problems));
-      rec.add("n" + std::to_string(n) + (lane ? "/lane" : "/pipeline"), s,
+      std::string key = "n";
+      key += std::to_string(n);
+      key += lane ? "/lane" : "/pipeline";
+      rec.add(key, s,
               {{"mproblems_per_s", cells.back().mproblems_per_s(problems)}});
     }
     row.push_back(row[0] / row[1]);  // lane speedup over pipeline

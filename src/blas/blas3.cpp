@@ -8,9 +8,9 @@
 #include "common/parallel.hpp"
 
 // NOTE: this TU is compiled with -ffp-contract=off (see src/CMakeLists.txt).
-// The small-problem loops below must round every product before adding it,
-// exactly like the packed microkernels in src/blas/kernels/, or the two
-// paths of blas::gemm would diverge bitwise across the size threshold.
+// Every Level-3 flop runs in the active tier's microkernel, at every size
+// and on every ragged edge: this file only packs, blocks and scales C, so
+// the registry.hpp rounding contract covers all of gemm/symm/syrk/trmm.
 
 namespace tseig::blas {
 namespace {
@@ -18,12 +18,6 @@ namespace {
 using kernels::kKC;
 using kernels::kMC;
 using kernels::kNC;
-
-/// Problems at or below this flop volume skip packing entirely (the packing
-/// overhead would dominate).  The small path reproduces the blocked path's
-/// arithmetic bitwise: same KC chunking, same product-then-add rounding,
-/// alpha applied once per chunk.
-constexpr idx kSmallThreshold = 16 * 1024;
 
 /// Thread-local Level-3 worker budget (see blas3.hpp).  0 = unset.
 thread_local int t_kernel_workers = 0;
@@ -137,7 +131,7 @@ void gemm_blocked(idx m, idx n, idx k, double alpha, PA&& packa, PB&& packb,
       // blocked path's real extra bandwidth cost, visible in the roofline.
       count_bytes(byte_count::copy(kc, nc));
       const idx nic = (m + kMC - 1) / kMC;
-      parallel_for(kernel_workers(), 0, nic, 1, [&](idx bi) {
+      const auto row_block = [&](idx bi) {
         const idx ic = bi * kMC;
         const idx mc = std::min(kMC, m - ic);
         double* abuf = pack_store_a().get(
@@ -154,42 +148,25 @@ void gemm_blocked(idx m, idx n, idx k, double alpha, PA&& packa, PB&& packb,
                        c + (ic + i0) + (jc + j0) * ldc, ldc, mr, nr);
           }
         }
-      });
+      };
+      // One row block (every call with m <= MC) skips the std::function
+      // wrapper of parallel_for: it costs as much as a whole tiny GEMM.
+      if (nic == 1) {
+        row_block(0);
+      } else {
+        parallel_for(kernel_workers(), 0, nic, 1, row_block);
+      }
     }
   }
 }
 
-/// Accessor-based core shared by gemm/symm/syrk/trmm: C += alpha * EA * EB
+/// Accessor-based core shared by symm/syrk/syr2k/trmm: C += alpha * EA * EB
 /// where the operands are exposed element-wise.  C must already be scaled by
 /// beta.
 template <class EA, class EB>
 void gemm_core(idx m, idx n, idx k, double alpha, EA&& ea, EB&& eb, double* c,
                idx ldc) {
   if (m == 0 || n == 0 || k == 0 || alpha == 0.0) return;
-  // Small problems: packing overhead dominates, use a direct loop nest.
-  // Same KC chunking and rounding as the blocked path (bitwise-identical
-  // results across the threshold), and no skipping of zero operands — a
-  // zero times NaN/Inf must propagate exactly as the microkernels would.
-  if (m * n * k <= kSmallThreshold) {
-    constexpr idx IB = 256;  // C rows accumulated per stack-resident strip
-    double acc[IB];
-    for (idx pc = 0; pc < k; pc += kKC) {
-      const idx kc = std::min(kKC, k - pc);
-      for (idx j = 0; j < n; ++j) {
-        double* cj = c + j * ldc;
-        for (idx i0 = 0; i0 < m; i0 += IB) {
-          const idx ib = std::min(IB, m - i0);
-          std::fill(acc, acc + ib, 0.0);
-          for (idx p = 0; p < kc; ++p) {
-            const double bpj = eb(pc + p, j);
-            for (idx i = 0; i < ib; ++i) acc[i] += ea(i0 + i, pc + p) * bpj;
-          }
-          for (idx i = 0; i < ib; ++i) cj[i0 + i] += alpha * acc[i];
-        }
-      }
-    }
-    return;
-  }
   const kernels::Kernel& kern = kernels::active_kernel();
   gemm_blocked(
       m, n, k, alpha,
@@ -230,17 +207,6 @@ void gemm(op transa, op transb, idx m, idx n, idx k, double alpha,
   if (m == 0 || n == 0 || k == 0 || alpha == 0.0) return;
   count_flops(flop_count::gemm(m, n, k));
   count_bytes(byte_count::gemm(m, n, k));
-  // Small problems: skip packing entirely (gemm_core's small path).
-  if (m * n * k <= kSmallThreshold) {
-    auto ea = [=](idx i, idx p) {
-      return transa == op::none ? a[i + p * lda] : a[p + i * lda];
-    };
-    auto eb = [=](idx p, idx j) {
-      return transb == op::none ? b[p + j * ldb] : b[j + p * ldb];
-    };
-    gemm_core(m, n, k, alpha, ea, eb, c, ldc);
-    return;
-  }
   // Blocked engine with the active tier's contiguous packers per transpose
   // combination (several times faster than the element-accessor fallback;
   // tile algorithms hit GEMM at nb-sized operands where packing is not

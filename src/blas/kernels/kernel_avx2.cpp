@@ -52,14 +52,7 @@ void micro_full(idx kc, double alpha, const double* ap, const double* bp,
   }
 }
 
-void micro(idx kc, double alpha, const double* ap, const double* bp, double* c,
-           idx ldc, idx mr, idx nr) {
-  if (mr == MR && nr == NR) {
-    micro_full(kc, alpha, ap, bp, c, ldc);
-    return;
-  }
-  micro_edge(kc, alpha, ap, bp, c, ldc, mr, nr);
-}
+constexpr microkernel_fn micro = micro_simd<micro_full>;
 
 }  // namespace
 

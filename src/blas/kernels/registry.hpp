@@ -19,9 +19,10 @@
 //   with -ffp-contract=off), and each chunk lands on C as one
 //   `c += alpha * acc` (separate multiply and add).  Tile geometry (MR/NR),
 //   vector width and edge handling therefore do not affect results: scalar,
-//   AVX2, AVX-512 and NEON tiers produce bitwise-identical output, and so do
-//   the small-problem and blocked paths of blas::gemm.  This is what makes
-//   TSEIG_KERNEL=scalar a usable oracle for the whole eigensolver.
+//   AVX2, AVX-512 and NEON tiers produce bitwise-identical output at every
+//   problem size (blas::gemm has one packed path, no small-size branch).
+//   This is what makes TSEIG_KERNEL=scalar a usable oracle for the whole
+//   eigensolver.
 //
 // Selection order: TSEIG_KERNEL env var ("scalar", "avx2", "avx512", "neon",
 // or "native"/"auto"/"best" for best-available) if set, else the best tier
@@ -38,16 +39,17 @@ namespace tseig::blas::kernels {
 
 // Cache-blocking parameters shared by every tier.  KC is part of the
 // bitwise-consistency contract above (it fixes where accumulator chains are
-// cut), so it must never differ between tiers or between the small-problem
-// and blocked paths.  MC/NC only affect locality, never rounding.
+// cut), so it must never differ between tiers.  MC/NC only affect locality,
+// never rounding.
 constexpr idx kMC = 128;   ///< rows of A resident in L2 per block
 constexpr idx kKC = 256;   ///< depth of one packed panel (L1 streaming)
 constexpr idx kNC = 4096;  ///< columns of B resident in L3 per block
 
 /// Microkernel: C(0:mr,0:nr) += alpha * Ap Bp where Ap is a packed MR-wide
 /// micro-panel (kc steps, MR-stride) and Bp a packed NR-wide micro-panel.
-/// mr <= MR, nr <= NR; full tiles take the SIMD fast path, ragged edges a
-/// scalar loop with identical rounding.
+/// mr <= MR, nr <= NR.  SIMD tiers run their full-tile body on ragged edges
+/// too (on the zero-padded panels, into a -0.0-filled stack tile whose live
+/// part is then added to C), so every tile has the same rounding.
 using microkernel_fn = void (*)(idx kc, double alpha, const double* ap,
                                 const double* bp, double* c, idx ldc, idx mr,
                                 idx nr);

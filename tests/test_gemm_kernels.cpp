@@ -1,8 +1,9 @@
 // Tests for the runtime-dispatched SIMD microkernel engine (blas/kernels/):
-// registry/dispatch behaviour, the bitwise cross-tier and cross-path
-// consistency contract of registry.hpp, NaN/Inf propagation through the
-// small path, the Level-3 worker-budget rules, pack-buffer high-water decay,
-// and an exhaustive gemm/syr2k sweep against the naive references.
+// registry/dispatch behaviour, the bitwise cross-tier consistency contract
+// of registry.hpp (every ragged tile shape included), agreement with the
+// canonical chunked order at every size, NaN/Inf propagation, the Level-3
+// worker-budget rules, pack-buffer high-water decay, and an exhaustive
+// gemm/syr2k sweep against the naive references.
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
@@ -133,10 +134,10 @@ TEST_P(CrossTierShapes, GemmBitwiseIdenticalAcrossTiers) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, CrossTierShapes,
     ::testing::Values(
-        std::make_tuple<idx, idx, idx>(8, 8, 8),       // small path
-        std::make_tuple<idx, idx, idx>(17, 19, 23),    // small path, ragged
-        std::make_tuple<idx, idx, idx>(48, 48, 48),    // blocked, full tiles
-        std::make_tuple<idx, idx, idx>(61, 37, 53),    // blocked, all tails
+        std::make_tuple<idx, idx, idx>(8, 8, 8),       // one tile
+        std::make_tuple<idx, idx, idx>(17, 19, 23),    // small, ragged
+        std::make_tuple<idx, idx, idx>(48, 48, 48),    // full tiles
+        std::make_tuple<idx, idx, idx>(61, 37, 53),    // all tails
         std::make_tuple<idx, idx, idx>(150, 90, 300),  // crosses KC
         std::make_tuple<idx, idx, idx>(130, 40, 70))); // crosses MC
 
@@ -191,9 +192,105 @@ TEST(CrossTier, SyevBitwiseIdenticalAcrossTiers) {
   }
 }
 
-// ---- Bitwise cross-path (small vs blocked) consistency ----
+TEST(CrossTier, EdgeTilesEveryShape) {
+  // Every ragged micro-tile shape of every tier (m up to 33 and n up to 17
+  // cover all mr < MR and nr < NR of the 16x8 and 8x4 tiles), through all
+  // four packers, with k = 300 crossing KC.  SIMD tiers run ragged tiles
+  // through their full-tile body into a stack tile, so the checks are: the
+  // scalar tier's bits, and no write outside the live m x n block of C
+  // (16 sentinel rows below it, one sentinel column after it).  Padded
+  // lanes of a finite product hold +-0.0, so a stray write of one would
+  // leave a sentinel unchanged; the poisoned pass puts +Inf in row 0 of
+  // op(A) and column 0 of op(B), which makes the padded lanes 0 * Inf = NaN
+  // and the live ones +-Inf, so a stray write shows.  Last, a signed-zero
+  // case pins the -0.0 prefill of the stack tile.
+  constexpr double kSentinel = -77.25;
+  constexpr idx kPadRows = 16;
+  const double inf = std::numeric_limits<double>::infinity();
+  const kern::Kernel* scalar = kern::find_kernel("scalar");
+  KernelGuard guard;
+  for (const idx k : {static_cast<idx>(1), static_cast<idx>(7),
+                      static_cast<idx>(300)}) {
+    for (idx m = 1; m <= 33; ++m) {
+      for (idx n = 1; n <= 17; ++n) {
+        for (const bool poison : {false, true}) {
+          Rng rng(k * 10007 + m * 101 + n);
+          const op ta = (m + n) % 2 == 0 ? op::none : op::trans;
+          const op tb = (m / 2 + n) % 2 == 0 ? op::none : op::trans;
+          Matrix a = ta == op::none ? random_matrix(m, k, rng)
+                                    : random_matrix(k, m, rng);
+          Matrix b = tb == op::none ? random_matrix(k, n, rng)
+                                    : random_matrix(n, k, rng);
+          if (poison) {
+            (ta == op::none ? a(0, k - 1) : a(k - 1, 0)) = inf;
+            (tb == op::none ? b(k - 1, 0) : b(0, k - 1)) = inf;
+          }
+          const idx ldc = m + kPadRows;
+          std::vector<double> c0(static_cast<size_t>(ldc) * (n + 1),
+                                 kSentinel);
+          for (idx j = 0; j < n; ++j)
+            for (idx i = 0; i < m; ++i)
+              c0[static_cast<size_t>(i + j * ldc)] = rng.uniform(-1.0, 1.0);
+          const auto run = [&](const kern::Kernel* tier) {
+            kern::select_kernel(tier);
+            std::vector<double> c = c0;
+            blas::gemm(ta, tb, m, n, k, -1.25, a.data(), a.ld(), b.data(),
+                       b.ld(), 0.5, c.data(), ldc);
+            return c;
+          };
+          const std::vector<double> cref = run(scalar);
+          for (const kern::Kernel* tier : kern::available_kernels()) {
+            const std::vector<double> c = run(tier);
+            std::string where = tier->name;
+            where += " m=" + std::to_string(m);
+            where += " n=" + std::to_string(n);
+            where += " k=" + std::to_string(k);
+            where += poison ? " poisoned" : "";
+            ASSERT_TRUE(bitwise_equal(c.data(), cref.data(),
+                                      static_cast<idx>(c.size())))
+                << where << " diverges from scalar";
+            for (idx j = 0; j <= n; ++j) {
+              for (idx i = 0; i < ldc; ++i) {
+                if (i >= m || j == n) {
+                  ASSERT_EQ(c[static_cast<size_t>(i + j * ldc)], kSentinel)
+                      << where << ": wrote outside C at (" << i << "," << j
+                      << ")";
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // Signed zero: C = -0.0, A = 0, alpha = -1 makes every update alpha *
+  // (+0.0) = -0.0, and -0.0 + -0.0 stays -0.0.  A ragged tile staged
+  // through a +0.0-filled stack tile would turn the update into +0.0.
+  for (const kern::Kernel* tier : kern::available_kernels()) {
+    kern::select_kernel(tier);
+    for (idx m = 1; m <= 33; ++m) {
+      for (idx n = 1; n <= 17; ++n) {
+        const idx k = 7;
+        Rng rng(m * 31 + n);
+        const Matrix a(m, k);  // all +0.0
+        const Matrix b = random_matrix(k, n, rng);
+        Matrix c(m, n);
+        c.fill(-0.0);
+        blas::gemm(op::none, op::none, m, n, k, -1.0, a.data(), a.ld(),
+                   b.data(), b.ld(), 1.0, c.data(), c.ld());
+        for (idx j = 0; j < n; ++j)
+          for (idx i = 0; i < m; ++i)
+            ASSERT_TRUE(c(i, j) == 0.0 && std::signbit(c(i, j)))
+                << tier->name << " m=" << m << " n=" << n << ": C(" << i
+                << "," << j << ") = " << c(i, j) << ", want -0.0";
+      }
+    }
+  }
+}
 
-/// The canonical accumulation order both gemm paths must reproduce exactly:
+// ---- Bitwise agreement with the canonical order at every size ----
+
+/// The canonical accumulation order gemm must reproduce exactly:
 /// within each KC chunk products are rounded individually and summed in
 /// k-order, and each chunk lands on C as one `c += alpha * acc`.
 void chunked_ref_gemm(idx m, idx n, idx k, double alpha, const Matrix& a,
@@ -216,9 +313,9 @@ class CrossPathShapes
     : public ::testing::TestWithParam<std::tuple<idx, idx, idx>> {};
 
 TEST_P(CrossPathShapes, GemmMatchesCanonicalChunkedOrderBitwise) {
-  // Sizes straddle the m*n*k small-path threshold; every one must agree
-  // with the SAME canonical order bitwise, so a solver whose block size
-  // crosses the threshold between calls stays exactly reproducible.
+  // Sizes around the m*n*k = 16384 threshold of a since-deleted small-size
+  // path, plus KC crossings; every one must agree with the SAME canonical
+  // order bitwise, so results never depend on the problem's size class.
   const auto [m, n, k] = GetParam();
   Rng rng(m + 3 * n + 7 * k);
   const Matrix a = random_matrix(m, k, rng);
@@ -239,20 +336,20 @@ TEST_P(CrossPathShapes, GemmMatchesCanonicalChunkedOrderBitwise) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, CrossPathShapes,
     ::testing::Values(
-        std::make_tuple<idx, idx, idx>(24, 24, 24),   // 13824 <= threshold
-        std::make_tuple<idx, idx, idx>(26, 26, 26),   // 17576 >  threshold
-        std::make_tuple<idx, idx, idx>(16, 16, 64),   // at threshold exactly
+        std::make_tuple<idx, idx, idx>(24, 24, 24),   // 13824 <= 16384
+        std::make_tuple<idx, idx, idx>(26, 26, 26),   // 17576 >  16384
+        std::make_tuple<idx, idx, idx>(16, 16, 64),   // 16384 exactly
         std::make_tuple<idx, idx, idx>(16, 16, 65),   // one past it
-        std::make_tuple<idx, idx, idx>(8, 8, 300),    // small path crosses KC
-        std::make_tuple<idx, idx, idx>(33, 17, 520),  // blocked crosses KC
+        std::make_tuple<idx, idx, idx>(8, 8, 300),    // one tile, crosses KC
+        std::make_tuple<idx, idx, idx>(33, 17, 520),  // ragged, crosses KC
         std::make_tuple<idx, idx, idx>(140, 20, 48)));
 
-// ---- NaN/Inf propagation (the small-path zero-skip bug) ----
+// ---- NaN/Inf propagation (the old small-path zero-skip bug) ----
 
 TEST(GemmSpecialValues, ZeroTimesNaNAndInfPropagates) {
-  // The small path used to skip k-steps where B(p,j) == 0, silently turning
-  // 0 * NaN and 0 * Inf into "no contribution".  IEEE (and the blocked
-  // path) say NaN.  8x8x8 stays under the small-path threshold.
+  // A since-deleted small-size path once skipped k-steps where B(p,j) == 0,
+  // silently turning 0 * NaN and 0 * Inf into "no contribution".  IEEE
+  // says NaN.  8x8x8 is the size class that path used to serve.
   const idx m = 8, n = 8, k = 8;
   Matrix b(k, n);  // all zeros
   for (const double poison :
@@ -279,8 +376,9 @@ TEST(GemmSpecialValues, ZeroTimesNaNAndInfPropagates) {
 }
 
 TEST(GemmSpecialValues, SmallAndBlockedPathsAgreeOnNaNPlacement) {
-  // Same operands with a NaN through both paths: identical NaN footprint.
-  const idx m = 26;  // 26^3 > threshold; 12^3 < threshold
+  // Same operands with a NaN at two sizes (once on either side of the old
+  // small-path threshold): identical NaN footprint.
+  const idx m = 26;  // 26^3 > 16384; 12^3 < 16384
   Rng rng(5);
   Matrix a = random_matrix(m, m, rng);
   Matrix b = random_matrix(m, m, rng);
@@ -299,7 +397,7 @@ TEST(GemmSpecialValues, SmallAndBlockedPathsAgreeOnNaNPlacement) {
 // ---- Worker budgeting ----
 
 TEST(KernelWorkers, NestedGemmRunsSerialAndBitwiseEqual) {
-  const idx m = 96, n = 64, k = 80;  // comfortably in the blocked path
+  const idx m = 96, n = 64, k = 80;  // many micro-tiles per dimension
   Rng rng(11);
   const Matrix a = random_matrix(m, k, rng);
   const Matrix b = random_matrix(k, n, rng);
