@@ -3,13 +3,23 @@
 #include "common/flops.hpp"
 
 namespace tseig::blas {
+namespace {
+
+/// y <- beta y, storing zeros for beta == 0 as reference BLAS does: y is
+/// often reused scratch, and 0 * NaN left by a failed solve would poison
+/// every later one.
+void scale_y(idx len, double beta, double* y, idx incy) {
+  if (beta == 1.0) return;
+  for (idx i = 0; i < len; ++i)
+    y[i * incy] = beta == 0.0 ? 0.0 : beta * y[i * incy];
+}
+
+}  // namespace
 
 void gemv(op trans, idx m, idx n, double alpha, const double* a, idx lda,
           const double* x, idx incx, double beta, double* y, idx incy) {
   const idx ylen = trans == op::none ? m : n;
-  if (beta != 1.0) {
-    for (idx i = 0; i < ylen; ++i) y[i * incy] *= beta;
-  }
+  scale_y(ylen, beta, y, incy);
   if (alpha == 0.0 || m == 0 || n == 0) return;
   count_flops(flop_count::gemv(m, n));
   count_bytes(byte_count::gemv(m, n));
@@ -87,9 +97,7 @@ void gemv(op trans, idx m, idx n, double alpha, const double* a, idx lda,
 
 void symv(uplo ul, idx n, double alpha, const double* a, idx lda,
           const double* x, idx incx, double beta, double* y, idx incy) {
-  if (beta != 1.0) {
-    for (idx i = 0; i < n; ++i) y[i * incy] *= beta;
-  }
+  scale_y(n, beta, y, incy);
   if (alpha == 0.0 || n == 0) return;
   count_flops(flop_count::symv(n));
   count_bytes(byte_count::symv(n));

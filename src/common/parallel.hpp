@@ -1,18 +1,19 @@
 // Fork-join loops for work without dependence edges.
 //
-// The task runtime in src/runtime schedules algorithm tasks over a DAG;
-// these two helpers cover the loops whose items are independent:
+// The task runtime in src/runtime schedules stage 1's tile tasks over a
+// DAG; these two helpers cover every loop whose items are independent:
 //  * parallel_for splits a flat index range into one static chunk per
 //    worker (Level-3 kernels' row blocks, the secular roots of a merge);
 //  * run_self_scheduled runs one body per worker, and each body takes the
-//    next item from a shared counter (D&C tree levels, Q2 column blocks,
-//    bisection, the bulge-chase sweeps), so a slowed core takes fewer items.
+//    next item from a shared counter (D&C tree levels, Q1 and Q2 column
+//    blocks, bisection, the bulge-chase sweeps, syev_batch's problems), so
+//    a slowed core takes fewer items.
 // Worker count defaults to TSEIG_NUM_THREADS or the hardware concurrency.
 //
 // All of them execute on the same persistent rt::ThreadPool, so a warm call
 // spawns no OS threads, and a loop started from *inside* a pool worker (a
-// BLAS-3 kernel running in a TaskGraph tile task) detects the nesting and
-// runs serially instead of oversubscribing the machine.
+// BLAS-3 kernel in a tile task, or a batch member's solve) detects the
+// nesting and runs serially instead of oversubscribing the machine.
 #pragma once
 
 #include <algorithm>
@@ -49,17 +50,20 @@ inline void parallel_for(int num_workers, idx begin, idx end, idx grain,
   });
 }
 
-/// Runs body() once on each of `workers` pool workers, or once on the
-/// caller when workers <= 1 or the caller is already inside a pool region.
-/// The bodies run through fork_join, which keeps all of them live at once,
-/// so a body may wait for progress made by another body.
+/// Runs body(t) for each body index t in [0, workers) on pool workers, or
+/// body(0) once on the caller when workers <= 1 or the caller is already
+/// inside a pool region.  The bodies run through fork_join, which keeps all
+/// of them live at once, so a body may wait for progress made by another
+/// body.  A throw ends only its own body and reaches the caller after the
+/// others return, so a body that others wait on (the sb2st chase) must not
+/// throw.
 template <class Body>
 void run_self_scheduled(int workers, Body&& body) {
   if (workers <= 1 || rt::ThreadPool::in_parallel_region()) {
-    body();
+    body(0);
     return;
   }
-  rt::ThreadPool::instance().fork_join(workers, [&](int) { body(); });
+  rt::ThreadPool::instance().fork_join(workers, body);
 }
 
 /// Worker count defaulted to the library-wide setting (TSEIG_NUM_THREADS or

@@ -19,20 +19,6 @@
 namespace tseig::rt {
 namespace {
 
-/// Logical worker id of the run() the current thread is working for; -1
-/// outside any graph execution.  Saved/restored around worker loops so a
-/// nested (serialized) run() inside a task reports its own worker 0 and the
-/// outer id reappears when it returns.
-thread_local int tl_graph_worker = -1;
-
-struct GraphWorkerGuard {
-  int saved;
-  explicit GraphWorkerGuard(int id) : saved(tl_graph_worker) {
-    tl_graph_worker = id;
-  }
-  ~GraphWorkerGuard() { tl_graph_worker = saved; }
-};
-
 /// Installs the dynamic-checker context for one task body (see
 /// validate.hpp); no-op when the graph is not validating.
 struct ActiveTaskGuard {
@@ -67,8 +53,6 @@ void region_key_out_of_range(std::uint32_t tag, std::uint32_t i,
 }
 
 }  // namespace detail
-
-int TaskGraph::current_worker() { return tl_graph_worker; }
 
 TaskGraph::TaskGraph() {
   const ValidationConfig c = validation_config();
@@ -144,7 +128,6 @@ void TaskGraph::run_elided() {
   // construction (submit() only derives earlier -> later edges), so running
   // the tasks in that order on the calling thread is a valid schedule --
   // the oracle fuzzed parallel runs are compared against.
-  GraphWorkerGuard guard(0);
   const bool observing = obs::enabled();
   const double run_start = obs::now_seconds();
   std::vector<double> durations;
@@ -307,8 +290,7 @@ void TaskGraph::run(int num_workers) {
     }
   }
 
-  auto worker_loop = [&](int worker_id) {
-    GraphWorkerGuard guard(worker_id);
+  auto worker_loop = [&](int) {
     LockGuard lock(mu);
     for (;;) {
       idx id = -1;

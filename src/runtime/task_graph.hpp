@@ -165,12 +165,6 @@ public:
   /// reusable.
   void run(int num_workers);
 
-  /// Logical worker id (0..num_workers-1) of the innermost run() the calling
-  /// thread is currently executing a task for, or -1 outside any run().
-  /// Tasks use this to self-report placement (e.g. syev_batch's per-problem
-  /// scheduling stats) without the overhead of full tracing.
-  static int current_worker();
-
   /// Number of tasks currently submitted.
   idx size() const { return static_cast<idx>(tasks_.size()); }
 

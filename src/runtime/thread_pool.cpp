@@ -3,6 +3,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <mutex>
 #include <vector>
 
@@ -44,6 +45,8 @@ struct ThreadPool::Impl {
     std::atomic<std::uint64_t> forked_bytes{0};
     Mutex m;
     std::condition_variable done;
+    // First exception a body threw; fork_join rethrows it after the join.
+    std::exception_ptr error TSEIG_GUARDED_BY(m);
   };
 
   struct Ticket {
@@ -103,7 +106,7 @@ struct ThreadPool::Impl {
       const bool hw = obs::enabled() && obs::hwc::enabled();
       obs::hwc::Sample h0;
       if (hw) h0 = obs::hwc::sample();
-      (*t.batch->job)(t.index);
+      run_body(*t.batch, t.index);
       obs::hwc::Sample hd;
       if (hw) hd = obs::hwc::delta(h0, obs::hwc::sample());
       t.batch->forked_flops.fetch_add(flops_now() - flops_before,
@@ -151,6 +154,19 @@ struct ThreadPool::Impl {
       copy = wtimes;
     }
     obs::publish_worker_metrics(copy);
+  }
+
+  /// Runs body k of `b`, keeping its exception (the first of the batch) for
+  /// fork_join to rethrow: an exception escaping a pool worker would call
+  /// std::terminate, and one escaping body 0 would unwind past a Batch the
+  /// workers still reference.
+  static void run_body(Batch& b, int k) TSEIG_EXCLUDES(b.m) {
+    try {
+      (*b.job)(k);
+    } catch (...) {
+      LockGuard g(b.m);
+      if (!b.error) b.error = std::current_exception();
+    }
   }
 
   /// Marks one body of `b` finished; wakes the fork_join caller on the last.
@@ -247,7 +263,7 @@ void ThreadPool::fork_join(int njobs, const std::function<void(int)>& job) {
   }
   for (int k = 1; k < njobs; ++k) im.work_cv.notify_one();
 
-  job(0);
+  Impl::run_body(batch, 0);
   im.jobs.fetch_add(1, std::memory_order_relaxed);
   Impl::finish_body(batch);
 
@@ -255,6 +271,7 @@ void ThreadPool::fork_join(int njobs, const std::function<void(int)>& job) {
   batch.done.wait(lock.native(), [&] {
     return batch.remaining.load(std::memory_order_acquire) == 0;
   });
+  const std::exception_ptr error = batch.error;
   lock.unlock();
   // Credit the delegated work to this thread's counters (body 0 already ran
   // here and counted itself).
@@ -263,6 +280,7 @@ void ThreadPool::fork_join(int njobs, const std::function<void(int)>& job) {
   count_bytes(static_cast<std::int64_t>(
       batch.forked_bytes.load(std::memory_order_relaxed)));
   if (obs::enabled()) im.publish_metrics();
+  if (error) std::rethrow_exception(error);
 }
 
 PoolStats ThreadPool::stats() const {

@@ -79,6 +79,11 @@ public:
   /// bulge chase's hop waits), so every borrowed worker must actually be
   /// live.
   ///
+  /// A body that throws does not stop the others: every body runs to its
+  /// end, and after the join (and the flop/byte credit) fork_join rethrows
+  /// the first exception caught, so the caller sees it as if thrown by a
+  /// serial loop.
+  ///
   /// Must not be called from inside a parallel region; callers detect that
   /// with in_parallel_region() and fall back to serial execution (the
   /// nesting rule).

@@ -32,15 +32,6 @@ void RegionExtent::add(const void* base, std::size_t bytes) {
   parts.push_back({lo, lo + bytes});
 }
 
-void RegionExtent::add_strided(const void* base, idx count, idx stride_bytes,
-                               idx part_bytes) {
-  const auto lo = reinterpret_cast<std::uintptr_t>(base);
-  for (idx c = 0; c < count; ++c)
-    parts.push_back({lo + static_cast<std::uintptr_t>(c * stride_bytes),
-                     lo + static_cast<std::uintptr_t>(c * stride_bytes +
-                                                      part_bytes)});
-}
-
 void RegionExtent::normalize() {
   std::sort(parts.begin(), parts.end(),
             [](const ByteInterval& a, const ByteInterval& b) {

@@ -9,8 +9,8 @@
 //
 //  1. Region-map registry (RegionMap): algorithms register, per region tag,
 //     a resolver mapping region_key coordinates onto the byte footprint the
-//     region stands for (tiles of the working matrix in sy2sb, windows of
-//     the band array in sb2st, eigenvector column blocks in q2_apply, ...).
+//     region stands for (the tiles and reflector blocks of sy2sb, the one
+//     algorithm that runs on a task graph).
 //     The static audit then checks a submitted graph for *potential* races:
 //     any pair of tasks whose resolved footprints overlap, with at least
 //     one write, and with no DAG path between them, is reported with both
@@ -79,10 +79,6 @@ struct RegionExtent {
 
   /// Appends the contiguous range [base, base + bytes).
   void add(const void* base, std::size_t bytes);
-  /// Appends `count` parts of `part_bytes` each, `stride_bytes` apart,
-  /// starting at base (e.g. the columns of a sub-block).
-  void add_strided(const void* base, idx count, idx stride_bytes,
-                   idx part_bytes);
   /// Sorts and merges the parts; required before overlaps().
   void normalize();
   /// True when any part intersects any part of `other` (both normalized).

@@ -1,37 +1,30 @@
 #include "solver/syev_batch.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/flops.hpp"
+#include "common/parallel.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/thread_pool.hpp"
-#include "runtime/validate.hpp"
 #include "solver/syev_small.hpp"
 
 namespace tseig::solver {
 namespace {
 
-/// Region tag for batch tasks (tags 1-9 are taken by sy2sb / q2 / stedc /
-/// tests).  Problem i's region is its *input* matrix, which syev
-/// never modifies, so every task declares a read: distinct keys mean no
-/// edges (every task is immediately ready), and the static audit accepts
-/// batches where several problems alias one matrix -- while still flagging
-/// any task that would write bytes a batch task reads.
-constexpr std::uint32_t kTagBatch = 10;
-
-/// TaskGraph priorities run highest-first; scheduling the biggest
-/// whole-problem tasks first (classic longest-processing-time order) keeps
-/// the final stragglers small and the worker finish line even.
-int lpt_priority(idx n) {
-  return static_cast<int>(std::min<idx>(n, 1 << 30));
-}
-
-/// Closed-form lane problems coalesced per chunk task: one n <= 3 solve is
-/// sub-microsecond, far below the profitable TaskGraph granularity, so a
-/// million-matrix tiny stream scheduled one-task-per-problem would be
-/// scheduler-bound.  256 solves per task amortizes submission and keeps
-/// plenty of chunks in flight for load balance.
+/// Closed-form lane problems per work item: one n <= 3 solve is
+/// sub-microsecond, so taking them one per counter increment would be
+/// scheduler-bound; 256 per item still leaves plenty of items to balance.
 constexpr idx kTinyChunk = 256;
+
+/// One unit of whole-problem work: a small problem (count 1), or a chunk of
+/// closed-form lane members solved back to back in input order.
+struct BatchItem {
+  idx weight = 0;               ///< n, or the chunk's sum of n
+  const idx* members = nullptr;  ///< problem indices
+  idx count = 0;
+  bool tiny = false;
+};
 
 }  // namespace
 
@@ -79,7 +72,7 @@ SyevBatchResult syev_batch(const std::vector<BatchProblem>& problems,
       obs::record_span("batch_enqueue", t_enq, t_enq,
                        static_cast<std::int32_t>(i));
     // Lane-eligible tiny problems are whole-problem work too, but coalesced
-    // into chunk tasks (see kTinyChunk); routing them separately is pure
+    // into chunk items (see kTinyChunk); routing them separately is pure
     // scheduling -- the per-problem solve is untouched.
     (st.whole_problem ? (small::lane_eligible(p.n, p.opts) ? tiny : small_list)
                       : large)
@@ -100,12 +93,12 @@ SyevBatchResult syev_batch(const std::vector<BatchProblem>& problems,
   // previous member's end is this member's start, and N solves cost N + 1
   // clock reads instead of 2N (a read is as expensive as a tiny solve).
   // Returns the end stamp for the next member.
-  auto solve_tiny = [&](idx i, double t0) {
+  auto solve_tiny = [&](idx i, double t0, int worker) {
     const BatchProblem& p = problems[static_cast<size_t>(i)];
     BatchProblemStats& st = out.stats.problems[static_cast<size_t>(i)];
     SyevResult& res = out.results[static_cast<size_t>(i)];
     st.start_seconds = t0 - t_base;
-    st.worker = std::max(0, rt::TaskGraph::current_worker());
+    st.worker = worker;
     {
       obs::PhaseScope scope_phase(obs::Phase::small_n);
       FlopScope scope;
@@ -123,12 +116,12 @@ SyevBatchResult syev_batch(const std::vector<BatchProblem>& problems,
     return t1;
   };
 
-  auto solve_into = [&](idx i, int num_workers) {
+  auto solve_into = [&](idx i, int num_workers, int worker) {
     const BatchProblem& p = problems[static_cast<size_t>(i)];
     BatchProblemStats& st = out.stats.problems[static_cast<size_t>(i)];
     const double t0 = obs::now_seconds();
     st.start_seconds = t0 - t_base;
-    st.worker = std::max(0, rt::TaskGraph::current_worker());
+    st.worker = worker;
     SyevOptions o = p.opts;
     o.num_workers = num_workers;
     out.results[static_cast<size_t>(i)] = syev(p.n, p.a, p.lda, o);
@@ -146,79 +139,44 @@ SyevBatchResult syev_batch(const std::vector<BatchProblem>& problems,
   // forbids precisely to avoid oversubscription).  Front-loading them also
   // means the wide small-problem fan-out fills the tail, which packs better
   // than the reverse order.
-  for (idx i : large) solve_into(i, budget);
+  for (idx i : large) solve_into(i, budget, 0);
 
-  // Small problems: independent whole-problem tasks, up to `budget` in
+  // Small problems: independent whole-problem items, up to `budget` in
   // flight, each solved with one worker (the nesting rule would serialize
-  // inner constructs regardless; passing 1 makes the plan honest).
-  if (!small_list.empty() || !tiny.empty()) {
-    rt::TaskGraph g;
-    rt::RegionMap region_map;
-    if (g.validation_enabled()) {
-      // Problem i's region: the columns of its input/output matrix (lda may
-      // exceed n, so per-column intervals).
-      region_map.add_resolver(
-          kTagBatch, [&problems](std::uint32_t i, std::uint32_t) {
-            const BatchProblem& p = problems[static_cast<size_t>(i)];
-            rt::RegionExtent ext;
-            ext.add_strided(p.a, p.n,
-                            p.lda * static_cast<idx>(sizeof(double)),
-                            p.n * static_cast<idx>(sizeof(double)));
-            return ext;
-          });
-      g.set_region_map(&region_map);
-    }
-    for (idx i : small_list) {
-      const auto bkey =
-          rt::region_key(kTagBatch, static_cast<std::uint32_t>(i), 0);
-      rt::TaskGraph::Options topts;
-      topts.priority = lpt_priority(problems[static_cast<size_t>(i)].n);
-      topts.label = "batch_solve";
-      g.submit(
-          [&solve_into, i, bkey] {
-            rt::touch_read(bkey);
-            solve_into(i, 1);
-          },
-          {rt::rd(bkey)}, topts);
-    }
-    // Closed-form lane chunks: each task declares a read on every member's
-    // region (same hazard contract as one-task-per-problem) and solves its
-    // members in input order with the unchanged per-problem path, so results
-    // and per-problem stats stay exactly what sequential solves produce.
-    for (size_t c = 0; c < tiny.size(); c += static_cast<size_t>(kTinyChunk)) {
-      const size_t end =
-          std::min(tiny.size(), c + static_cast<size_t>(kTinyChunk));
-      std::vector<idx> chunk(tiny.begin() + static_cast<std::ptrdiff_t>(c),
-                             tiny.begin() + static_cast<std::ptrdiff_t>(end));
-      std::vector<rt::Access> acc;
-      acc.reserve(chunk.size());
-      idx sum_n = 0;
-      for (idx i : chunk) {
-        acc.push_back(rt::rd(
-            rt::region_key(kTagBatch, static_cast<std::uint32_t>(i), 0)));
-        sum_n += problems[static_cast<size_t>(i)].n;
-      }
-      rt::TaskGraph::Options topts;
-      // LPT on the chunk's aggregate work, not a single member's n.
-      topts.priority = lpt_priority(sum_n);
-      topts.label = "batch_tiny_chunk";
-      g.submit(
-          [&solve_tiny, chunk = std::move(chunk)] {
-            double t = obs::now_seconds();
-            for (idx i : chunk) {
-              rt::touch_read(
-                  rt::region_key(kTagBatch, static_cast<std::uint32_t>(i), 0));
-              t = solve_tiny(i, t);
-            }
-          },
-          acc, topts);
-    }
-    const idx task_count = static_cast<idx>(
-        small_list.size() +
-        (tiny.size() + static_cast<size_t>(kTinyChunk) - 1) /
-            static_cast<size_t>(kTinyChunk));
-    g.run(static_cast<int>(std::min<idx>(budget, task_count)));
+  // inner constructs regardless; passing 1 makes the plan honest).  Items
+  // run biggest first (longest-processing-time order, ties in input order),
+  // which keeps the final stragglers small and the finish line even.
+  std::vector<BatchItem> items;
+  for (const idx& i : small_list)
+    items.push_back({problems[static_cast<size_t>(i)].n, &i, 1, false});
+  for (size_t c = 0; c < tiny.size(); c += static_cast<size_t>(kTinyChunk)) {
+    const idx* chunk = &tiny[c];
+    const idx len = std::min(kTinyChunk, static_cast<idx>(tiny.size() - c));
+    idx sum_n = 0;
+    for (idx k = 0; k < len; ++k)
+      sum_n += problems[static_cast<size_t>(chunk[k])].n;
+    items.push_back({sum_n, chunk, len, true});
   }
+  std::stable_sort(items.begin(), items.end(),
+                   [](const BatchItem& x, const BatchItem& y) {
+                     return x.weight > y.weight;
+                   });
+  std::atomic<size_t> next{0};
+  run_self_scheduled(
+      static_cast<int>(std::min<size_t>(static_cast<size_t>(budget),
+                                        items.size())),
+      [&](int worker) {
+        for (size_t k = next++; k < items.size(); k = next++) {
+          const BatchItem& it = items[k];
+          if (!it.tiny) {
+            solve_into(it.members[0], 1, worker);
+            continue;
+          }
+          double t = obs::now_seconds();
+          for (idx m = 0; m < it.count; ++m)
+            t = solve_tiny(it.members[m], t, worker);
+        }
+      });
 
   const double t_end = obs::now_seconds();
   out.stats.total_seconds = t_end - t_base;

@@ -9,10 +9,12 @@
 // many small/medium problems comes from scheduling *whole problems* as
 // tasks, not from oversubscribing each problem's internal parallelism:
 //
-//  * problems with n <= crossover run whole-problem-per-worker: each is one
-//    TaskGraph task solved with num_workers = 1 (the nesting rule makes
-//    every inner construct serial anyway), so up to `num_workers` problems
-//    are in flight at once and the pool is never oversubscribed;
+//  * problems with n <= crossover run whole-problem-per-worker: one body per
+//    worker takes problems, biggest first, from a shared counter
+//    (run_self_scheduled) and solves each with num_workers = 1 (the nesting
+//    rule makes every inner construct serial anyway), so up to
+//    `num_workers` problems are in flight at once and the pool is never
+//    oversubscribed;
 //  * problems with n > crossover have enough internal parallelism (tile
 //    graphs, D&C merge tree, column-partitioned updates) to use the whole
 //    pool themselves; they run one at a time on the calling thread with
@@ -26,7 +28,6 @@
 
 #include <vector>
 
-#include "runtime/task_graph.hpp"
 #include "solver/syev.hpp"
 
 namespace tseig::solver {
@@ -76,9 +77,9 @@ struct BatchProblemStats {
   idx n = 0;
   /// True when the problem ran whole-problem-per-worker (n <= crossover).
   bool whole_problem = false;
-  /// Logical worker (0..num_workers-1) that executed the solve; large
-  /// problems run on the calling thread (worker 0) with the other workers
-  /// joining via the problem's internal task graphs.
+  /// Body index (0..num_workers-1) of the scheduler loop that executed the
+  /// solve; large problems run on the calling thread (worker 0) with the
+  /// other workers joining via the problem's internal parallel phases.
   int worker = 0;
   double enqueue_seconds = 0.0;  ///< when the scheduler accepted the problem
   double start_seconds = 0.0;    ///< when its solve began
@@ -96,15 +97,15 @@ struct BatchProblemStats {
 struct BatchStats {
   int num_workers = 1;       ///< resolved worker budget
   idx crossover = 0;         ///< resolved inter/intra split point
-  idx whole_problem_count = 0;  ///< problems scheduled as single tasks
+  idx whole_problem_count = 0;  ///< problems solved whole on one worker
   idx partitioned_count = 0;    ///< problems given the full budget
   /// Problems routed through the closed-form n <= 3 lane (solver::small).
   /// These are whole-problem scheduled like any small problem (and counted
-  /// in whole_problem_count too) but coalesced into fixed-size chunk tasks:
-  /// a single closed-form solve is far below the profitable task
-  /// granularity, so chunking amortizes the scheduler instead of drowning
-  /// it in microsecond tasks.  Coalescing never changes results -- each
-  /// member still runs the exact per-problem solve.
+  /// in whole_problem_count too) but coalesced into fixed-size chunks taken
+  /// as one item: a single closed-form solve is sub-microsecond, so
+  /// chunking amortizes the scheduler instead of drowning it in microsecond
+  /// items.  Coalescing never changes results -- each member still runs the
+  /// exact per-problem solve.
   idx tiny_lane_count = 0;
   double total_seconds = 0.0;   ///< batch makespan
   /// Sum of per-problem solve intervals (the "work"); with perfect packing

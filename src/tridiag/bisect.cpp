@@ -120,7 +120,7 @@ std::vector<double> stebz_index(idx n, const double* d, const double* e,
   // Every index is bisected on its own from the Gershgorin interval, so its
   // eigenvalue is the same whichever worker computes it.
   std::atomic<idx> next{0};
-  run_self_scheduled(workers_for(m, 64.0 * static_cast<double>(n)), [&] {
+  run_self_scheduled(workers_for(m, 64.0 * static_cast<double>(n)), [&](int) {
     for (idx j = next++; j < m; j = next++)
       w[static_cast<size_t>(j)] =
           bisect_one(n, d, e2.data(), pivmin, il + j, gl, gu);
@@ -260,7 +260,7 @@ void stein(idx n, const double* d, const double* e,
   const idx workers = std::min<idx>(
       nclusters, workers_for(m, 64.0 * static_cast<double>(n)));
   std::atomic<idx> next{0};
-  run_self_scheduled(static_cast<int>(workers), [&] {
+  run_self_scheduled(static_cast<int>(workers), [&](int) {
     SteinWork ws(n);
     for (idx c = next++; c < nclusters; c = next++)
       stein_cluster(n, d, e, w, starts[static_cast<size_t>(c)],

@@ -573,7 +573,7 @@ StedcStats stedc(idx n, double* d, double* e, double* z, idx ldz,
     });
     std::atomic<size_t> next{0};
     run_self_scheduled(
-        static_cast<int>(std::min<size_t>(workers, fanned.size())), [&] {
+        static_cast<int>(std::min<size_t>(workers, fanned.size())), [&](int) {
           // Intra-merge constructs self-serialize on pool workers.
           for (size_t i = next++; i < fanned.size(); i = next++)
             solve_node(fanned[i], 1);

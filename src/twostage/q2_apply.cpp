@@ -132,7 +132,7 @@ void apply_q2(op trans, const V2Factor& v2, double* e, idx lde, idx ncols,
   const idx nblocks = (ncols + col_block - 1) / col_block;
   std::atomic<idx> next{0};
   const int bodies = static_cast<int>(std::min<idx>(num_workers, nblocks));
-  run_self_scheduled(bodies, [&] {
+  run_self_scheduled(bodies, [&](int) {
     for (idx b = next++; b < nblocks; b = next++) {
       obs::Span span("q2_cols");
       const idx c0 = b * col_block;

@@ -202,7 +202,7 @@ V2Factor chase(const WorkBand& wb, idx n, idx nb, int width) {
   const idx nsweeps = v2.nsweeps();
   std::vector<SweepProgress> progress(static_cast<size_t>(nsweeps));
   std::atomic<idx> next{0};
-  auto body = [&] {
+  auto body = [&](int) {
     std::vector<double> w(static_cast<size_t>(nb));
     for (idx s = next++; s < nsweeps; s = next++) {
       obs::Span span("chase", static_cast<std::int32_t>(s));

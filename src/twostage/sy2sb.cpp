@@ -1,8 +1,10 @@
 #include "twostage/sy2sb.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "lapack/aux.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/env.hpp"
@@ -18,7 +20,6 @@ namespace {
 constexpr std::uint32_t kTagTile = 1;   // tiles of the working matrix
 constexpr std::uint32_t kTagVg = 2;     // GEQRT reflector blocks
 constexpr std::uint32_t kTagVts = 3;    // TSQRT reflector blocks
-constexpr std::uint32_t kTagG = 4;      // row-block x col-block of G
 
 std::uint64_t tile_key(idx i, idx j) {
   return rt::region_key(kTagTile, static_cast<std::uint32_t>(i),
@@ -69,6 +70,52 @@ void register_sy2sb_regions(rt::RegionMap& map, SymTileMatrix& tiles,
     add_matrix(e, q1.tts[tsi]);
     return e;
   });
+}
+
+/// op(Q_j)'s GEQRT block on rows of tile j+1 of the column block gc.
+void apply_q1_panel(op trans, const Q1Factor& q1, idx j, double* gc, idx ldg,
+                    idx nc, double* work) {
+  const Matrix& v = q1.vg[static_cast<size_t>(j)];
+  const Matrix& t = q1.tg[static_cast<size_t>(j)];
+  ormqr_tile(side::left, trans, q1.rows_of(j + 1), nc, q1.kk(j), v.data(),
+             v.ld(), t.data(), t.ld(), gc + (j + 1) * q1.nb, ldg, work);
+}
+
+/// op(Q_j)'s TSQRT block coupling tiles j+1 and i of the column block gc.
+void apply_q1_coupled(op trans, const Q1Factor& q1, idx i, idx j, double* gc,
+                      idx ldg, idx nc, double* work) {
+  const idx tsi = q1.ts_index(i, j);
+  const Matrix& v = q1.vts[static_cast<size_t>(tsi)];
+  const Matrix& t = q1.tts[static_cast<size_t>(tsi)];
+  tsmqr_left(trans, nc, q1.nb, q1.rows_of(i), v.data(), v.ld(), t.data(),
+             t.ld(), gc + (j + 1) * q1.nb, ldg, gc + i * q1.nb, ldg, work);
+}
+
+/// Applies the whole factored op(Q1) to the nc columns of G that start at
+/// column c0, in the order the reduction produced the reflectors:
+///   op::none : Q1 G   = Q_0 (Q_1 (... Q_{nt-2} G)),
+///   op::trans: Q1^T G = Q_{nt-2}^T (... (Q_0^T G)),
+/// where Q_j is panel j's GEQRT block times the TSQRT blocks below it.
+/// Named functions, not lambdas: a column block is not a task, so it
+/// declares no region touches.
+void apply_q1_block(op trans, const Q1Factor& q1, double* g, idx ldg, idx c0,
+                    idx nc) {
+  const idx nt = q1.nt;
+  double* gc = g + c0 * ldg;
+  double* work = scratch(q1.nb * nc);
+  if (trans == op::none) {
+    for (idx j = nt - 2; j >= 0; --j) {
+      for (idx i = nt - 1; i >= j + 2; --i)
+        apply_q1_coupled(trans, q1, i, j, gc, ldg, nc, work);
+      apply_q1_panel(trans, q1, j, gc, ldg, nc, work);
+    }
+  } else {
+    for (idx j = 0; j + 1 < nt; ++j) {
+      apply_q1_panel(trans, q1, j, gc, ldg, nc, work);
+      for (idx i = j + 2; i < nt; ++i)
+        apply_q1_coupled(trans, q1, i, j, gc, ldg, nc, work);
+    }
+  }
 }
 
 }  // namespace
@@ -352,121 +399,22 @@ void apply_q1(op trans, const Q1Factor& q1, double* g, idx ldg, idx ncols,
               int num_workers, idx col_block) {
   if (q1.nt <= 1 || ncols == 0) return;
   num_workers = rt::resolve_num_workers(num_workers);
-  const idx nt = q1.nt;
-  const idx nb = q1.nb;
-  const bool parallel = num_workers > 1;
-  rt::TaskGraph graph;
+  // The split apply_q2 uses: a narrow G still gets one block per worker, in
+  // multiples of 8 columns.  Each column's arithmetic does not depend on its
+  // block, so the result does not either.
+  const idx per_worker = (ncols + num_workers - 1) / num_workers;
+  col_block = std::min(col_block, (per_worker + 7) / 8 * 8);
 
-  const idx ncb = (ncols + col_block - 1) / col_block;
-  rt::RegionMap region_map;
-  if (parallel && graph.validation_enabled()) {
-    // Row-block r x column-block cb of G: per-column intervals (a bounding
-    // box would falsely overlap other row blocks interleaved in the
-    // column-major storage).
-    region_map.add_resolver(
-        kTagG, [&q1, g, ldg, ncols, col_block, nb](std::uint32_t r,
-                                                   std::uint32_t cb) {
-          const idx c0 = static_cast<idx>(cb) * col_block;
-          const idx nc = std::min(col_block, ncols - c0);
-          rt::RegionExtent e;
-          e.add_strided(g + static_cast<idx>(r) * nb + c0 * ldg, nc,
-                        ldg * static_cast<idx>(sizeof(double)),
-                        q1.rows_of(static_cast<idx>(r)) *
-                            static_cast<idx>(sizeof(double)));
-          return e;
-        });
-    graph.set_region_map(&region_map);
-  }
-  auto g_key = [](idx r, idx cb) {
-    return rt::region_key(kTagG, static_cast<std::uint32_t>(r),
-                          static_cast<std::uint32_t>(cb));
-  };
-  auto run = [&](std::function<void()> fn, std::initializer_list<idx> rows,
-                 idx cb, const char* label) {
-    if (parallel) {
-      std::vector<rt::Access> acc;
-      for (idx r : rows) acc.push_back(rt::wr(g_key(r, cb)));
-      rt::TaskGraph::Options opts;
-      opts.label = label;
-      graph.submit(std::move(fn), acc, opts);
-    } else {
-      obs::Span span(label);
-      fn();
+  const idx nblocks = (ncols + col_block - 1) / col_block;
+  std::atomic<idx> next{0};
+  const int bodies = static_cast<int>(std::min<idx>(num_workers, nblocks));
+  run_self_scheduled(bodies, [&](int) {
+    for (idx b = next++; b < nblocks; b = next++) {
+      obs::Span span("q1_cols");
+      const idx c0 = b * col_block;
+      apply_q1_block(trans, q1, g, ldg, c0, std::min(col_block, ncols - c0));
     }
-  };
-
-  // One pass over column blocks of G; within each, the factored form of Q1
-  // is applied in the order dictated by the reduction (see header).
-  for (idx cb = 0; cb < ncb; ++cb) {
-    const idx c0 = cb * col_block;
-    const idx nc = std::min(col_block, ncols - c0);
-    if (trans == op::none) {
-      // G <- Q1 G = Q_0 (Q_1 (... Q_{nt-2} G)).
-      for (idx j = nt - 2; j >= 0; --j) {
-        for (idx i = nt - 1; i >= j + 2; --i) {
-          const idx tsi = q1.ts_index(i, j);
-          const Matrix& v2 = q1.vts[static_cast<size_t>(tsi)];
-          const Matrix& t2 = q1.tts[static_cast<size_t>(tsi)];
-          run(
-              [&, i, j, c0, nc, cb] {
-                rt::touch_write(g_key(j + 1, cb));
-                rt::touch_write(g_key(i, cb));
-                double* work = scratch(nb * nc);
-                tsmqr_left(op::none, nc, nb, q1.rows_of(i), v2.data(),
-                           v2.ld(), t2.data(), t2.ld(),
-                           g + (j + 1) * nb + c0 * ldg, ldg,
-                           g + i * nb + c0 * ldg, ldg, work);
-              },
-              {j + 1, i}, cb, "q1_tsmqr");
-        }
-        const Matrix& vgj = q1.vg[static_cast<size_t>(j)];
-        const Matrix& tgj = q1.tg[static_cast<size_t>(j)];
-        run(
-            [&, j, c0, nc, cb] {
-              rt::touch_write(g_key(j + 1, cb));
-              const idx kj = q1.kk(j);
-              double* work = scratch(kj * nc);
-              ormqr_tile(side::left, op::none, q1.rows_of(j + 1), nc, kj,
-                         vgj.data(), vgj.ld(), tgj.data(), tgj.ld(),
-                         g + (j + 1) * nb + c0 * ldg, ldg, work);
-            },
-            {j + 1}, cb, "q1_ormqr");
-      }
-    } else {
-      // G <- Q1^T G = Q_{nt-2}^T (... (Q_0^T G)).
-      for (idx j = 0; j + 1 < nt; ++j) {
-        const Matrix& vgj = q1.vg[static_cast<size_t>(j)];
-        const Matrix& tgj = q1.tg[static_cast<size_t>(j)];
-        run(
-            [&, j, c0, nc, cb] {
-              rt::touch_write(g_key(j + 1, cb));
-              const idx kj = q1.kk(j);
-              double* work = scratch(kj * nc);
-              ormqr_tile(side::left, op::trans, q1.rows_of(j + 1), nc, kj,
-                         vgj.data(), vgj.ld(), tgj.data(), tgj.ld(),
-                         g + (j + 1) * nb + c0 * ldg, ldg, work);
-            },
-            {j + 1}, cb, "q1_ormqr");
-        for (idx i = j + 2; i < nt; ++i) {
-          const idx tsi = q1.ts_index(i, j);
-          const Matrix& v2 = q1.vts[static_cast<size_t>(tsi)];
-          const Matrix& t2 = q1.tts[static_cast<size_t>(tsi)];
-          run(
-              [&, i, j, c0, nc, cb] {
-                rt::touch_write(g_key(j + 1, cb));
-                rt::touch_write(g_key(i, cb));
-                double* work = scratch(nb * nc);
-                tsmqr_left(op::trans, nc, nb, q1.rows_of(i), v2.data(),
-                           v2.ld(), t2.data(), t2.ld(),
-                           g + (j + 1) * nb + c0 * ldg, ldg,
-                           g + i * nb + c0 * ldg, ldg, work);
-              },
-              {j + 1, i}, cb, "q1_tsmqr");
-        }
-      }
-    }
-  }
-  if (parallel) graph.run(num_workers);
+  });
 }
 
 }  // namespace tseig::twostage

@@ -86,15 +86,23 @@ Matrix random_symmetric(idx n, Rng& rng) {
 
 double max_abs_diff(const Matrix& a, const Matrix& b) {
   double worst = 0.0;
-  for (idx j = 0; j < a.cols(); ++j)
-    for (idx i = 0; i < a.rows(); ++i)
-      worst = std::max(worst, std::fabs(a(i, j) - b(i, j)));
+  for (idx j = 0; j < a.cols(); ++j) {
+    const double d = max_abs_diff(a.data() + j * a.ld(),
+                                  b.data() + j * b.ld(), a.rows());
+    if (std::isnan(d)) return d;
+    worst = std::max(worst, d);
+  }
   return worst;
 }
 
 double max_abs_diff(const double* a, const double* b, idx n) {
   double worst = 0.0;
-  for (idx i = 0; i < n; ++i) worst = std::max(worst, std::fabs(a[i] - b[i]));
+  for (idx i = 0; i < n; ++i) {
+    const double d = std::fabs(a[i] - b[i]);
+    // std::max would drop a NaN and let a NaN result pass as a match.
+    if (std::isnan(d)) return d;
+    worst = std::max(worst, d);
+  }
   return worst;
 }
 

@@ -43,10 +43,10 @@ Matrix random_symmetric(idx n, Rng& rng);
 
 // ---- Error metrics ----
 
-/// max_ij |a(i,j) - b(i,j)|.
+/// max_ij |a(i,j) - b(i,j)|; NaN when any difference is NaN.
 double max_abs_diff(const Matrix& a, const Matrix& b);
 
-/// max_i |a[i] - b[i]| over n entries.
+/// max_i |a[i] - b[i]| over n entries; NaN when any difference is NaN.
 double max_abs_diff(const double* a, const double* b, idx n);
 
 /// Frobenius norm.

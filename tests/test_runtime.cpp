@@ -146,23 +146,22 @@ TEST_P(RuntimeWorkers, GraphIsReusableAfterRun) {
 INSTANTIATE_TEST_SUITE_P(Workers, RuntimeWorkers, ::testing::Values(1, 2, 4, 8));
 
 TEST(Runtime, TracingRecordsWorkerAssignment) {
-  // Each task has its own label and records the lane and logical worker of
-  // the thread that ran it; its telemetry span must sit on that lane, and
-  // distinct workers must map to distinct lanes.
+  // Each task has its own label and records the lane of the thread that ran
+  // it; its telemetry span must sit on that lane, and the tasks must land
+  // on at most `workers` lanes.
   static const char* const kLabels[] = {"t0", "t1", "t2", "t3", "t4",  "t5",
                                         "t6", "t7", "t8", "t9", "t10", "t11"};
   constexpr int kTasks = 12;
   TaskGraph g;
   g.enable_serial_elision(false);
   const int workers = 3;
-  std::vector<int> lane_of(kTasks, -1), worker_of(kTasks, -1);
+  std::vector<int> lane_of(kTasks, -1);
   for (int i = 0; i < kTasks; ++i) {
     TaskGraph::Options opts;
     opts.label = kLabels[i];
     g.submit(
-        [&lane_of, &worker_of, i] {
+        [&lane_of, i] {
           lane_of[static_cast<size_t>(i)] = obs::thread_lane();
-          worker_of[static_cast<size_t>(i)] = TaskGraph::current_worker();
           // Long enough that the other workers pick up tasks too.
           std::this_thread::sleep_for(std::chrono::milliseconds(2));
         },
@@ -180,21 +179,13 @@ TEST(Runtime, TracingRecordsWorkerAssignment) {
     span_lane[s.label] = s.lane;
   }
   ASSERT_EQ(span_lane.size(), static_cast<size_t>(kTasks));
-  std::map<int, std::set<int>> lanes_of_worker;
-  std::map<int, std::set<int>> workers_on_lane;
+  std::set<int> lanes;
   for (int i = 0; i < kTasks; ++i) {
-    const int w = worker_of[static_cast<size_t>(i)];
     const int lane = lane_of[static_cast<size_t>(i)];
-    EXPECT_GE(w, 0) << i;
-    EXPECT_LT(w, workers) << i;
     EXPECT_EQ(span_lane[kLabels[i]], lane) << i;
-    lanes_of_worker[w].insert(lane);
-    workers_on_lane[lane].insert(w);
+    lanes.insert(lane);
   }
-  for (const auto& [w, lanes] : lanes_of_worker)
-    EXPECT_EQ(lanes.size(), 1u) << "worker " << w;
-  for (const auto& [lane, ws] : workers_on_lane)
-    EXPECT_EQ(ws.size(), 1u) << "lane " << lane;
+  EXPECT_LE(lanes.size(), static_cast<size_t>(workers));
 }
 
 TEST(Runtime, PriorityOrdersReadyTasksOnOneWorker) {

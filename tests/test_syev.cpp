@@ -157,6 +157,24 @@ TEST(Syev, ParallelWorkersMatchSequential) {
   }
 }
 
+TEST(Syev, ParallelDcFailureThrowsInsteadOfAborting) {
+  // Regression: a divide-and-conquer leaf that fails on a pool worker used
+  // to end the process (an exception escaping a fork_join body calls
+  // std::terminate).  The failure must reach the caller instead.  The
+  // message is not pinned: only that the call throws.
+  const idx n = 256;
+  Matrix a(n, n);
+  for (idx j = 0; j < n; ++j)
+    for (idx i = 0; i < n; ++i)
+      a(i, j) = 1.0 / static_cast<double>(1 + i + j);
+  a(100, 3) = std::nan("");
+  SyevOptions opts;
+  opts.solver = eig_solver::dc;
+  opts.dc_crossover = 8;
+  opts.num_workers = 4;
+  EXPECT_THROW(syev(n, a.data(), a.ld(), opts), std::exception);
+}
+
 TEST(Syev, PhaseBreakdownIsConsistent) {
   const idx n = 64;
   Rng rng(37);

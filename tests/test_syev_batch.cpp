@@ -2,6 +2,7 @@
 // identical to a sequential syev() on the same problem (the scheduler may
 // reorder and re-budget work but never change answers), and the BatchStats
 // record must be internally consistent.
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -324,15 +325,15 @@ TEST(SyevBatch, TraceEmitsTwoEventsPerProblem) {
   const obs::Snapshot snap = obs::snapshot();
   obs::set_enabled(false);
 
-  // The scheduler stamps the problem index into the span arg; the graph's
-  // own task spans (same "batch_solve" label) carry arg -1.  Other producers
-  // (sytrd panels, chase sweeps) also use arg, so match on label first.
+  // The scheduler stamps the problem index into the span arg.  Other
+  // producers (sytrd panels, chase sweeps) also use arg, so match on label
+  // first.
   std::vector<int> enqueued(batch.size(), 0), solved(batch.size(), 0);
   for (const obs::SpanRecord& ev : snap.spans) {
     EXPECT_GE(ev.end_seconds, ev.start_seconds);
     const bool is_enqueue = std::strcmp(ev.label, "batch_enqueue") == 0;
     const bool is_solve = std::strcmp(ev.label, "batch_solve") == 0;
-    if ((!is_enqueue && !is_solve) || ev.arg < 0) continue;
+    if (!is_enqueue && !is_solve) continue;
     ASSERT_LT(static_cast<size_t>(ev.arg), batch.size());
     if (is_enqueue) {
       EXPECT_EQ(ev.end_seconds, ev.start_seconds);  // zero-duration marker
@@ -345,6 +346,42 @@ TEST(SyevBatch, TraceEmitsTwoEventsPerProblem) {
     SCOPED_TRACE("problem " + std::to_string(i));
     EXPECT_EQ(enqueued[i], 1);
     EXPECT_EQ(solved[i], 1);
+  }
+}
+
+TEST(SyevBatch, FailingMemberPropagatesAfterDrain) {
+  // The header's failure contract: a solver failure on one problem reaches
+  // the caller once the batch's loops have returned, and the pool keeps
+  // serving: the next batch on it still matches sequential syev bitwise.
+  Rng rng(23);
+  std::vector<Matrix> storage;
+  std::vector<BatchProblem> batch;
+  for (int i = 0; i < 8; ++i) {
+    storage.push_back(testing::random_symmetric(64, rng));
+    BatchProblem p;
+    p.n = 64;
+    p.a = storage.back().data();
+    p.lda = storage.back().ld();
+    p.opts.nb = 8;
+    p.opts.dc_crossover = 8;
+    batch.push_back(p);
+  }
+  const Matrix healthy = storage[5];
+  storage[5](40, 3) = std::nan("");
+  ASSERT_ANY_THROW(syev(batch[5].n, batch[5].a, batch[5].lda, batch[5].opts));
+
+  SyevBatchOptions bopts;
+  bopts.num_workers = 4;
+  EXPECT_THROW(syev_batch(batch, bopts), std::exception);
+
+  storage[5] = healthy;
+  batch[5].a = storage[5].data();
+  const SyevBatchResult out = syev_batch(batch, bopts);
+  ASSERT_EQ(out.results.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const BatchProblem& p = batch[i];
+    expect_bitwise_equal(out.results[i], syev(p.n, p.a, p.lda, p.opts),
+                         static_cast<idx>(i));
   }
 }
 

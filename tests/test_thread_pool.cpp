@@ -9,8 +9,11 @@
 #include <cstdlib>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -75,6 +78,40 @@ TEST(ThreadPool, WarmForkJoinCreatesNoThreads) {
   const auto after = pool.stats();
   EXPECT_EQ(after.threads_created, warm.threads_created);
   EXPECT_EQ(after.jobs_executed, warm.jobs_executed + 60);
+}
+
+TEST(ThreadPool, ForkJoinRethrowsBodyExceptionAfterJoin) {
+  // Regression: an exception escaping a pool body called std::terminate,
+  // and one escaping body 0 unwound past the batch the workers still used.
+  // Now every other body runs to its end, the first exception reaches the
+  // caller after the join, and the pool stays warm.
+  auto& pool = ThreadPool::instance();
+  pool.fork_join(6, [](int) {});  // warm-up for 5 borrowed workers
+  for (const int thrower : {3, 0}) {
+    SCOPED_TRACE("thrower " + std::to_string(thrower));
+    std::vector<std::atomic<int>> finished(6);
+    for (auto& f : finished) f = 0;
+    try {
+      pool.fork_join(6, [&](int k) {
+        if (k == thrower) throw std::runtime_error("body failed");
+        // Outlast the thrower, so the join must wait for these bodies.
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        finished[static_cast<size_t>(k)] = 1;
+      });
+      ADD_FAILURE() << "fork_join did not rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "body failed");
+    }
+    for (int k = 0; k < 6; ++k)
+      EXPECT_EQ(finished[static_cast<size_t>(k)].load(), k == thrower ? 0 : 1)
+          << "body " << k;
+    EXPECT_FALSE(ThreadPool::in_parallel_region());
+  }
+  const auto warm = pool.stats();
+  std::atomic<int> ran{0};
+  pool.fork_join(6, [&](int) { ran++; });
+  EXPECT_EQ(ran.load(), 6);
+  EXPECT_EQ(pool.stats().threads_created, warm.threads_created);
 }
 
 TEST(ThreadPool, CountersAreMonotonicAndConsistent) {
