@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/flops.hpp"
+#include "common/scaling.hpp"
 #include "lapack/aux.hpp"
 #include "lapack/steqr.hpp"
 #include "runtime/env.hpp"
@@ -20,26 +21,6 @@ constexpr double kEps = std::numeric_limits<double>::epsilon();
 /// clustered ones around eps/gap, so the gate has orders of magnitude of
 /// slack on both sides.
 constexpr double kGateUlps = 64.0;
-
-/// Power-of-two rescaling of the referenced entries: amax * 2^-ex lands in
-/// [0.5, 1), so quadratic forms can neither overflow (inputs near DBL_MAX)
-/// nor flush to zero (inputs near DBL_MIN), and the back-scaling by 2^ex is
-/// exact.  A zero matrix keeps scale 1.
-struct Scaling {
-  double scale = 1.0;      // multiply inputs by this
-  double unscale = 1.0;    // multiply eigenvalues by this
-};
-
-Scaling make_scaling(double amax) {
-  Scaling s;
-  if (amax > 0.0) {
-    int ex = 0;
-    std::frexp(amax, &ex);
-    s.scale = std::ldexp(1.0, -ex);
-    s.unscale = std::ldexp(1.0, ex);
-  }
-  return s;
-}
 
 /// Borges-2017 2x2 rotation: returns (c, s) with (c, s) the unit eigenvector
 /// of the LARGER eigenvalue.  Branch-free apart from the sign test that
@@ -319,6 +300,8 @@ bool eigen_small(idx n, const double* a, idx lda, double* w, double* v,
   for (idx j = 0; j < n; ++j)
     for (idx i = j; i < n; ++i)
       amax = std::max(amax, std::fabs(a[i + j * lda]));
+  // Scaled into [0.5, 1), quadratic forms can neither overflow (inputs near
+  // DBL_MAX) nor flush to zero (inputs near DBL_MIN).
   const Scaling sc = make_scaling(amax);
 
   if (n == 2) {

@@ -10,6 +10,7 @@
 #include "blas/blas3.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "common/scaling.hpp"
 
 namespace tseig::tridiag {
 namespace {
@@ -24,6 +25,32 @@ constexpr double kMinStepsPerWorker = 1 << 17;
 /// Base seed of the inverse-iteration starting vectors; vector j uses
 /// kSteinSeed + j, so it does not depend on which worker computes it.
 constexpr std::uint64_t kSteinSeed = 0xC0FFEE;
+
+/// Range of max(|d|, |e|) inside which the routines run on (d, e) as given:
+/// e^2 can neither overflow nor lose the couplings that matter to underflow,
+/// and the absolute DBL_MIN terms of the pads and the pivot floor stay
+/// negligible.  Outside it they run on a copy scaled by a power of two.
+constexpr double kSafeMin = 0x1p-500;
+constexpr double kSafeMax = 0x1p500;
+
+/// A copy of the tridiagonal (d, e) in the safe range: scaled by a power of
+/// two into [0.5, 1) when max(|d|, |e|) lies outside [kSafeMin, kSafeMax],
+/// unscaled otherwise.  Both are exact, so an eigenvalue of the copy times
+/// sc.unscale is an eigenvalue of (d, e).
+struct SafeTridiag {
+  SafeTridiag(idx n, const double* d0, const double* e0)
+      : d(d0, d0 + n), e(e0, e0 + std::max<idx>(n - 1, 0)) {
+    double amax = 0.0;
+    for (double v : d) amax = std::max(amax, std::fabs(v));
+    for (double v : e) amax = std::max(amax, std::fabs(v));
+    if (amax == 0.0 || (amax >= kSafeMin && amax <= kSafeMax)) return;
+    sc = make_scaling(amax);
+    for (double& v : d) v *= sc.scale;
+    for (double& v : e) v *= sc.scale;
+  }
+  std::vector<double> d, e;
+  Scaling sc;
+};
 
 /// Gershgorin interval [gl, gu] of the tridiagonal.
 void gershgorin(idx n, const double* d, const double* e, double& gl,
@@ -73,22 +100,78 @@ idx count_below(idx n, const double* d, const double* e2, double pivmin,
   return count;
 }
 
-/// Bisects [lo, hi] (with counts clo <= target < chi) until the eigenvalue
-/// with 0-based index `target` is pinned to machine accuracy.
-double bisect_one(idx n, const double* d, const double* e2, double pivmin,
-                  idx target, double lo, double hi) {
-  for (int it = 0; it < 128; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if (mid == lo || mid == hi) break;
-    if (hi - lo <= 2.0 * kEps * std::max(std::fabs(lo), std::fabs(hi)) + kSafmin)
-      break;
-    if (count_below(n, d, e2, pivmin, mid) <= target) {
-      lo = mid;
-    } else {
-      hi = mid;
+/// Indices bisected together.  Their Sturm recurrences are independent
+/// divide chains, so one pass over (d, e^2) runs at divide throughput
+/// instead of waiting on each divide in turn.
+constexpr int kLanes = 8;
+
+/// count_below at kLanes shifts in one pass over (d, e2).  Each lane runs
+/// count_below's operations in the same order; there is no multiply, so FMA
+/// contraction cannot change the rounding, and each count equals
+/// count_below's under every compiler flag.
+void count_below_lanes(idx n, const double* d, const double* e2,
+                       double pivmin, const double* x, idx* count) {
+  double q[kLanes] = {};
+  for (int l = 0; l < kLanes; ++l) {
+    q[l] = d[0] - x[l];
+    q[l] = std::fabs(q[l]) < pivmin ? -pivmin : q[l];
+    count[l] = q[l] < 0.0;
+  }
+  for (idx i = 1; i < n; ++i) {
+    const double di = d[i];
+    const double ei = e2[i - 1];
+    for (int l = 0; l < kLanes; ++l) {
+      q[l] = di - x[l] - ei / q[l];
+      q[l] = std::fabs(q[l]) < pivmin ? -pivmin : q[l];
+      count[l] += q[l] < 0.0;
     }
   }
-  return 0.5 * (lo + hi);
+}
+
+/// Bisects the eigenvalues with 0-based indices target[0..kLanes) from
+/// [lo0, hi0] until each is pinned to machine accuracy, writing the interval
+/// midpoints to w.  Every lane keeps its own interval, stops on its own
+/// tests and makes at most 128 steps, so its value is the one a lone
+/// bisection of that index returns.
+void bisect_lanes(idx n, const double* d, const double* e2, double pivmin,
+                  const idx* target, double lo0, double hi0, double* w) {
+  double lo[kLanes], hi[kLanes], mid[kLanes];
+  bool active[kLanes];
+  idx count[kLanes] = {};
+  for (int l = 0; l < kLanes; ++l) {
+    lo[l] = lo0;
+    hi[l] = hi0;
+    mid[l] = lo0;
+    active[l] = true;
+  }
+  for (int it = 0; it < 128; ++it) {
+    bool any = false;
+    for (int l = 0; l < kLanes; ++l) {
+      if (!active[l]) continue;
+      const double m = 0.5 * (lo[l] + hi[l]);
+      if (m == lo[l] || m == hi[l] ||
+          hi[l] - lo[l] <= 2.0 * kEps * std::max(std::fabs(lo[l]),
+                                                 std::fabs(hi[l])) +
+                               kSafmin) {
+        active[l] = false;
+        continue;
+      }
+      mid[l] = m;
+      any = true;
+    }
+    if (!any) break;
+    // A stopped lane recounts its last shift; the count is ignored.
+    count_below_lanes(n, d, e2, pivmin, mid, count);
+    for (int l = 0; l < kLanes; ++l) {
+      if (!active[l]) continue;
+      if (count[l] <= target[l]) {
+        lo[l] = mid[l];
+      } else {
+        hi[l] = mid[l];
+      }
+    }
+  }
+  for (int l = 0; l < kLanes; ++l) w[l] = 0.5 * (lo[l] + hi[l]);
 }
 
 /// Workers for `items` independent items of about `steps` recurrence steps
@@ -104,26 +187,43 @@ int workers_for(idx items, double steps) {
 }  // namespace
 
 idx sturm_count(idx n, const double* d, const double* e, double x) {
-  const std::vector<double> e2 = squares(n, e);
-  return count_below(n, d, e2.data(), pivmin_of(e2), x);
+  const SafeTridiag t(n, d, e);
+  const std::vector<double> e2 = squares(n, t.e.data());
+  return count_below(n, t.d.data(), e2.data(), pivmin_of(e2),
+                     x * t.sc.scale);
 }
 
 std::vector<double> stebz_index(idx n, const double* d, const double* e,
                                 idx il, idx iu) {
   require(0 <= il && il <= iu && iu < n, "stebz_index: bad index range");
+  const SafeTridiag t(n, d, e);
   double gl, gu;
-  gershgorin(n, d, e, gl, gu);
-  const std::vector<double> e2 = squares(n, e);
+  gershgorin(n, t.d.data(), t.e.data(), gl, gu);
+  const std::vector<double> e2 = squares(n, t.e.data());
   const double pivmin = pivmin_of(e2);
+  const double unscale = t.sc.unscale;
   const idx m = iu - il + 1;
+  const idx groups = (m + kLanes - 1) / kLanes;
   std::vector<double> w(static_cast<size_t>(m));
-  // Every index is bisected on its own from the Gershgorin interval, so its
-  // eigenvalue is the same whichever worker computes it.
+  // An item is a group of kLanes consecutive indices, bisected together
+  // from the Gershgorin interval; the last group repeats its last index in
+  // the unused lanes.  Lanes share no bracket, so an eigenvalue is the same
+  // whichever group and worker compute it.
   std::atomic<idx> next{0};
-  run_self_scheduled(workers_for(m, 64.0 * static_cast<double>(n)), [&](int) {
-    for (idx j = next++; j < m; j = next++)
-      w[static_cast<size_t>(j)] =
-          bisect_one(n, d, e2.data(), pivmin, il + j, gl, gu);
+  const idx workers =
+      std::min<idx>(groups, workers_for(m, 64.0 * static_cast<double>(n)));
+  run_self_scheduled(static_cast<int>(workers), [&](int) {
+    idx target[kLanes] = {};
+    double wg[kLanes] = {};
+    for (idx g = next++; g < groups; g = next++) {
+      const idx j0 = g * kLanes;
+      const idx width = std::min<idx>(kLanes, m - j0);
+      for (idx l = 0; l < kLanes; ++l)
+        target[l] = il + j0 + std::min(l, width - 1);
+      bisect_lanes(n, t.d.data(), e2.data(), pivmin, target, gl, gu, wg);
+      for (idx l = 0; l < width; ++l)
+        w[static_cast<size_t>(j0 + l)] = wg[l] * unscale;
+    }
   });
   return w;
 }
@@ -240,17 +340,24 @@ void stein(idx n, const double* d, const double* e,
            const std::vector<double>& w, double* z, idx ldz) {
   const idx m = static_cast<idx>(w.size());
   if (n == 0 || m == 0) return;
+  // Eigenvectors do not change under scaling, so only (d, e) and the
+  // shifts are brought into the safe range.
+  const SafeTridiag t(n, d, e);
+  std::vector<double> shifts(w);
+  for (double& v : shifts) v *= t.sc.scale;
   double gl, gu;
-  gershgorin(n, d, e, gl, gu);
+  gershgorin(n, t.d.data(), t.e.data(), gl, gu);
   const double tnorm = std::max(std::fabs(gl), std::fabs(gu));
   const double ortol = 1e-3 * std::max(tnorm, kSafmin);
-  const double pivmin = std::max(pivmin_of(squares(n, e)), kEps * tnorm * kEps);
+  const double pivmin =
+      std::max(pivmin_of(squares(n, t.e.data())), kEps * tnorm * kEps);
 
   // Clusters are the maximal runs of eigenvalues whose gaps are <= ortol;
   // cluster c is w[starts[c] .. starts[c + 1]).
   std::vector<idx> starts{0};
   for (idx j = 1; j < m; ++j)
-    if (w[static_cast<size_t>(j)] - w[static_cast<size_t>(j - 1)] > ortol)
+    if (shifts[static_cast<size_t>(j)] - shifts[static_cast<size_t>(j - 1)] >
+        ortol)
       starts.push_back(j);
   starts.push_back(m);
   const idx nclusters = static_cast<idx>(starts.size()) - 1;
@@ -263,7 +370,8 @@ void stein(idx n, const double* d, const double* e,
   run_self_scheduled(static_cast<int>(workers), [&](int) {
     SteinWork ws(n);
     for (idx c = next++; c < nclusters; c = next++)
-      stein_cluster(n, d, e, w, starts[static_cast<size_t>(c)],
+      stein_cluster(n, t.d.data(), t.e.data(), shifts,
+                    starts[static_cast<size_t>(c)],
                     starts[static_cast<size_t>(c + 1)], pivmin, ws, z, ldz);
   });
 }

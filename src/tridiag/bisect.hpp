@@ -20,9 +20,16 @@ namespace tseig::tridiag {
 idx sturm_count(idx n, const double* d, const double* e, double x);
 
 /// Eigenvalues with 0-based indices il..iu (inclusive, ascending) computed
-/// by bisection to roughly eps * |T| accuracy.  The indices are bisected in
-/// parallel over blas::kernel_workers(); each one independently, so the
-/// result is bitwise the same at every worker count.
+/// by bisection to roughly eps * |T| accuracy.  Groups of 8 consecutive
+/// indices are bisected together, one Sturm pass over (d, e) serving all 8
+/// shifts, and the groups run in parallel over blas::kernel_workers().
+/// Each index keeps its own interval and stopping tests, so its eigenvalue
+/// is bitwise the one a lone bisection gives, at every worker count.
+///
+/// When max(|d|, |e|) lies outside [2^-500, 2^500] (where e^2 would
+/// overflow or underflow), the bisection runs on (d, e) scaled by a power
+/// of two into [0.5, 1) and the eigenvalues are scaled back exactly.
+/// sturm_count and stebz_value follow the same rule.
 std::vector<double> stebz_index(idx n, const double* d, const double* e,
                                 idx il, idx iu);
 
@@ -36,7 +43,9 @@ std::vector<double> stebz_value(idx n, const double* d, const double* e,
 /// 1e-3 * max(|gl|, |gu|), the larger Gershgorin bound; its vectors are
 /// reorthogonalized against each other.  Clusters run in parallel over
 /// blas::kernel_workers(), and vector j starts from a generator seeded by j,
-/// so z is bitwise the same at every worker count.
+/// so z is bitwise the same at every worker count.  Outside stebz_index's
+/// safe range, (d, e) and w are scaled by the same power of two, which
+/// leaves the eigenvectors unchanged.
 void stein(idx n, const double* d, const double* e,
            const std::vector<double>& w, double* z, idx ldz);
 

@@ -30,50 +30,53 @@ idx group_width(const V2Factor& v2, idx s0, idx s1, idx b) {
   return s - s0;
 }
 
-/// Builds the WY factor of the diamond covering sweeps [s0, s0+w) at hop b.
-Diamond build_diamond(const V2Factor& v2, idx s0, idx w, idx b) {
-  Diamond d;
-  d.r0 = v2.start(s0, b);
-  const idx rend = v2.start(s0 + w - 1, b) + v2.len(s0 + w - 1, b);
-  d.height = rend - d.r0;
-  d.v.reshape(d.height, w);
-  std::vector<double> taus(static_cast<size_t>(w));
-  for (idx c = 0; c < w; ++c) {
-    const idx len = v2.len(s0 + c, b);
-    const double* v = v2.v(s0 + c, b);
+/// Where a diamond sits in V2: sweeps [s0, s0 + w) at hop b.
+struct DiamondKey {
+  idx s0 = 0;
+  idx w = 0;
+  idx b = 0;
+};
+
+/// Copies the diamond's reflectors into its staircase V and forms T with
+/// larft.  d.v and d.t are already allocated; taus holds at least w slots.
+void fill_diamond(const V2Factor& v2, const DiamondKey& k, Diamond& d,
+                  double* taus) {
+  for (idx c = 0; c < k.w; ++c) {
+    const idx len = v2.len(k.s0 + c, k.b);
+    const double* v = v2.v(k.s0 + c, k.b);
     double* col = d.v.col(c);
     // Column c sits one row below column c-1 (the staircase).  v[0] == 1
     // for generated reflectors; trivial (tau == 0) slots may hold zeros,
     // which larft maps to an identity factor regardless.
     for (idx i = 0; i < len; ++i) col[c + i] = v[i];
-    taus[static_cast<size_t>(c)] = v2.tau(s0 + c, b);
+    taus[c] = v2.tau(k.s0 + c, k.b);
   }
-  d.t.reshape(w, w);
-  lapack::larft(d.height, w, d.v.data(), d.v.ld(), taus.data(), d.t.data(),
+  lapack::larft(d.height, k.w, d.v.data(), d.v.ld(), taus, d.t.data(),
                 d.t.ld());
-  return d;
 }
 
 /// Builds every diamond in the order they must be applied for op(Q2)
-/// (see the ordering discussion in the header).
-std::vector<Diamond> build_diamonds(op trans, const V2Factor& v2, idx ell) {
+/// (see the ordering discussion in the header).  The caller allocates every
+/// V and T, so their pages come from its thread as in a serial build; the
+/// staircase copies and larfts, independent per diamond, run on
+/// `num_workers` bodies.
+std::vector<Diamond> build_diamonds(op trans, const V2Factor& v2, idx ell,
+                                    int num_workers) {
   const idx nsweeps = v2.nsweeps();
   const idx ngroups = (nsweeps + ell - 1) / ell;
   const idx maxblocks = v2.nblocks(0);
-  std::vector<Diamond> out;
+  std::vector<DiamondKey> keys;
+  auto emit = [&](idx s0, idx s1, idx b) {
+    const idx w = group_width(v2, s0, s1, b);
+    if (w > 0) keys.push_back({s0, w, b});
+  };
   auto emit_group = [&](idx g) {
     const idx s0 = g * ell;
     const idx s1 = std::min(nsweeps, s0 + ell);
     if (trans == op::none) {
-      for (idx b = 0; b < maxblocks; ++b) {
-        const idx w = group_width(v2, s0, s1, b);
-        if (w > 0) out.push_back(build_diamond(v2, s0, w, b));
-      }
+      for (idx b = 0; b < maxblocks; ++b) emit(s0, s1, b);
     } else {
-      for (idx b = maxblocks - 1; b >= 0; --b) {
-        const idx w = group_width(v2, s0, s1, b);
-        if (w > 0) out.push_back(build_diamond(v2, s0, w, b));
-      }
+      for (idx b = maxblocks - 1; b >= 0; --b) emit(s0, s1, b);
     }
   };
   if (trans == op::none) {
@@ -81,6 +84,28 @@ std::vector<Diamond> build_diamonds(op trans, const V2Factor& v2, idx ell) {
   } else {
     for (idx g = 0; g < ngroups; ++g) emit_group(g);
   }
+
+  const idx count = static_cast<idx>(keys.size());
+  std::vector<Diamond> out(keys.size());
+  for (idx j = 0; j < count; ++j) {
+    const DiamondKey& k = keys[static_cast<size_t>(j)];
+    Diamond& d = out[static_cast<size_t>(j)];
+    d.r0 = v2.start(k.s0, k.b);
+    const idx last = k.s0 + k.w - 1;
+    d.height = v2.start(last, k.b) + v2.len(last, k.b) - d.r0;
+    d.v.reshape(d.height, k.w);
+    d.t.reshape(k.w, k.w);
+  }
+  std::atomic<idx> next{0};
+  run_self_scheduled(static_cast<int>(std::min<idx>(num_workers, count)),
+                     [&](int) {
+                       obs::Span span("q2_build");
+                       std::vector<double> taus(static_cast<size_t>(ell));
+                       for (idx j = next++; j < count; j = next++)
+                         fill_diamond(v2, keys[static_cast<size_t>(j)],
+                                      out[static_cast<size_t>(j)],
+                                      taus.data());
+                     });
   return out;
 }
 
@@ -127,7 +152,8 @@ void apply_q2(op trans, const V2Factor& v2, double* e, idx lde, idx ncols,
   // Build every diamond's WY factor once (shared read-only by all bodies),
   // then sweep them over each column block of E (Figure 3c: communication-
   // free column blocks, each taken whole by one worker).
-  const std::vector<Diamond> diamonds = build_diamonds(trans, v2, ell);
+  const std::vector<Diamond> diamonds =
+      build_diamonds(trans, v2, ell, num_workers);
 
   const idx nblocks = (ncols + col_block - 1) / col_block;
   std::atomic<idx> next{0};

@@ -19,6 +19,10 @@
 // Parallelism follows Figure 3c: E is split into column blocks, each
 // processed independently (no inter-core communication); a worker takes one
 // whole block at a time and applies the full diamond sequence to it.
+// Before that, the diamonds' WY factors are formed on the same workers:
+// the caller lists the diamonds and allocates their storage, then each
+// worker takes the next diamond, copies its staircase and runs larft.  A
+// diamond's factor depends only on V2, so it is the same on every worker.
 #pragma once
 
 #include "common/types.hpp"
@@ -34,8 +38,8 @@ void apply_q2_naive(op trans, const V2Factor& v2, double* e, idx lde,
 /// Blocked diamond implementation of E <- op(Q2) E.
 ///   ell        -- sweeps grouped per diamond (>= 1; 1 degenerates to a
 ///                 blocked form of the naive order).
-///   num_workers-- workers for the self-scheduled loop over column blocks
-///                 (<= 0 = library default, TSEIG_NUM_THREADS).
+///   num_workers-- workers for the self-scheduled loops over diamonds and
+///                 column blocks (<= 0 = library default, TSEIG_NUM_THREADS).
 ///   col_block  -- largest number of columns of E per block; a narrower E is
 ///                 cut into about one block per worker (multiples of 8).
 void apply_q2(op trans, const V2Factor& v2, double* e, idx lde, idx ncols,

@@ -2,6 +2,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include "lapack/steqr.hpp"
 #include "matgen.hpp"
 #include "obs/telemetry.hpp"
+#include "onestage/sytrd.hpp"
 #include "runtime/thread_pool.hpp"
 #include "solver/syev.hpp"
 #include "test_support.hpp"
@@ -297,6 +300,220 @@ TEST(Bisect, SyevSubsetBitwiseAcrossWorkersAndTiers) {
   }
 }
 
+/// The scalar bisection that stebz_index ran before it grouped indices into
+/// lanes: the same Gershgorin interval, squares and pivot floor, then one
+/// index at a time with its own Sturm counts.  It is the oracle of the lane
+/// path, which must reproduce it bit for bit.
+namespace scalar_ref {
+
+constexpr double kEps = std::numeric_limits<double>::epsilon();
+constexpr double kSafmin = std::numeric_limits<double>::min();
+
+idx count_below(idx n, const double* d, const double* e2, double pivmin,
+                double x) {
+  idx count = 0;
+  double q = d[0] - x;
+  if (std::fabs(q) < pivmin) q = -pivmin;
+  if (q < 0.0) ++count;
+  for (idx i = 1; i < n; ++i) {
+    q = d[i] - x - e2[i - 1] / q;
+    if (std::fabs(q) < pivmin) q = -pivmin;
+    if (q < 0.0) ++count;
+  }
+  return count;
+}
+
+double bisect_one(idx n, const double* d, const double* e2, double pivmin,
+                  idx target, double lo, double hi) {
+  for (int it = 0; it < 128; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    if (mid == lo || mid == hi) break;
+    if (hi - lo <=
+        2.0 * kEps * std::max(std::fabs(lo), std::fabs(hi)) + kSafmin)
+      break;
+    if (count_below(n, d, e2, pivmin, mid) <= target) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return 0.5 * (lo + hi);
+}
+
+std::vector<double> stebz_index(const testing::matgen::Tridiag& t, idx il,
+                                idx iu) {
+  const auto n = static_cast<idx>(t.d.size());
+  const double* d = t.d.data();
+  const double* e = t.e.data();
+  double gl = d[0], gu = d[0];
+  for (idx i = 0; i < n; ++i) {
+    const double r = (i > 0 ? std::fabs(e[i - 1]) : 0.0) +
+                     (i + 1 < n ? std::fabs(e[i]) : 0.0);
+    gl = std::min(gl, d[i] - r);
+    gu = std::max(gu, d[i] + r);
+  }
+  const double pad = kEps * std::max(std::fabs(gl), std::fabs(gu)) + kSafmin;
+  gl -= 2.0 * pad;
+  gu += 2.0 * pad;
+  std::vector<double> e2(static_cast<size_t>(n - 1));
+  double emax = 1.0;
+  for (idx i = 0; i + 1 < n; ++i) {
+    e2[static_cast<size_t>(i)] = e[i] * e[i];
+    emax = std::max(emax, e2[static_cast<size_t>(i)]);
+  }
+  const double pivmin = kSafmin * emax;
+  std::vector<double> w;
+  for (idx j = il; j <= iu; ++j)
+    w.push_back(bisect_one(n, d, e2.data(), pivmin, j, gl, gu));
+  return w;
+}
+
+}  // namespace scalar_ref
+
+/// The glued-Wilkinson ladder cut to n rows.
+testing::matgen::Tridiag glued_of_size(idx n) {
+  testing::matgen::Tridiag t =
+      testing::matgen::glued_wilkinson((n + 20) / 21, 21, 1e-12);
+  t.d.resize(static_cast<size_t>(n));
+  t.e.resize(static_cast<size_t>(n - 1));
+  return t;
+}
+
+/// The tridiagonal form of matgen's clustered_eps matrix: three clusters of
+/// eigenvalues a few ulps apart.
+testing::matgen::Tridiag clustered_of_size(idx n) {
+  testing::matgen::Spec spec;
+  spec.cls = testing::matgen::spectrum_class::clustered_eps;
+  spec.n = n;
+  spec.seed = 31;
+  testing::matgen::Generated g = testing::matgen::generate(spec);
+  testing::matgen::Tridiag t;
+  t.d.resize(static_cast<size_t>(n));
+  t.e.resize(static_cast<size_t>(n));
+  std::vector<double> tau(static_cast<size_t>(n));
+  onestage::sytd2(n, g.a.data(), g.a.ld(), t.d.data(), t.e.data(), tau.data());
+  t.e.resize(static_cast<size_t>(n - 1));
+  return t;
+}
+
+/// A random diagonal with couplings of size 1e-160, whose squares are all
+/// subnormal.
+testing::matgen::Tridiag tiny_couplings_of_size(idx n) {
+  Rng rng(static_cast<std::uint64_t>(n) + 53);
+  testing::matgen::Tridiag t;
+  t.d.resize(static_cast<size_t>(n));
+  t.e.resize(static_cast<size_t>(n - 1));
+  rng.fill_uniform(t.d.data(), n);
+  for (double& v : t.e)
+    v = 1e-160 * (1.0 + rng.uniform()) * (rng.uniform() < 0.5 ? -1.0 : 1.0);
+  return t;
+}
+
+TEST(Bisect, LaneBisectionMatchesScalarReference) {
+  // m crosses the 8-lane group edges (7: one padded group; 8: one full
+  // group; 9: a full group and a group of one), and il = 3 shifts every
+  // group off the start of the spectrum.
+  for (idx n : {idx{1}, idx{2}, idx{17}, idx{400}}) {
+    const std::pair<const char*, testing::matgen::Tridiag> cases[] = {
+        {"glued", glued_of_size(n)},
+        {"clustered", clustered_of_size(n)},
+        {"tiny couplings", tiny_couplings_of_size(n)}};
+    for (const auto& [name, t] : cases) {
+      for (idx m : {idx{1}, idx{7}, idx{8}, idx{9}, idx{205}}) {
+        for (idx il : {idx{0}, idx{3}}) {
+          if (il + m > n) continue;
+          const std::vector<double> ref =
+              scalar_ref::stebz_index(t, il, il + m - 1);
+          for (int workers : {1, 4}) {
+            const blas::ScopedKernelWorkers budget(workers);
+            const std::vector<double> got = tridiag::stebz_index(
+                n, t.d.data(), t.e.data(), il, il + m - 1);
+            EXPECT_TRUE(same_bits(got, ref))
+                << name << " n " << n << " m " << m << " il " << il << ", "
+                << workers << " workers";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Bisect, ExtremeScaleMatchesUnscaled) {
+  // Entries are multiples of 2^-20 with max |entry| = 0.75, so the ladder
+  // scaled by 2^-1000 stays normal and both scaled copies map back onto
+  // exactly these entries.  (Bisection is not scale-invariant in general:
+  // the Gershgorin pads and the pivot floor carry absolute DBL_MIN terms.)
+  const idx n = 64;
+  Rng rng(1000);
+  testing::matgen::Tridiag t;
+  t.d.resize(static_cast<size_t>(n));
+  t.e.resize(static_cast<size_t>(n - 1));
+  auto entry = [&rng] {
+    const double v = std::ldexp(std::floor(std::ldexp(rng.uniform(), 20)), -20);
+    return rng.uniform() < 0.5 ? -v : v;
+  };
+  for (double& v : t.d) v = entry();
+  for (double& v : t.e) v = entry();
+  t.d[0] = 0.75;
+  const Matrix dense = tridiag_dense(n, t.d, t.e);
+  const std::vector<double> ref =
+      tridiag::stebz_index(n, t.d.data(), t.e.data(), 0, n - 1);
+  const double vl = 0.5 * (ref[9] + ref[10]), vu = 0.5 * (ref[40] + ref[41]);
+
+  for (int ex : {1000, -1000}) {
+    std::vector<double> d(t.d), e(t.e);
+    for (double& v : d) v = std::ldexp(v, ex);
+    for (double& v : e) v = std::ldexp(v, ex);
+    std::vector<double> expect(ref);
+    for (double& v : expect) v = std::ldexp(v, ex);
+
+    const std::vector<double> w =
+        tridiag::stebz_index(n, d.data(), e.data(), 0, n - 1);
+    EXPECT_TRUE(same_bits(w, expect)) << "2^" << ex;
+    EXPECT_EQ(
+        tridiag::sturm_count(n, d.data(), e.data(), std::ldexp(vu, ex)), 41)
+        << "2^" << ex;
+    const std::vector<double> wv = tridiag::stebz_value(
+        n, d.data(), e.data(), std::ldexp(vl, ex), std::ldexp(vu, ex));
+    EXPECT_TRUE(same_bits(wv, std::vector<double>(expect.begin() + 10,
+                                                  expect.begin() + 41)))
+        << "2^" << ex;
+
+    // Eigenvectors do not scale: stein on the scaled ladder solves the
+    // unscaled one.
+    Matrix z(n, n);
+    tridiag::stein(n, d.data(), e.data(), w, z.data(), z.ld());
+    EXPECT_LE(eigen_residual(dense, z, ref), 1e-10 * n) << "2^" << ex;
+    EXPECT_LE(orthogonality_error(z), 1e-8 * n) << "2^" << ex;
+  }
+}
+
+TEST(Bisect, SyevNearOverflowMatchesScaledResult) {
+  // a_ij = 1/(1 + i + j) times 1e300: e^2 of its tridiagonal overflows, so
+  // bisection must run on a scaled copy.
+  const idx n = 64;
+  Matrix a(n, n), big(n, n);
+  for (idx j = 0; j < n; ++j)
+    for (idx i = 0; i < n; ++i) {
+      a(i, j) = 1.0 / static_cast<double>(1 + i + j);
+      big(i, j) = 1e300 * a(i, j);
+    }
+  for (solver::method algo :
+       {solver::method::one_stage, solver::method::two_stage}) {
+    solver::SyevOptions opts;
+    opts.algo = algo;
+    opts.solver = solver::eig_solver::bisect;
+    const auto ref = solver::syev(n, a.data(), a.ld(), opts);
+    const auto got = solver::syev(n, big.data(), big.ld(), opts);
+    std::vector<double> expect(ref.eigenvalues);
+    for (double& v : expect) v *= 1e300;
+    EXPECT_TRUE(testing::check_eigenvalues(expect, got.eigenvalues))
+        << "method " << static_cast<int>(algo);
+    EXPECT_LE(orthogonality_error(got.z), 1e-8 * n)
+        << "method " << static_cast<int>(algo);
+  }
+}
+
 TEST(Bisect, SubsetSolveRecordsStebzAndSteinSpans) {
   const idx n = 64;
   Rng rng(65);
@@ -306,7 +523,9 @@ TEST(Bisect, SubsetSolveRecordsStebzAndSteinSpans) {
   opts.fraction = 0.2;
   obs::reset();
   obs::set_enabled(true);
+  const double call_start = obs::now_seconds();
   solver::syev(n, a.data(), a.ld(), opts);
+  const double call_end = obs::now_seconds();
   const obs::Snapshot snap = obs::snapshot();
   obs::set_enabled(false);
 
@@ -322,6 +541,17 @@ TEST(Bisect, SubsetSolveRecordsStebzAndSteinSpans) {
   }
   EXPECT_EQ(stebz, 1);
   EXPECT_EQ(stein, 1);
+
+  // apply_q2 fills its diamonds on the pool; every fill body records a
+  // q2_build span inside the syev call.
+  int builds = 0;
+  for (const obs::SpanRecord& ev : snap.spans) {
+    if (std::strcmp(ev.label, "q2_build") != 0) continue;
+    ++builds;
+    EXPECT_GE(ev.start_seconds, call_start);
+    EXPECT_LE(ev.end_seconds, call_end);
+  }
+  EXPECT_GE(builds, 1);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Tests for the Q2 back-transformation (naive and diamond-blocked) and the
 // full two-stage eigensolver chain.
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -28,6 +29,17 @@ twostage::BandMatrix random_band(idx n, idx bw, Rng& rng) {
     for (idx i = j; i < std::min(n, j + bw + 1); ++i)
       b.at(i, j) = 2.0 * rng.uniform() - 1.0;
   return b;
+}
+
+/// True when both matrices hold the same bits (a zero difference would not
+/// tell -0.0 from +0.0).
+bool same_bits(const Matrix& a, const Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (idx j = 0; j < a.cols(); ++j)
+    if (std::memcmp(a.col(j), b.col(j),
+                    static_cast<size_t>(a.rows()) * sizeof(double)) != 0)
+      return false;
+  return true;
 }
 
 /// Dense Q2 oracle (reverse-order reflector accumulation).
@@ -107,15 +119,31 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple<idx, idx, idx>(40, 12, 5)));
 
 TEST(Q2Apply, ParallelMatchesSequential) {
-  const idx n = 56, bw = 7;
-  Rng rng(11);
-  auto band = random_band(n, bw, rng);
-  auto res = twostage::sb2st(band);
-  Matrix e = testing::random_matrix(n, 24, rng);
-  Matrix es = e;
-  twostage::apply_q2(op::none, res.v2, es.data(), es.ld(), 24, 4, 1, 8);
-  twostage::apply_q2(op::none, res.v2, e.data(), e.ld(), 24, 4, 4, 8);
-  EXPECT_LE(max_abs_diff(e, es), 0.0);
+  // The diamonds are filled and applied on `workers` bodies; every column
+  // must come out bitwise as on one worker.  ell = 16 > nb = 6 gives
+  // diamonds of varying widths.
+  for (const auto& [n, bw, ell] : {std::make_tuple<idx, idx, idx>(56, 7, 4),
+                                   std::make_tuple<idx, idx, idx>(48, 6, 16)}) {
+    Rng rng(11 + n);
+    auto band = random_band(n, bw, rng);
+    auto res = twostage::sb2st(band);
+    for (op tr : {op::none, op::trans}) {
+      for (idx ncols : {idx{1}, idx{8}, idx{24}}) {
+        const Matrix e0 = testing::random_matrix(n, ncols, rng);
+        Matrix es = e0;
+        twostage::apply_q2(tr, res.v2, es.data(), es.ld(), ncols, ell, 1);
+        for (int workers : {2, 4}) {
+          Matrix e = e0;
+          twostage::apply_q2(tr, res.v2, e.data(), e.ld(), ncols, ell,
+                             workers);
+          EXPECT_TRUE(same_bits(e, es))
+              << "n " << n << " ell " << ell << " trans "
+              << static_cast<char>(tr) << " ncols " << ncols << ", "
+              << workers << " workers";
+        }
+      }
+    }
+  }
 }
 
 TEST(Q2Apply, SubsetOfColumns) {
