@@ -2,7 +2,7 @@
 //
 //   * stage-2 pipeline width ("it is better to let this stage run on a
 //     small number of cores"): stage2_workers in {all, 2, 1};
-//   * stage-1 dynamic DAG workers.
+//   * stage-1 workers (row- and column-block loops on the pool).
 //
 // On a single-core container the wall-clock differences mainly expose
 // runtime overhead (the locality effects need real cores), but the harness
@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   std::printf("Scheduling ablation (n = %lld, nb = %lld)\n",
               static_cast<long long>(n), static_cast<long long>(nb));
 
-  std::printf("\nstage 1 (dense->band) DAG workers:\n");
+  std::printf("\nstage 1 (dense->band) workers:\n");
   for (int w : {1, 2, workers}) {
     const double t = bench::time_seconds(
         [&] { (void)twostage::sy2sb(n, a.data(), a.ld(), nb, w); });

@@ -3,8 +3,7 @@
 // for the parallel D&C solve: runs stage 2 and stedc with the unified
 // telemetry layer (tseig::obs) recording, writes Chrome-tracing JSONs (open
 // in chrome://tracing or Perfetto, or feed to tseig_prof), and prints
-// per-lane utilization for the all-workers vs width-2 sweep pipelines (and
-// the DAG critical path of the stages that run task graphs).
+// per-lane utilization for the all-workers vs width-2 sweep pipelines.
 //
 // Usage: bench_trace_schedule [--n N] [--nb NB] [--workers W]
 //                             [--lookahead D] [--json /path/out.json]
@@ -13,9 +12,9 @@
 // document (keys "stage1/la<D>", "stage2/{dynamic,pinned2}", "stedc") --
 // the pipeline baseline scripts/bench_ci.sh gates (BENCH_pipeline.json).
 //
-// Stage 1 is recorded twice -- bulk-synchronous (depth 0) and with the
-// requested look-ahead -- so the traces show where the panel pipeline
-// overlaps the trailing-update stream and what it buys in makespan.
+// Stage 1 is recorded twice -- without look-ahead (depth 0) and with the
+// requested depth -- so the traces show where the next panel's
+// factorization overlaps the trailing update and what it buys in makespan.
 //
 // The per-configuration traces land in /tmp (paths printed below); the
 // shared --trace/--metrics flags additionally export whatever the last
@@ -37,8 +36,8 @@ using namespace tseig;
 
 namespace {
 
-/// Prints task-span count, makespan, per-lane busy time and the recorded
-/// DAG's critical path / parallel-efficiency bound for one snapshot.
+/// Prints task-span count, makespan and per-lane busy time for one
+/// snapshot.
 void print_utilization(const obs::Snapshot& snap) {
   double lo = 1e300, hi = -1e300;
   std::vector<double> busy;
@@ -58,14 +57,6 @@ void print_utilization(const obs::Snapshot& snap) {
   for (size_t w = 0; w < busy.size(); ++w)
     std::printf("  lane %zu busy %.3fs (%.0f%%)\n", w, busy[w],
                 makespan > 0.0 ? 100.0 * busy[w] / makespan : 0.0);
-  for (const obs::GraphRun& g : snap.graphs) {
-    const double cp = obs::critical_path_seconds(g.nodes);
-    std::printf("  graph [%s]: %lld tasks, %lld edges, work %.3fs, "
-                "critical path %.3fs (max speedup %.1fx)\n",
-                obs::phase_name(g.phase), static_cast<long long>(g.tasks),
-                static_cast<long long>(g.edges), g.work_seconds, cp,
-                cp > 0.0 ? g.work_seconds / cp : 0.0);
-  }
 }
 
 /// Runs `fn` with a clean telemetry capture and returns the snapshot.
@@ -99,10 +90,11 @@ int main(int argc, char** argv) {
               "%d)\n",
               static_cast<long long>(n), static_cast<long long>(nb), workers);
 
-  // Stage-1 panel pipeline: depth 0 forces a barrier at every panel, so the
-  // trailing-update tail of each panel runs under-subscribed; with
-  // look-ahead the next panel's GEQRT/TSQRT chain fills those lanes.  Same
-  // kernel sequence both times (bitwise-identical band), different overlap.
+  // Stage-1 look-ahead: at depth 0 each panel's QR waits for the whole
+  // trailing update of its predecessor and runs on one lane while the
+  // others idle; with look-ahead it runs on body 0 under the rest of the
+  // update.  Same block operations both times (bitwise-identical band),
+  // different overlap.
   for (const int depth : {0, lookahead}) {
     double wall = 0.0;
     const obs::Snapshot snap = record([&] {

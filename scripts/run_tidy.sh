@@ -2,8 +2,7 @@
 # Lint gate, two layers:
 #
 #   1. tseig-tidy (tools/tseig-tidy): the project-specific checks
-#      (no-raw-thread, kernel-fp-contract, task-touch-discipline,
-#      no-wallclock).  The token-engine binary builds with any C++20
+#      (no-raw-thread, kernel-fp-contract, no-wallclock).  The token-engine binary builds with any C++20
 #      compiler, so this layer ALWAYS runs and is BLOCKING -- a finding
 #      fails the script on every toolchain, including the CI lint job.
 #   2. stock clang-tidy with the repo .clang-tidy profile.  Skipped with a
@@ -39,13 +38,12 @@ if [ "$SELF_TEST" = "1" ]; then
   echo "== tseig-tidy --self-test (fixtures must trip every check)"
   if OUT=$("$TSEIG_TIDY" --src-root tools/tseig-tidy/fixtures \
            src/solver/bad_thread.cpp src/blas/kernels/bad_fma.cpp \
-           src/twostage/bad_touch.cpp src/solver/bad_wallclock.cpp \
-           src/solver/clean.cpp); then
+           src/solver/bad_wallclock.cpp src/solver/clean.cpp); then
     echo "self-test FAILED: fixtures produced no findings" >&2
     exit 1
   fi
   for check in tseig-no-raw-thread tseig-kernel-fp-contract \
-               tseig-task-touch-discipline tseig-no-wallclock-in-kernels; do
+               tseig-no-wallclock-in-kernels; do
     if ! echo "$OUT" | grep -q "\[$check\]"; then
       echo "self-test FAILED: $check did not fire on its fixture" >&2
       exit 1

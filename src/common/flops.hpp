@@ -14,7 +14,7 @@
 // thread's counters: ThreadPool::fork_join measures the flops and bytes each
 // forked body executes on its worker and credits the sums back to the forking
 // thread when the join completes.  Every parallel construct (parallel_for,
-// TaskGraph::run) funnels through fork_join, so a FlopScope around a parallel
+// run_self_scheduled) funnels through fork_join, so a FlopScope around a parallel
 // solve sees the whole solve -- and *only* that solve, even when other host
 // threads are running their own solves on the same pool concurrently.  (The
 // previous process-global counter cross-attributed concurrent clients' work,

@@ -1,18 +1,17 @@
-// Fork-join loops for work without dependence edges.
+// Fork-join loops: the library's one parallel mechanism.
 //
-// The task runtime in src/runtime schedules stage 1's tile tasks over a
-// DAG; these two helpers cover every loop whose items are independent:
 //  * parallel_for splits a flat index range into one static chunk per
 //    worker (Level-3 kernels' row blocks, the secular roots of a merge);
 //  * run_self_scheduled runs one body per worker, and each body takes the
-//    next item from a shared counter (D&C tree levels, Q1 and Q2 column
-//    blocks, bisection, the bulge-chase sweeps, syev_batch's problems), so
-//    a slowed core takes fewer items.
+//    next item from a shared counter (stage 1's row and column blocks and
+//    its look-ahead panel, D&C tree levels, Q1 and Q2 column blocks,
+//    bisection, the bulge-chase sweeps, syev_batch's problems), so a slowed
+//    core takes fewer items.
 // Worker count defaults to TSEIG_NUM_THREADS or the hardware concurrency.
 //
-// All of them execute on the same persistent rt::ThreadPool, so a warm call
+// Both execute on the same persistent rt::ThreadPool, so a warm call
 // spawns no OS threads, and a loop started from *inside* a pool worker (a
-// BLAS-3 kernel in a tile task, or a batch member's solve) detects the
+// BLAS-3 kernel in a loop body, or a batch member's solve) detects the
 // nesting and runs serially instead of oversubscribing the machine.
 #pragma once
 

@@ -1,8 +1,7 @@
 // Clang thread-safety annotations for tseig's concurrent subsystems.
 //
-// The locking discipline of the pool, the task graph, the validator, the
-// telemetry recorder and the D&C stats collector used to be enforced only at
-// runtime (TSan legs, the GraphValidator fuzzer).  These macros move the
+// The locking discipline of the pool and the telemetry recorder used to be
+// enforced only at runtime (the TSan legs).  These macros move the
 // contracts to compile time: every mutex in the tree is a tseig::Mutex
 // carrying the Clang `capability` attribute, every guarded member names its
 // mutex with TSEIG_GUARDED_BY, and functions that assume a lock is held say

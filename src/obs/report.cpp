@@ -44,28 +44,6 @@ Phase phase_from_name(const std::string& name) {
 
 }  // namespace
 
-std::vector<double> longest_path_to_sink(const std::vector<GraphTask>& nodes) {
-  // Hazard edges always point forward in submission order, so a reverse
-  // sweep is a topological-order DP; best[i] = longest path starting at i.
-  const idx n = static_cast<idx>(nodes.size());
-  std::vector<double> best(static_cast<size_t>(n), 0.0);
-  for (idx i = n - 1; i >= 0; --i) {
-    double tail = 0.0;
-    for (idx s : nodes[static_cast<size_t>(i)].successors)
-      if (s > i && s < n) tail = std::max(tail, best[static_cast<size_t>(s)]);
-    best[static_cast<size_t>(i)] =
-        nodes[static_cast<size_t>(i)].duration_seconds + tail;
-  }
-  return best;
-}
-
-double critical_path_seconds(const std::vector<GraphTask>& nodes) {
-  const std::vector<double> best = longest_path_to_sink(nodes);
-  double longest = 0.0;
-  for (double b : best) longest = std::max(longest, b);
-  return longest;
-}
-
 Report analyze(const Snapshot& snap) {
   Report rep;
   rep.meta = snap.meta;
@@ -76,7 +54,6 @@ Report analyze(const Snapshot& snap) {
   rep.span_count = static_cast<idx>(snap.spans.size());
   rep.dropped_spans = snap.dropped_spans;
   rep.dropped_counters = snap.dropped_counters;
-  rep.dropped_graphs = snap.dropped_graphs;
   rep.workers = snap.workers;
   rep.hwc_backend = snap.hwc_backend;
   rep.flops_per_cycle_peak = blas::kernels::active_kernel().flops_per_cycle;
@@ -97,42 +74,11 @@ Report analyze(const Snapshot& snap) {
   struct Acc {
     double phase_seconds = 0.0;
     double task_seconds = 0.0;
-    double outside_caller_task_seconds = 0.0;
-    double graph_wall = 0.0;
-    double graph_cp = 0.0;
+    double caller_task_seconds = 0.0;
     idx tasks = 0;
-    idx graphs = 0;
     int caller_lane = -1;  // lane of the phase span(s)
-    std::vector<std::pair<double, double>> graph_intervals;
   };
   std::vector<Acc> acc(static_cast<size_t>(kPhaseCount));
-
-  for (const GraphRun& g : snap.graphs) {
-    Acc& a = acc[static_cast<size_t>(g.phase)];
-    const double cp = critical_path_seconds(g.nodes);
-    const double wall = g.end_seconds - g.start_seconds;
-    a.graph_wall += wall;
-    a.graph_cp += cp;
-    ++a.graphs;
-    a.graph_intervals.emplace_back(g.start_seconds, g.end_seconds);
-
-    GraphReport gr;
-    gr.phase = phase_name(g.phase);
-    gr.num_workers = g.num_workers;
-    gr.tasks = g.tasks;
-    gr.edges = g.edges;
-    gr.wall_seconds = wall;
-    gr.work_seconds = g.work_seconds;
-    gr.critical_path_seconds = cp;
-    gr.avg_wait_seconds =
-        g.tasks > 0 ? g.wait_total_seconds / static_cast<double>(g.tasks) : 0.0;
-    gr.max_wait_seconds = g.wait_max_seconds;
-    gr.max_ready_depth = g.max_ready_depth;
-    gr.lookahead = g.lookahead;
-    gr.priority_scheme = g.priority_scheme != nullptr ? g.priority_scheme : "";
-    rep.graphs.push_back(gr);
-  }
-
   for (const SpanRecord& s : snap.spans) {
     Acc& a = acc[static_cast<size_t>(s.phase)];
     if (s.is_phase != 0) {
@@ -143,53 +89,33 @@ Report analyze(const Snapshot& snap) {
       ++a.tasks;
     }
   }
-  // Serial (untasked) caller time needs the caller-lane task spans that fall
-  // outside every graph interval of their phase (tasks inside a graph are
-  // already covered by the graph's wall).
-  for (auto& a : acc)
-    std::sort(a.graph_intervals.begin(), a.graph_intervals.end());
+  // Task spans on the caller's lane are already part of the phase wall.
   for (const SpanRecord& s : snap.spans) {
-    if (s.is_phase != 0) continue;
     Acc& a = acc[static_cast<size_t>(s.phase)];
-    if (a.caller_lane != s.lane) continue;
-    bool inside = false;
-    for (const auto& iv : a.graph_intervals) {
-      if (iv.first > s.start_seconds + 1e-12) break;
-      if (s.end_seconds <= iv.second + 1e-12) {
-        inside = true;
-        break;
-      }
-    }
-    if (!inside) a.outside_caller_task_seconds += s.end_seconds - s.start_seconds;
+    if (s.is_phase == 0 && a.caller_lane == s.lane)
+      a.caller_task_seconds += s.end_seconds - s.start_seconds;
   }
 
-  int workers = rep.meta.num_workers;
-  if (workers <= 0)
-    for (const GraphRun& g : snap.graphs) workers = std::max(workers, g.num_workers);
-  if (workers <= 0) workers = 1;
+  const int workers = std::max(1, rep.meta.num_workers);
 
   double phase_wall_total = 0.0;
   for (int p = 0; p < kPhaseCount; ++p) {
     const Acc& a = acc[static_cast<size_t>(p)];
-    if (a.phase_seconds == 0.0 && a.tasks == 0 && a.graphs == 0) continue;
+    if (a.phase_seconds == 0.0 && a.tasks == 0) continue;
     PhaseReport pr;
     pr.phase = static_cast<Phase>(p);
     pr.name = phase_name(pr.phase);
     pr.seconds = a.phase_seconds;
     pr.task_seconds = a.task_seconds;
     pr.tasks = a.tasks;
-    pr.graphs = a.graphs;
-    // Serial remainder: phase wall not covered by task graphs or by serial
-    // task spans on the caller lane.
-    const double serial = std::max(
-        0.0, a.phase_seconds - a.graph_wall - a.outside_caller_task_seconds);
+    // Serial remainder: phase wall not covered by task spans on the caller
+    // lane.
+    const double serial =
+        std::max(0.0, a.phase_seconds - a.caller_task_seconds);
     pr.serial_seconds = serial;
     pr.work_seconds = a.task_seconds + serial;
-    pr.critical_path_seconds =
-        std::max(0.0, a.phase_seconds - a.graph_wall) + a.graph_cp +
-        (a.phase_seconds == 0.0 ? a.outside_caller_task_seconds : 0.0);
-    // Guarded: a zero-duration phase (or an empty graph recorded into it)
-    // must report 0, never a NaN/inf that breaks JSON consumers.
+    // Guarded: a zero-duration phase must report 0, never a NaN/inf that
+    // breaks JSON consumers.
     const double phase_capacity =
         static_cast<double>(workers) * a.phase_seconds;
     pr.parallel_efficiency =
@@ -220,7 +146,6 @@ Report analyze(const Snapshot& snap) {
     }
     rep.phases.push_back(pr);
     rep.work_seconds += pr.work_seconds;
-    rep.critical_path_seconds += pr.critical_path_seconds;
     phase_wall_total += a.phase_seconds;
   }
 
@@ -248,12 +173,10 @@ std::string metrics_object(const Snapshot& snap) {
       << ",\"flops_per_cycle_peak\":" << num(rep.flops_per_cycle_peak) << "}";
   out << ",\"totals\":{\"wall_seconds\":" << num(rep.wall_seconds)
       << ",\"work_seconds\":" << num(rep.work_seconds)
-      << ",\"critical_path_seconds\":" << num(rep.critical_path_seconds)
       << ",\"parallel_efficiency\":" << num(rep.parallel_efficiency)
       << ",\"spans\":" << rep.span_count
       << ",\"dropped_spans\":" << rep.dropped_spans
-      << ",\"dropped_counters\":" << rep.dropped_counters
-      << ",\"dropped_graphs\":" << rep.dropped_graphs << "}";
+      << ",\"dropped_counters\":" << rep.dropped_counters << "}";
   out << ",\"phases\":[";
   bool first = true;
   for (const PhaseReport& p : rep.phases) {
@@ -263,10 +186,9 @@ std::string metrics_object(const Snapshot& snap) {
         << ",\"seconds\":" << num(p.seconds)
         << ",\"task_seconds\":" << num(p.task_seconds)
         << ",\"work_seconds\":" << num(p.work_seconds)
-        << ",\"critical_path_seconds\":" << num(p.critical_path_seconds)
         << ",\"serial_seconds\":" << num(p.serial_seconds)
         << ",\"parallel_efficiency\":" << num(p.parallel_efficiency)
-        << ",\"tasks\":" << p.tasks << ",\"graphs\":" << p.graphs
+        << ",\"tasks\":" << p.tasks
         << ",\"flops\":" << p.flops << ",\"bytes\":" << p.bytes
         << ",\"cycles\":" << p.cycles
         << ",\"instructions\":" << p.instructions
@@ -288,23 +210,6 @@ std::string metrics_object(const Snapshot& snap) {
     for (int b = 0; b < kHistogramBuckets; ++b)
       out << (b > 0 ? "," : "") << h.buckets[static_cast<size_t>(b)];
     out << "]}";
-  }
-  out << "],\"graphs\":[";
-  first = true;
-  for (const GraphReport& g : rep.graphs) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"phase\":" << json_string(g.phase)
-        << ",\"workers\":" << g.num_workers << ",\"tasks\":" << g.tasks
-        << ",\"edges\":" << g.edges
-        << ",\"wall_seconds\":" << num(g.wall_seconds)
-        << ",\"work_seconds\":" << num(g.work_seconds)
-        << ",\"critical_path_seconds\":" << num(g.critical_path_seconds)
-        << ",\"avg_wait_seconds\":" << num(g.avg_wait_seconds)
-        << ",\"max_wait_seconds\":" << num(g.max_wait_seconds)
-        << ",\"max_ready_depth\":" << g.max_ready_depth
-        << ",\"lookahead\":" << g.lookahead
-        << ",\"priority_scheme\":" << json_string(g.priority_scheme) << "}";
   }
   out << "],\"pool\":[";
   first = true;
@@ -375,8 +280,7 @@ std::string to_chrome_trace_json(const Snapshot& snap) {
       << ",\"kernel\":" << json_string(blas::kernels::active_kernel_name())
       << ",\"hwc_backend\":" << json_string(snap.hwc_backend)
       << ",\"dropped_spans\":" << snap.dropped_spans
-      << ",\"dropped_counters\":" << snap.dropped_counters
-      << ",\"dropped_graphs\":" << snap.dropped_graphs << "}";
+      << ",\"dropped_counters\":" << snap.dropped_counters << "}";
   out << ",\"tseigMetrics\":" << metrics_object(snap) << "}";
   return out.str();
 }
@@ -397,39 +301,25 @@ std::string format_report(const Report& rep) {
   if (rep.dropped_counters > 0)
     out << "  WARNING: " << rep.dropped_counters
         << " counter samples dropped (ring overwrite)\n";
-  if (rep.dropped_graphs > 0)
-    out << "  WARNING: " << rep.dropped_graphs
-        << " graph runs dropped (graph buffer full)\n";
   out << "  work                " << fmt("%10.6f", rep.work_seconds)
       << " cpu-s\n";
-  if (rep.has_critical_path) {
-    out << "  critical path       "
-        << fmt("%10.6f", rep.critical_path_seconds) << " s";
-    if (rep.critical_path_seconds > 0.0)
-      out << "   (speedup bound "
-          << fmt("%.2f", rep.work_seconds / rep.critical_path_seconds)
-          << "x)";
-    out << "\n";
-  }
   out << "  parallel efficiency " << fmt("%10.1f", rep.parallel_efficiency * 100)
       << " %\n";
 
   if (!rep.phases.empty()) {
     double total = 0.0;
     for (const PhaseReport& p : rep.phases) total += p.seconds;
-    out << "\n  phase        wall s      %     work s   critical s   "
-           "serial s   eff %   tasks  graphs\n";
+    out << "\n  phase        wall s      %     work s   "
+           "serial s   eff %   tasks\n";
     for (const PhaseReport& p : rep.phases) {
       char line[200];
       std::snprintf(line, sizeof line,
-                    "  %-10s %9.6f  %5.1f  %9.6f    %9.6f  %9.6f  %6.1f  "
-                    "%6lld  %6lld\n",
+                    "  %-10s %9.6f  %5.1f  %9.6f  %9.6f  %6.1f  %6lld\n",
                     p.name.c_str(), p.seconds,
                     total > 0.0 ? 100.0 * p.seconds / total : 0.0,
-                    p.work_seconds, p.critical_path_seconds, p.serial_seconds,
+                    p.work_seconds, p.serial_seconds,
                     p.parallel_efficiency * 100.0,
-                    static_cast<long long>(p.tasks),
-                    static_cast<long long>(p.graphs));
+                    static_cast<long long>(p.tasks));
       out << line;
     }
   }
@@ -482,29 +372,6 @@ std::string format_report(const Report& rep) {
     }
   }
 
-  if (!rep.graphs.empty()) {
-    out << "\n  task graphs:\n";
-    for (const GraphReport& g : rep.graphs) {
-      char line[220];
-      std::snprintf(
-          line, sizeof line,
-          "    [%-7s] %5lld tasks %6lld edges %2d workers: wall %.6fs "
-          "work %.6fs cp %.6fs wait avg %.1fus max %.1fus depth<=%lld\n",
-          g.phase.c_str(), static_cast<long long>(g.tasks),
-          static_cast<long long>(g.edges), g.num_workers, g.wall_seconds,
-          g.work_seconds, g.critical_path_seconds, g.avg_wait_seconds * 1e6,
-          g.max_wait_seconds * 1e6, static_cast<long long>(g.max_ready_depth));
-      out << line;
-      if (g.lookahead >= 0 || !g.priority_scheme.empty()) {
-        char meta[120];
-        std::snprintf(meta, sizeof meta,
-                      "              lookahead=%d priorities=%s\n", g.lookahead,
-                      g.priority_scheme.empty() ? "static"
-                                                : g.priority_scheme.c_str());
-        out << meta;
-      }
-    }
-  }
   if (!rep.workers.empty()) {
     out << "\n  pool workers:\n";
     for (const WorkerMetric& w : rep.workers) {
@@ -555,15 +422,12 @@ Report report_from_metrics_json(const JsonValue& doc) {
   if (const JsonValue* t = m.find("totals")) {
     rep.wall_seconds = t->number_or("wall_seconds", 0.0);
     rep.work_seconds = t->number_or("work_seconds", 0.0);
-    rep.critical_path_seconds = t->number_or("critical_path_seconds", 0.0);
     rep.parallel_efficiency = t->number_or("parallel_efficiency", 0.0);
     rep.span_count = static_cast<idx>(t->number_or("spans", 0));
     rep.dropped_spans =
         static_cast<std::uint64_t>(t->number_or("dropped_spans", 0));
     rep.dropped_counters =
         static_cast<std::uint64_t>(t->number_or("dropped_counters", 0));
-    rep.dropped_graphs =
-        static_cast<std::uint64_t>(t->number_or("dropped_graphs", 0));
   }
   if (const JsonValue* phases = m.find("phases")) {
     for (const JsonValue& p : phases->as_array()) {
@@ -573,11 +437,9 @@ Report report_from_metrics_json(const JsonValue& doc) {
       pr.seconds = p.number_or("seconds", 0.0);
       pr.task_seconds = p.number_or("task_seconds", 0.0);
       pr.work_seconds = p.number_or("work_seconds", 0.0);
-      pr.critical_path_seconds = p.number_or("critical_path_seconds", 0.0);
       pr.serial_seconds = p.number_or("serial_seconds", 0.0);
       pr.parallel_efficiency = p.number_or("parallel_efficiency", 0.0);
       pr.tasks = static_cast<idx>(p.number_or("tasks", 0));
-      pr.graphs = static_cast<idx>(p.number_or("graphs", 0));
       pr.flops = static_cast<std::uint64_t>(p.number_or("flops", 0));
       pr.bytes = static_cast<std::uint64_t>(p.number_or("bytes", 0));
       pr.cycles = static_cast<std::uint64_t>(p.number_or("cycles", 0));
@@ -617,24 +479,6 @@ Report report_from_metrics_json(const JsonValue& doc) {
       rep.histograms.push_back(hs);
     }
   }
-  if (const JsonValue* graphs = m.find("graphs")) {
-    for (const JsonValue& g : graphs->as_array()) {
-      GraphReport gr;
-      gr.phase = g.string_or("phase", "?");
-      gr.num_workers = static_cast<int>(g.number_or("workers", 1));
-      gr.tasks = static_cast<idx>(g.number_or("tasks", 0));
-      gr.edges = static_cast<idx>(g.number_or("edges", 0));
-      gr.wall_seconds = g.number_or("wall_seconds", 0.0);
-      gr.work_seconds = g.number_or("work_seconds", 0.0);
-      gr.critical_path_seconds = g.number_or("critical_path_seconds", 0.0);
-      gr.avg_wait_seconds = g.number_or("avg_wait_seconds", 0.0);
-      gr.max_wait_seconds = g.number_or("max_wait_seconds", 0.0);
-      gr.max_ready_depth = static_cast<idx>(g.number_or("max_ready_depth", 0));
-      gr.lookahead = static_cast<int>(g.number_or("lookahead", -1));
-      gr.priority_scheme = g.string_or("priority_scheme", "");
-      rep.graphs.push_back(gr);
-    }
-  }
   if (const JsonValue* pool = m.find("pool")) {
     for (const JsonValue& w : pool->as_array()) {
       WorkerMetric wm;
@@ -654,7 +498,6 @@ Report report_from_trace_json(const JsonValue& doc) {
           "report_from_trace_json: no traceEvents array in document");
 
   Report rep;
-  rep.has_critical_path = false;
   if (const JsonValue* meta = doc.find("metadata")) {
     rep.meta.label = meta->string_or("label", "");
     rep.meta.n = static_cast<idx>(meta->number_or("n", 0));
@@ -735,7 +578,7 @@ double histogram_quantile(const HistogramSnapshot& h, double q) {
 namespace {
 
 /// The comparable "name -> seconds" series of a document: either a metrics
-/// report (wall, critical path, per-phase wall) or a tseig-bench-v2 results
+/// report (wall, per-phase wall) or a tseig-bench-v2 results
 /// list.  diff_documents joins two of these on key.
 struct SeriesDoc {
   std::string label;
@@ -757,8 +600,6 @@ SeriesDoc series_from_document(const JsonValue& doc) {
   const Report rep = report_from_metrics_json(doc);
   s.label = rep.meta.label.empty() ? "metrics" : rep.meta.label;
   s.rows.emplace_back("wall", rep.wall_seconds);
-  if (rep.has_critical_path)
-    s.rows.emplace_back("critical_path", rep.critical_path_seconds);
   for (const PhaseReport& p : rep.phases)
     s.rows.emplace_back("phase:" + p.name, p.seconds);
   return s;

@@ -1,8 +1,8 @@
 // Analysis and export of recorded telemetry (see obs/telemetry.hpp):
 //
-//  * critical-path analyzer -- replays the task durations a run recorded
-//    over the dependency edges of its DAG and reports the longest path,
-//    the total work, and the per-phase "where did the time go" attribution;
+//  * utilization analyzer -- the per-phase "where did the time go"
+//    attribution: phase wall, work in task spans, serial remainder and
+//    parallel efficiency;
 //  * roofline analyzer -- joins the per-phase flop/byte/hardware-counter
 //    costs (obs::PhaseCost) into achieved GFLOP/s, arithmetic intensity,
 //    IPC, and %-of-kernel-tier-peak per phase;
@@ -24,18 +24,6 @@
 
 namespace tseig::obs {
 
-/// Longest path (sum of durations) through a recorded task DAG.  Edges are
-/// assumed forward in node order (how TaskGraph derives hazard edges);
-/// backward manual edges would be cycles and are ignored.
-double critical_path_seconds(const std::vector<GraphTask>& nodes);
-
-/// The reverse-topological DP behind critical_path_seconds: heights[i] is
-/// the longest path (sum of durations) starting at node i.  Exposed so the
-/// runtime can derive critical-path task priorities from the exact same
-/// computation (TaskGraph::apply_critical_path_priorities feeds unit
-/// durations and uses the heights directly).
-std::vector<double> longest_path_to_sink(const std::vector<GraphTask>& nodes);
-
 /// Per-phase attribution of a run.
 struct PhaseReport {
   Phase phase = Phase::none;
@@ -43,14 +31,12 @@ struct PhaseReport {
   double seconds = 0.0;        ///< wall time of the phase (its phase spans)
   double task_seconds = 0.0;   ///< sum of task-span durations inside it
   double work_seconds = 0.0;   ///< task work + serial (untasked) remainder
-  double critical_path_seconds = 0.0;  ///< serial remainder + graph paths
-  /// Phase wall time not covered by task graphs or caller-lane task spans:
-  /// the serial remainder look-ahead scheduling attacks in stage 1.
+  /// Phase wall time not covered by caller-lane task spans: the serial
+  /// remainder look-ahead scheduling attacks in stage 1.
   double serial_seconds = 0.0;
   /// work / (workers * seconds); 0 (never NaN/inf) for zero-duration phases.
   double parallel_efficiency = 0.0;
   idx tasks = 0;
-  idx graphs = 0;
 
   // Roofline attribution (schema v2).  Raw costs come from the per-phase
   // PhaseCost table; the derived ratios are 0 (never NaN/inf) when the
@@ -73,33 +59,15 @@ struct PhaseReport {
   double pct_of_peak = 0.0;
 };
 
-/// Per-graph-run summary (the DAG itself stays in the Snapshot).
-struct GraphReport {
-  std::string phase;
-  int num_workers = 1;
-  idx tasks = 0;
-  idx edges = 0;
-  double wall_seconds = 0.0;
-  double work_seconds = 0.0;
-  double critical_path_seconds = 0.0;
-  double avg_wait_seconds = 0.0;
-  double max_wait_seconds = 0.0;
-  idx max_ready_depth = 0;
-  int lookahead = -1;          ///< producer's look-ahead depth (-1 = n/a)
-  std::string priority_scheme; ///< ready-queue ordering ("static", ...)
-};
-
-/// The full utilization/critical-path report tseig_prof prints.
+/// The full utilization/roofline report tseig_prof prints.
 struct Report {
   RunMeta meta;
   std::string git;
   std::string kernel;  ///< SIMD microkernel tier the run dispatched to
   double wall_seconds = 0.0;          ///< span extent: max end - min start
   double work_seconds = 0.0;          ///< total useful CPU-seconds
-  double critical_path_seconds = 0.0; ///< sum of per-phase critical paths
   double parallel_efficiency = 0.0;   ///< work / (workers * phase wall)
   std::vector<PhaseReport> phases;    ///< phases with activity only
-  std::vector<GraphReport> graphs;
   std::vector<WorkerMetric> workers;
   std::vector<HistogramSnapshot> histograms;  ///< non-empty ones only
   std::string hwc_backend = "off";    ///< "off", "perf", or "fallback"
@@ -107,17 +75,15 @@ struct Report {
   idx span_count = 0;
   std::uint64_t dropped_spans = 0;
   std::uint64_t dropped_counters = 0;
-  std::uint64_t dropped_graphs = 0;
-  bool has_critical_path = true;  ///< false when loaded from a bare trace
 };
 
-/// Builds the report from a snapshot (runs the critical-path analysis).
+/// Builds the report from a snapshot.
 Report analyze(const Snapshot& snap);
 
 /// Chrome-tracing/Perfetto JSON: spans as complete events (one row per
 /// lane), counters as counter tracks, run metadata, plus the full metrics
 /// object embedded under the "tseigMetrics" key so tseig_prof can print the
-/// critical-path report from the trace file alone.
+/// full report from the trace file alone.
 std::string to_chrome_trace_json(const Snapshot& snap);
 
 /// The stable metrics document ("schema": "tseig-metrics-v2").
@@ -134,7 +100,7 @@ void write_metrics_file(const Snapshot& snap, const std::string& path);
 /// a trace document embedding one under "tseigMetrics").
 Report report_from_metrics_json(const JsonValue& doc);
 
-/// Rebuilds what it can (per-phase totals, utilization; no critical path)
+/// Rebuilds what it can (per-phase totals, utilization; no roofline)
 /// from a bare Chrome trace document's traceEvents.
 Report report_from_trace_json(const JsonValue& doc);
 
@@ -145,8 +111,8 @@ double histogram_quantile(const HistogramSnapshot& h, double q);
 // ---------------------------------------------------------------------------
 // Diff / regression gate (tseig_prof diff|gate, scripts/bench_ci.sh).
 
-/// One compared row.  For metrics documents the keys are "wall",
-/// "critical_path", and "phase:<name>"; for bench documents, one row per
+/// One compared row.  For metrics documents the keys are "wall" and
+/// "phase:<name>"; for bench documents, one row per
 /// result name.
 struct DiffRow {
   std::string key;

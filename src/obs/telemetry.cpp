@@ -36,7 +36,6 @@ std::size_t ring_capacity() {
 }
 
 constexpr std::size_t kCounterCapacity = 1 << 14;
-constexpr std::size_t kMaxGraphRuns = 4096;
 
 /// Per-thread recording lane: preallocated single-producer rings.  Owned by
 /// the global registry (never freed), so snapshots may read them after the
@@ -76,11 +75,9 @@ struct Recorder {
   /// Lane objects themselves are single-producer rings written lock-free by
   /// their owning threads and read via acquire loads.
   std::vector<Lane*> lanes TSEIG_GUARDED_BY(mu);
-  std::vector<GraphRun> graphs TSEIG_GUARDED_BY(mu);
   std::vector<WorkerMetric> workers TSEIG_GUARDED_BY(mu);
   PhaseCost phase_costs[kPhaseCount] TSEIG_GUARDED_BY(mu);
   RunMeta meta TSEIG_GUARDED_BY(mu);
-  std::uint64_t dropped_graphs TSEIG_GUARDED_BY(mu) = 0;
   std::string trace_path TSEIG_GUARDED_BY(mu);
   std::string metrics_path TSEIG_GUARDED_BY(mu);
   bool atexit_registered TSEIG_GUARDED_BY(mu) = false;
@@ -212,7 +209,6 @@ void record_phase_span(const char* label, Phase phase, double t0, double t1) {
 const char* histogram_name(Histogram h) {
   switch (h) {
     case Histogram::span_duration: return "span_duration";
-    case Histogram::task_wait: return "task_wait";
     case Histogram::count: break;
   }
   return "?";
@@ -257,17 +253,6 @@ void record_counter(const char* name, double value) {
   lane.push_counter({name, now_seconds(), value});
 }
 
-void record_graph_run(GraphRun&& run) {
-  if (!enabled()) return;
-  Recorder& r = recorder();
-  LockGuard lock(r.mu);
-  if (r.graphs.size() >= kMaxGraphRuns) {
-    ++r.dropped_graphs;
-    return;
-  }
-  r.graphs.push_back(std::move(run));
-}
-
 void publish_worker_metrics(const std::vector<WorkerMetric>& workers) {
   Recorder& r = recorder();
   LockGuard lock(r.mu);
@@ -310,10 +295,8 @@ Snapshot snapshot() {
                    [](const CounterRecord& a, const CounterRecord& b) {
                      return a.t_seconds < b.t_seconds;
                    });
-  out.graphs = r.graphs;
   out.workers = r.workers;
   out.meta = r.meta;
-  out.dropped_graphs = r.dropped_graphs;
   for (int p = 0; p < kPhaseCount; ++p)
     out.phase_costs[static_cast<std::size_t>(p)] = r.phase_costs[p];
   for (int h = 0; h < kHistogramCount; ++h) {
@@ -337,10 +320,8 @@ void reset() {
     lane->span_count.store(0, std::memory_order_relaxed);
     lane->counter_count.store(0, std::memory_order_relaxed);
   }
-  r.graphs.clear();
   r.workers.clear();
   r.meta = RunMeta{};
-  r.dropped_graphs = 0;
   for (int p = 0; p < kPhaseCount; ++p) r.phase_costs[p] = PhaseCost{};
   for (int h = 0; h < kHistogramCount; ++h)
     for (int b = 0; b < kHistogramBuckets; ++b)

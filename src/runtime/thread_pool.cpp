@@ -20,8 +20,8 @@ namespace {
 thread_local int tl_worker_id = -1;
 
 /// Depth of fork_join calls the current (external) thread is inside of.
-/// TaskGraph's logical worker 0 runs on the caller's thread, so nesting
-/// detection cannot rely on tl_worker_id alone.
+/// Body 0 of a fork_join runs on the caller's thread, so nesting detection
+/// cannot rely on tl_worker_id alone.
 thread_local int tl_region_depth = 0;
 
 struct RegionGuard {

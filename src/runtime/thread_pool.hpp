@@ -2,21 +2,15 @@
 // the library.
 //
 // The paper's runtime (PLASMA/QUARK) keeps one fixed thread team alive for
-// the whole solve; tseig previously spawned and joined a fresh std::thread
-// fleet for every TaskGraph::run and every parallel_for call, so a single
-// two-stage syev created hundreds of short-lived OS threads (sy2sb graph,
-// sb2st graph, q2/q1 back-transform graphs, plus BLAS-3 parallel_for inside
-// tile tasks).  This pool replaces all of that:
+// the whole solve; so does tseig.  Every parallel loop in the library is a
+// fork_join on this pool (common/parallel.hpp):
 //
 //  * workers are created lazily, on first demand, and then parked on a
 //    condition variable between uses -- warm calls create zero threads;
-//  * TaskGraph::run borrows workers for the duration of one graph execution
-//    (its priority scheduling is unchanged, it just executes on borrowed
-//    pool workers);
-//  * parallel_for and run_self_scheduled fork their bodies onto the same
-//    pool and, when invoked *from* a pool worker (e.g. a BLAS-3 kernel
-//    running inside a tile task), detect the nesting and run serially
-//    instead of oversubscribing;
+//  * parallel_for and run_self_scheduled fork their bodies onto the pool
+//    and, when invoked *from* a pool worker (e.g. a BLAS-3 kernel running
+//    inside a loop body), detect the nesting and run serially instead of
+//    oversubscribing;
 //  * lightweight counters (threads ever created, jobs executed, park and
 //    unpark events) are queryable so tests and benches can assert the
 //    "zero new threads after warm-up" property.
@@ -98,9 +92,9 @@ public:
 
   /// True when the calling thread is already part of a parallel construct:
   /// either a pool worker, or an external thread currently inside its own
-  /// fork_join (e.g. TaskGraph's logical worker 0, which runs on the
-  /// caller's thread).  parallel_for and TaskGraph::run consult this to run
-  /// serially instead of oversubscribing the machine.
+  /// fork_join (body 0 runs on the caller's thread).  parallel_for and
+  /// run_self_scheduled consult this to run serially instead of
+  /// oversubscribing the machine.
   static bool in_parallel_region();
 
   /// Snapshot of the monotonic counters.

@@ -25,7 +25,7 @@
 #include "lapack/potrf.hpp"
 #include "lapack/steqr.hpp"
 #include "onestage/sytrd.hpp"
-#include "runtime/task_graph.hpp"
+#include "runtime/thread_pool.hpp"
 #include "solver/syev.hpp"
 #include "solver/syev_batch.hpp"
 #include "solver/sygv.hpp"

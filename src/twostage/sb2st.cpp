@@ -15,6 +15,23 @@
 
 namespace tseig::twostage {
 
+BandMatrix::BandMatrix(idx n, idx bandwidth) : n_(n), bw_(bandwidth) {
+  require(n >= 0 && bandwidth >= 0, "BandMatrix: bad dimensions");
+  ab_.assign(static_cast<size_t>((bw_ + 1) * n_), 0.0);
+}
+
+Matrix BandMatrix::to_dense() const {
+  Matrix a(n_, n_);
+  for (idx j = 0; j < n_; ++j) {
+    const idx iend = std::min(n_, j + bw_ + 1);
+    for (idx i = j; i < iend; ++i) {
+      a(i, j) = at(i, j);
+      a(j, i) = at(i, j);
+    }
+  }
+  return a;
+}
+
 V2Factor::V2Factor(idx n, idx nb) : n_(n), nb_(nb) {
   require(n >= 0 && nb >= 1, "V2Factor: bad dimensions");
   sweep_offset_.assign(static_cast<size_t>(nsweeps()) + 1, 0);

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "twostage/tile_matrix.hpp"
+#include "twostage/sb2st.hpp"
 
 namespace tseig::twostage {
 

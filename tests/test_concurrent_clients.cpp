@@ -1,5 +1,5 @@
 // Stress tests for concurrent *host-thread* clients of the shared runtime:
-// several application threads calling syev, parallel_for, TaskGraph::run and
+// several application threads calling syev, parallel_for, run_self_scheduled and
 // syev_batch at the same time.  The pool is a process-wide singleton, so
 // these are the tests that shake out cross-client races (lost wakeups,
 // ticket mixups, flop cross-attribution).  Run under TSan via run_tsan.sh.
@@ -18,7 +18,6 @@
 #include "common/flops.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "runtime/task_graph.hpp"
 #include "solver/syev.hpp"
 #include "solver/syev_batch.hpp"
 #include "test_support.hpp"
@@ -85,7 +84,7 @@ TEST(ConcurrentClients, SyevFromManyHostThreadsIsBitwiseStable) {
 }
 
 TEST(ConcurrentClients, MixedConstructsShareThePool) {
-  // parallel_for, TaskGraph::run and a full syev running concurrently from
+  // parallel_for, run_self_scheduled and a full syev running concurrently from
   // different host threads, several rounds each.  Checks results, not
   // timing: the pool must keep every client's dataflow intact.
   const idx n = 1 << 14;
@@ -100,7 +99,7 @@ TEST(ConcurrentClients, MixedConstructsShareThePool) {
   const auto ref = syev(a.rows(), a.data(), a.ld(), sopts);
 
   std::atomic<bool> pf_ok{true};
-  std::vector<std::int64_t> graph_sums(kRounds, 0);
+  std::vector<std::int64_t> fan_in_sums(kRounds, 0);
   std::vector<solver::SyevResult> solves;
 
   std::thread pf_thread([&] {
@@ -115,25 +114,19 @@ TEST(ConcurrentClients, MixedConstructsShareThePool) {
         }
     }
   });
-  std::thread graph_thread([&] {
+  std::thread fan_in_thread([&] {
     for (int round = 0; round < kRounds; ++round) {
-      // A fan-in graph: 16 independent adders then one reduction that must
-      // observe all of them (write-after-read hazards on the slots).
-      constexpr std::uint32_t kTag = 20;
+      // A fan-in: 16 independent adders on self-scheduled bodies, then one
+      // reduction after the join that must observe all of them.
       std::vector<std::int64_t> slots(16, 0);
+      std::atomic<int> next{0};
+      run_self_scheduled(4, [&](int) {
+        for (int t = next++; t < 16; t = next++)
+          slots[static_cast<size_t>(t)] = t + 1;
+      });
       std::int64_t total = 0;
-      rt::TaskGraph g;
-      for (std::uint32_t t = 0; t < 16; ++t)
-        g.submit([&slots, t] { slots[t] = t + 1; },
-                 {rt::wr(rt::region_key(kTag, t, 0))});
-      std::vector<rt::Access> reads;
-      for (std::uint32_t t = 0; t < 16; ++t)
-        reads.push_back(rt::rd(rt::region_key(kTag, t, 0)));
-      g.submit([&slots, &total] {
-        for (std::int64_t v : slots) total += v;
-      }, reads);
-      g.run(4);
-      graph_sums[static_cast<size_t>(round)] = total;
+      for (std::int64_t v : slots) total += v;
+      fan_in_sums[static_cast<size_t>(round)] = total;
     }
   });
   std::thread syev_thread([&] {
@@ -141,12 +134,12 @@ TEST(ConcurrentClients, MixedConstructsShareThePool) {
       solves.push_back(syev(a.rows(), a.data(), a.ld(), sopts));
   });
   pf_thread.join();
-  graph_thread.join();
+  fan_in_thread.join();
   syev_thread.join();
 
   EXPECT_TRUE(pf_ok.load());
   for (int round = 0; round < kRounds; ++round)
-    EXPECT_EQ(graph_sums[static_cast<size_t>(round)], 136);  // 1 + ... + 16
+    EXPECT_EQ(fan_in_sums[static_cast<size_t>(round)], 136);  // 1 + ... + 16
   for (const auto& r : solves) {
     ASSERT_EQ(r.eigenvalues.size(), ref.eigenvalues.size());
     for (size_t i = 0; i < ref.eigenvalues.size(); ++i)

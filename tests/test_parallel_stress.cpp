@@ -1,7 +1,7 @@
 // Stress tests for the parallel execution paths: oversubscribed workers,
 // repeated runs and bit-identity against the sequential dataflow.  These are
-// the tests that shake out ordering bugs in the DAG dependences (the tile
-// reduction hazards and the bulge-chasing lattice).
+// the tests that shake out ordering bugs in the pool loops (stage 1's
+// look-ahead and the bulge-chasing lattice).
 #include <cstdlib>
 
 #include <atomic>
@@ -12,7 +12,6 @@
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "runtime/task_graph.hpp"
 #include "runtime/thread_pool.hpp"
 #include "solver/syev.hpp"
 #include "test_support.hpp"
@@ -82,58 +81,7 @@ TEST(ParallelStress, Sb2stPipelineUnderOversubscription) {
   }
 }
 
-TEST(ParallelStress, RuntimeDiamondLattice) {
-  // Synthetic chase lattice: same dependence structure as sb2st, tasks
-  // record a logical clock; verify every dependence was honored.
-  const idx sweeps = 40, blocks = 12;
-  rt::TaskGraph g;
-  std::vector<std::vector<int>> done(static_cast<size_t>(sweeps),
-                                     std::vector<int>(static_cast<size_t>(blocks), 0));
-  std::atomic<int> clock{0};
-  std::vector<std::vector<int>> stamp(static_cast<size_t>(sweeps),
-                                      std::vector<int>(static_cast<size_t>(blocks), -1));
-  for (idx s = 0; s < sweeps; ++s) {
-    for (idx b = 0; b < blocks; ++b) {
-      std::vector<rt::Access> acc;
-      acc.push_back(rt::wr(rt::region_key(9, static_cast<std::uint32_t>(s),
-                                          static_cast<std::uint32_t>(b))));
-      if (b > 0)
-        acc.push_back(rt::rd(rt::region_key(9, static_cast<std::uint32_t>(s),
-                                            static_cast<std::uint32_t>(b - 1))));
-      if (s > 0) {
-        acc.push_back(rt::rd(rt::region_key(9, static_cast<std::uint32_t>(s - 1),
-                                            static_cast<std::uint32_t>(b))));
-        if (b + 1 < blocks)
-          acc.push_back(rt::rd(rt::region_key(
-              9, static_cast<std::uint32_t>(s - 1),
-              static_cast<std::uint32_t>(b + 1))));
-      }
-      g.submit(
-          [&stamp, &clock, s, b] {
-            stamp[static_cast<size_t>(s)][static_cast<size_t>(b)] = clock++;
-          },
-          acc);
-    }
-  }
-  g.run(7);
-  for (idx s = 0; s < sweeps; ++s) {
-    for (idx b = 0; b < blocks; ++b) {
-      const int me = stamp[static_cast<size_t>(s)][static_cast<size_t>(b)];
-      ASSERT_GE(me, 0);
-      if (b > 0) {
-        EXPECT_GT(me, stamp[static_cast<size_t>(s)][static_cast<size_t>(b - 1)]);
-      }
-      if (s > 0) {
-        EXPECT_GT(me, stamp[static_cast<size_t>(s - 1)][static_cast<size_t>(b)]);
-        if (b + 1 < blocks) {
-          EXPECT_GT(me, stamp[static_cast<size_t>(s - 1)][static_cast<size_t>(b + 1)]);
-        }
-      }
-    }
-  }
-}
-
-TEST(ParallelStress, NestedParallelForInsideTaskGraphStaysWithinWorkers) {
+TEST(ParallelStress, NestedParallelForInsideSelfScheduledLoopStaysWithinWorkers) {
   ASSERT_TRUE(forced_threads);
   const int workers = 3;
   // Warm the pool beyond this test's demand so thread creation must be zero
@@ -144,25 +92,22 @@ TEST(ParallelStress, NestedParallelForInsideTaskGraphStaysWithinWorkers) {
   std::atomic<int> live{0};
   std::atomic<int> peak{0};
   std::atomic<int> off_thread{0};
-  rt::TaskGraph g;
-  for (int i = 0; i < 24; ++i) {
-    g.submit(
-        [&] {
-          const int cur = ++live;
-          int p = peak.load();
-          while (cur > p && !peak.compare_exchange_weak(p, cur)) {
-          }
-          // A BLAS-3 kernel inside a tile task: the nested parallel_for
-          // must run serially on this worker's thread.
-          const auto me = std::this_thread::get_id();
-          parallel_for(0, 100, 1, [&](idx) {
-            if (std::this_thread::get_id() != me) off_thread++;
-          });
-          --live;
-        },
-        {rt::wr(rt::region_key(20, static_cast<std::uint32_t>(i), 0))});
-  }
-  g.run(workers);
+  std::atomic<int> next{0};
+  run_self_scheduled(workers, [&](int) {
+    for (int i = next++; i < 24; i = next++) {
+      const int cur = ++live;
+      int p = peak.load();
+      while (cur > p && !peak.compare_exchange_weak(p, cur)) {
+      }
+      // A BLAS-3 kernel inside a loop body: the nested parallel_for must
+      // run serially on this worker's thread.
+      const auto me = std::this_thread::get_id();
+      parallel_for(0, 100, 1, [&](idx) {
+        if (std::this_thread::get_id() != me) off_thread++;
+      });
+      --live;
+    }
+  });
 
   EXPECT_EQ(off_thread.load(), 0) << "nested parallel_for forked";
   EXPECT_LE(peak.load(), workers) << "more live workers than num_workers";
@@ -171,11 +116,11 @@ TEST(ParallelStress, NestedParallelForInsideTaskGraphStaysWithinWorkers) {
       << "nested parallelism grew the pool";
 }
 
-TEST(ParallelStress, NestedSolveInsideTaskGraphIsSafe) {
+TEST(ParallelStress, NestedSolveInsideSelfScheduledLoopIsSafe) {
   ASSERT_TRUE(forced_threads);
-  // Whole solver calls as graph tasks: every inner TaskGraph::run and
-  // parallel_for must detect nesting, so this neither deadlocks nor
-  // oversubscribes, and each task's result matches a top-level solve.
+  // Whole solver calls as loop items: every inner pool loop must detect
+  // nesting, so this neither deadlocks nor oversubscribes, and each item's
+  // result matches a top-level solve.
   const idx n = 40;
   Rng rng(23);
   Matrix a = testing::random_symmetric(n, rng);
@@ -186,16 +131,13 @@ TEST(ParallelStress, NestedSolveInsideTaskGraphIsSafe) {
   const auto ref = solver::syev(n, a.data(), a.ld(), opts);
 
   std::atomic<int> mismatches{0};
-  rt::TaskGraph g;
-  for (int i = 0; i < 6; ++i) {
-    g.submit(
-        [&] {
-          auto got = solver::syev(n, a.data(), a.ld(), opts);
-          if (got.eigenvalues != ref.eigenvalues) mismatches++;
-        },
-        {rt::wr(rt::region_key(21, static_cast<std::uint32_t>(i), 0))});
-  }
-  g.run(3);
+  std::atomic<int> next{0};
+  run_self_scheduled(3, [&](int) {
+    for (int i = next++; i < 6; i = next++) {
+      auto got = solver::syev(n, a.data(), a.ld(), opts);
+      if (got.eigenvalues != ref.eigenvalues) mismatches++;
+    }
+  });
   EXPECT_EQ(mismatches.load(), 0);
 }
 

@@ -33,6 +33,8 @@ obs::JsonValue bench_doc(double k1_seconds, double k2_seconds) {
 }
 
 /// A minimal tseig-metrics document (v1 or v2 schema tag) with one phase.
+/// It carries the critical_path_seconds total older exports wrote, which
+/// the loader ignores.
 obs::JsonValue metrics_doc(const char* schema_version, double wall,
                            double critical, double stage1) {
   const std::string text =
@@ -112,17 +114,15 @@ TEST(ProfDiff, OnlyKeysPresentInBothDocumentsCompare) {
   EXPECT_FALSE(d.regression);
 }
 
-TEST(ProfDiff, MetricsDocumentsDiffWallCriticalPathAndPhases) {
+TEST(ProfDiff, MetricsDocumentsDiffWallAndPhases) {
   const obs::JsonValue base = metrics_doc("v2", 1.0, 0.8, 0.5);
   const obs::JsonValue other = metrics_doc("v2", 1.0, 0.8, 0.7);  // +40% phase
   const obs::DocumentDiff d = obs::diff_documents(base, other, 0.05);
-  ASSERT_EQ(d.rows.size(), 3u);
+  ASSERT_EQ(d.rows.size(), 2u);
   EXPECT_EQ(d.rows[0].key, "wall");
-  EXPECT_EQ(d.rows[1].key, "critical_path");
-  EXPECT_EQ(d.rows[2].key, "phase:stage1");
+  EXPECT_EQ(d.rows[1].key, "phase:stage1");
   EXPECT_FALSE(d.rows[0].regression);
-  EXPECT_FALSE(d.rows[1].regression);
-  EXPECT_TRUE(d.rows[2].regression);
+  EXPECT_TRUE(d.rows[1].regression);
   EXPECT_TRUE(d.regression);
 }
 
@@ -131,7 +131,7 @@ TEST(ProfDiff, V1MetricsDocumentsStillLoadAndDiff) {
   const obs::JsonValue base = metrics_doc("v1", 1.0, 0.8, 0.5);
   const obs::JsonValue other = metrics_doc("v2", 1.1, 0.9, 0.5);
   const obs::DocumentDiff d = obs::diff_documents(base, other, 0.20);
-  ASSERT_EQ(d.rows.size(), 3u);
+  ASSERT_EQ(d.rows.size(), 2u);
   EXPECT_FALSE(d.regression);
   EXPECT_NEAR(d.rows[0].delta_pct, 10.0, 1e-9);
 }

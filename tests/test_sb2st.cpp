@@ -65,6 +65,23 @@ Matrix dense_q2(const twostage::V2Factor& v2) {
   return q;
 }
 
+TEST(BandMatrix, DenseRoundTrip) {
+  twostage::BandMatrix b(6, 2);
+  for (idx j = 0; j < 6; ++j)
+    for (idx i = j; i < std::min<idx>(6, j + 3); ++i)
+      b.at(i, j) = static_cast<double>(10 * i + j);
+  Matrix d = b.to_dense();
+  for (idx j = 0; j < 6; ++j)
+    for (idx i = 0; i < 6; ++i) {
+      if (std::abs(i - j) <= 2) {
+        const idx lo = std::max(i, j), hi = std::min(i, j);
+        EXPECT_EQ(d(i, j), 10.0 * lo + hi);
+      } else {
+        EXPECT_EQ(d(i, j), 0.0);
+      }
+    }
+}
+
 class Sb2stShapes
     : public ::testing::TestWithParam<std::tuple<idx, idx>> {};
 

@@ -83,7 +83,7 @@ TEST(ThreadAnnotations, LockGuardManualUnlockRelock) {
 }
 
 TEST(ThreadAnnotations, NativeInteroperatesWithConditionVariable) {
-  // The exact wait shape thread_pool.cpp and task_graph.cpp use:
+  // The exact wait shape thread_pool.cpp uses:
   // LockGuard + cv.wait(lock.native(), pred).
   tseig::Mutex mu;
   std::condition_variable cv;

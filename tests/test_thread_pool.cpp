@@ -213,5 +213,27 @@ TEST(ThreadPool, AutoWorkerCountResolvesThroughSyev) {
             1e-10 * n);
 }
 
+TEST(ThreadPool, EnvParsingRejectsMalformedValues) {
+  long v = 42;
+  ::setenv("TSEIG_TEST_ENV", "7", 1);
+  EXPECT_TRUE(rt::parse_env_long("TSEIG_TEST_ENV", 1, 100, &v));
+  EXPECT_EQ(v, 7);
+
+  // Rejected values must leave the caller's default untouched.
+  for (const char* bad : {"0", "-3", "12abc", "", "1e3", "101",
+                          "99999999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    v = 42;
+    ::setenv("TSEIG_TEST_ENV", bad, 1);
+    EXPECT_FALSE(rt::parse_env_long("TSEIG_TEST_ENV", 1, 100, &v));
+    EXPECT_EQ(v, 42);
+  }
+
+  ::unsetenv("TSEIG_TEST_ENV");
+  v = 42;
+  EXPECT_FALSE(rt::parse_env_long("TSEIG_TEST_ENV", 1, 100, &v));
+  EXPECT_EQ(v, 42);
+}
+
 }  // namespace
 }  // namespace tseig

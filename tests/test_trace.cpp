@@ -1,6 +1,7 @@
-// Tests for the task-trace export: a TaskGraph run recorded by the unified
-// telemetry layer (tseig::obs) comes out of the Chrome-tracing exporter as
-// one complete ("X") event per task, carrying the task's label.
+// Tests for the task-trace export: a self-scheduled pool loop recorded by
+// the unified telemetry layer (tseig::obs) comes out of the Chrome-tracing
+// exporter as one complete ("X") event per item span, carrying its label.
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -8,31 +9,28 @@
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.hpp"
 #include "obs/json.hpp"
 #include "obs/report.hpp"
 #include "obs/telemetry.hpp"
-#include "runtime/task_graph.hpp"
 
 namespace tseig {
 namespace {
 
-/// Records one run of `tasks` independent tasks labelled `label` on
-/// `workers` workers and returns the telemetry snapshot.
+/// Records one self-scheduled loop of `tasks` items, each under a span
+/// labelled `label`, on `workers` pool bodies and returns the telemetry
+/// snapshot.
 obs::Snapshot record_run(int workers, int tasks, const char* label) {
   obs::reset();
   obs::set_enabled(true);
-  rt::TaskGraph g;
-  for (int i = 0; i < tasks; ++i) {
-    rt::TaskGraph::Options opts;
-    opts.label = label;
-    g.submit(
-        [] {
-          volatile double x = 0.0;
-          for (int k = 0; k < 1000; ++k) x = x + k;
-        },
-        {rt::wr(rt::region_key(42, static_cast<std::uint32_t>(i), 0))}, opts);
-  }
-  g.run(workers);
+  std::atomic<int> next{0};
+  run_self_scheduled(workers, [&](int) {
+    for (int i = next++; i < tasks; i = next++) {
+      obs::Span span(label, i);
+      volatile double x = 0.0;
+      for (int k = 0; k < 1000; ++k) x = x + k;
+    }
+  });
   const obs::Snapshot snap = obs::snapshot();
   obs::set_enabled(false);
   return snap;
@@ -50,7 +48,7 @@ std::vector<obs::JsonValue> complete_events(const std::string& json) {
   return out;
 }
 
-TEST(TraceExport, GraphRunExportsOneCompleteEventPerTask) {
+TEST(TraceExport, PoolLoopExportsOneCompleteEventPerItem) {
   const obs::Snapshot snap = record_run(3, 17, "work");
   const auto events = complete_events(obs::to_chrome_trace_json(snap));
   ASSERT_EQ(events.size(), 17u);

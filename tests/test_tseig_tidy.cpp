@@ -3,7 +3,7 @@
 // Two layers: fixture files under tools/tseig-tidy/fixtures/ seed exactly
 // the violations each check exists to catch (plus NOLINT suppressions and
 // near-miss clean shapes), and the final test audits the real src/ tree --
-// the four invariants are supposed to HOLD today, so any finding there is
+// the three invariants are supposed to HOLD today, so any finding there is
 // either a regression in the tree or a false positive in the engine, and
 // both must fail CI.
 #include <algorithm>
@@ -39,16 +39,13 @@ int count_check(const std::vector<Finding>& fs, const std::string& name) {
       [&](const Finding& f) { return f.check == name; }));
 }
 
-TEST(TseigTidy, RegistersFourChecks) {
+TEST(TseigTidy, RegistersThreeChecks) {
   const std::vector<std::string> names = tseig::tidy::check_names();
-  ASSERT_EQ(names.size(), 4u);
+  ASSERT_EQ(names.size(), 3u);
   EXPECT_NE(std::find(names.begin(), names.end(), "tseig-no-raw-thread"),
             names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "tseig-kernel-fp-contract"),
             names.end());
-  EXPECT_NE(
-      std::find(names.begin(), names.end(), "tseig-task-touch-discipline"),
-      names.end());
   EXPECT_NE(
       std::find(names.begin(), names.end(), "tseig-no-wallclock-in-kernels"),
       names.end());
@@ -93,21 +90,6 @@ TEST(TseigTidy, FmaAllowedOutsideKernelTUs) {
   EXPECT_EQ(count_check(run_checks(in), "tseig-kernel-fp-contract"), 0);
 }
 
-TEST(TseigTidy, TaskTouchDisciplineFixture) {
-  const auto findings = on_fixture("src/twostage/bad_touch.cpp");
-  ASSERT_EQ(count_check(findings, "tseig-task-touch-discipline"), 1) << [&] {
-    std::string all;
-    for (const Finding& f : findings) all += f.format() + "\n";
-    return all;
-  }();
-  // The finding names the undeclared kernel, not the compliant ones.
-  for (const Finding& f : findings) {
-    if (f.check == "tseig-task-touch-discipline") {
-      EXPECT_NE(f.message.find("geqrt"), std::string::npos) << f.message;
-    }
-  }
-}
-
 TEST(TseigTidy, NoWallclockFixture) {
   const auto findings = on_fixture("src/solver/bad_wallclock.cpp");
   // system_clock + libc time(); steady_clock and the NOLINTNEXTLINE'd read
@@ -135,10 +117,10 @@ TEST(TseigTidy, FindingFormatIsClangShaped) {
   EXPECT_EQ(f.format(), "src/a.cpp:12:5: warning: boom [tseig-no-raw-thread]");
 }
 
-// The real tree must audit clean: every invariant the four checks encode
+// The real tree must audit clean: every invariant the three checks encode
 // already holds in src/ (threads only under src/runtime/, no FMA or
-// contraction pragmas in kernel TUs, every task lambda declares its
-// footprint, steady clock everywhere outside src/obs/).  A finding here is
+// contraction pragmas in kernel TUs, steady clock everywhere outside
+// src/obs/).  A finding here is
 // a regression or an engine false positive -- both block.
 TEST(TseigTidy, RealSourceTreeAuditsClean) {
   const fs::path src = fs::path(TSEIG_SOURCE_ROOT) / "src";

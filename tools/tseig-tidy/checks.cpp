@@ -237,10 +237,6 @@ bool in_obs(const std::string& p) { return starts_with(p, "src/obs/"); }
 bool is_kernel_tu(const std::string& p) {
   return starts_with(p, "src/blas/kernels/") || p == "src/blas/blas3.cpp";
 }
-bool is_kernel_defining_tu(const std::string& p) {
-  return starts_with(p, "src/twostage/tile_kernels.") ||
-         starts_with(p, "src/twostage/sbtrd_rot.");
-}
 
 // ---------------------------------------------------------------------------
 // Reporting helpers.
@@ -276,9 +272,9 @@ void check_no_raw_thread(const Ctx& ctx, const std::string& path) {
     if (k + 3 < t.size() && t[k + 3].text == "::") continue;
     ctx.report(kNoRawThread, t[k].line, t[k].col,
                "raw std::" + name +
-                   " outside src/runtime/; use rt::ThreadPool / TaskGraph / "
-                   "parallel_for so the pool's nesting and "
-                   "zero-thread-after-warmup contracts hold");
+                   " outside src/runtime/; use parallel_for / "
+                   "run_self_scheduled on rt::ThreadPool so the pool's "
+                   "nesting and zero-thread-after-warmup contracts hold");
   }
 }
 
@@ -357,117 +353,6 @@ void check_kernel_fp_contract(const Ctx& ctx, const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// tseig-task-touch-discipline.
-
-const char kTaskTouchDiscipline[] = "tseig-task-touch-discipline";
-
-/// Tile kernels whose presence marks a lambda as a task body under the
-/// declared-access (DTL) contract.  The chase kernels (hbceu, hbrel_hblru)
-/// are not listed: the bulge chase runs as a sweep pipeline, not as tasks.
-const std::set<std::string>& tile_kernel_names() {
-  static const std::set<std::string> kNames = {
-      "geqrt",      "ormqr_tile",  "syrfb",
-      "tsqrt",      "tsmqr_left",  "tsmqr_right",
-      "tsmqr_corner", "tsmqr_left_hetra"};
-  return kNames;
-}
-
-/// One lambda expression: token index range of its body (braces excluded)
-/// plus the position of the introducer for diagnostics.
-struct LambdaBody {
-  size_t begin = 0;  // first token inside '{'
-  size_t end = 0;    // one past last token inside '}'
-  int line = 0;
-  int col = 0;
-};
-
-bool lambda_intro_at(const std::vector<Token>& t, size_t k) {
-  if (t[k].text != "[") return false;
-  if (k + 1 < t.size() && t[k + 1].text == "[") return false;  // attribute
-  if (k > 0) {
-    const std::string& p = t[k - 1].text;
-    if (p == "[") return false;  // second bracket of an attribute
-    // Subscript: previous token ends an expression.
-    if (t[k - 1].kind == TokKind::identifier ||
-        t[k - 1].kind == TokKind::number || p == "]" || p == ")")
-      return false;
-  }
-  return true;
-}
-
-size_t match_forward(const std::vector<Token>& t, size_t open,
-                     const char* o, const char* c) {
-  int depth = 0;
-  for (size_t k = open; k < t.size(); ++k) {
-    if (t[k].text == o) ++depth;
-    if (t[k].text == c && --depth == 0) return k;
-  }
-  return t.size();
-}
-
-std::vector<LambdaBody> find_lambda_bodies(const std::vector<Token>& t) {
-  std::vector<LambdaBody> out;
-  for (size_t k = 0; k < t.size(); ++k) {
-    if (!lambda_intro_at(t, k)) continue;
-    const size_t close = match_forward(t, k, "[", "]");
-    if (close >= t.size()) continue;
-    size_t p = close + 1;
-    if (p < t.size() && t[p].text == "(") p = match_forward(t, p, "(", ")") + 1;
-    // Skip specifiers / trailing return up to the body brace; bail past a
-    // statement boundary (then it was a subscript after all).
-    while (p < t.size() && t[p].text != "{" && t[p].text != ";" &&
-           t[p].text != ")" && t[p].text != ",")
-      ++p;
-    if (p >= t.size() || t[p].text != "{") continue;
-    const size_t body_close = match_forward(t, p, "{", "}");
-    if (body_close >= t.size()) continue;
-    out.push_back({p + 1, body_close, t[k].line, t[k].col});
-  }
-  return out;
-}
-
-void check_task_touch_discipline(const Ctx& ctx, const std::string& path) {
-  if (!in_src(path) || is_kernel_defining_tu(path)) return;
-  const std::vector<Token>& t = ctx.lexed->tokens;
-  const std::vector<LambdaBody> lambdas = find_lambda_bodies(t);
-  if (lambdas.empty()) return;
-
-  // Innermost enclosing lambda per kernel-call site: the narrowest range
-  // containing the token (find_lambda_bodies emits outer before inner, and
-  // inner ranges nest inside outer ones).
-  const auto innermost = [&](size_t tok) -> const LambdaBody* {
-    const LambdaBody* best = nullptr;
-    for (const LambdaBody& lb : lambdas) {
-      if (tok < lb.begin || tok >= lb.end) continue;
-      if (best == nullptr || lb.end - lb.begin < best->end - best->begin)
-        best = &lb;
-    }
-    return best;
-  };
-  const auto has_touch = [&](const LambdaBody& lb) {
-    for (size_t k = lb.begin; k < lb.end; ++k)
-      if (t[k].kind == TokKind::identifier &&
-          (t[k].text == "touch_read" || t[k].text == "touch_write"))
-        return true;
-    return false;
-  };
-
-  std::set<const LambdaBody*> reported;
-  for (size_t k = 0; k + 1 < t.size(); ++k) {
-    if (t[k].kind != TokKind::identifier || t[k + 1].text != "(") continue;
-    if (tile_kernel_names().count(t[k].text) == 0) continue;
-    const LambdaBody* lb = innermost(k);
-    if (lb == nullptr || has_touch(*lb) || reported.count(lb) > 0) continue;
-    reported.insert(lb);
-    ctx.report(kTaskTouchDiscipline, t[k].line, t[k].col,
-               "task-body lambda calls tile kernel '" + t[k].text +
-                   "' but never reports its footprint via rt::touch_read/"
-                   "touch_write; the dynamic hazard checker (TSEIG_VALIDATE) "
-                   "cannot audit what tasks do not report");
-  }
-}
-
-// ---------------------------------------------------------------------------
 // tseig-no-wallclock-in-kernels.
 
 const char kNoWallclock[] = "tseig-no-wallclock-in-kernels";
@@ -512,8 +397,7 @@ std::string Finding::format() const {
 }
 
 std::vector<std::string> check_names() {
-  return {kNoRawThread, kKernelFpContract, kTaskTouchDiscipline,
-          kNoWallclock};
+  return {kNoRawThread, kKernelFpContract, kNoWallclock};
 }
 
 std::vector<Finding> run_checks(const FileInput& in) {
@@ -523,7 +407,6 @@ std::vector<Finding> run_checks(const FileInput& in) {
   Ctx ctx{&in, &lexed, &findings};
   check_no_raw_thread(ctx, path);
   check_kernel_fp_contract(ctx, path);
-  check_task_touch_discipline(ctx, path);
   check_no_wallclock(ctx, path);
   std::stable_sort(findings.begin(), findings.end(),
                    [](const Finding& a, const Finding& b) {

@@ -4,10 +4,10 @@
 //
 //   tseig-no-raw-thread        -- std::thread / std::jthread / std::async are
 //                                 the runtime's business; everything else in
-//                                 src/ must go through rt::ThreadPool /
-//                                 TaskGraph / parallel_for, or the pool's
-//                                 zero-thread-after-warmup and nesting
-//                                 contracts silently break.
+//                                 src/ must go through the pool's fork-join
+//                                 loops (parallel_for / run_self_scheduled),
+//                                 or the pool's zero-thread-after-warmup and
+//                                 nesting contracts silently break.
 //   tseig-kernel-fp-contract   -- the microkernel TUs (src/blas/kernels/*)
 //                                 and the packed driver (src/blas/blas3.cpp)
 //                                 carry the bitwise cross-tier contract: no
@@ -16,12 +16,6 @@
 //                                 pragmas.  One contracted multiply and
 //                                 TSEIG_KERNEL=scalar can no longer
 //                                 reproduce the SIMD tiers bit for bit.
-//   tseig-task-touch-discipline-- a lambda body that calls a tile kernel
-//                                 is (by construction in this code base)
-//                                 a task body; it must report its
-//                                 footprint via rt::touch_read/touch_write
-//                                 or the dynamic hazard checker goes blind
-//                                 for exactly the tasks it exists to watch.
 //   tseig-no-wallclock-in-kernels -- everything outside src/obs/ must stay
 //                                 on the steady clock (obs::now_seconds);
 //                                 system_clock/gettimeofday timestamps jump

@@ -16,9 +16,3 @@ double elapsed_ok() {
 }
 
 double plain_math(double a, double b, double c) { return a * b + c; }
-
-int subscript_not_lambda(const int* xs, int geqrt_index) {
-  // Array subscript whose index mentions a kernel-ish name: the lambda
-  // detector must not mistake `xs[...]` for a capture list.
-  return xs[geqrt_index];
-}

@@ -1,16 +1,16 @@
 // tseig_prof: the telemetry-export CLI.
 //
 //   tseig_prof [report] FILE [FILE...]
-//     Prints the critical-path / utilization / roofline report from a
+//     Prints the utilization / roofline report from a
 //     telemetry export -- either a metrics JSON ("tseig-metrics-v1"/"-v2",
 //     written via TSEIG_METRICS=<path>) or a Chrome/Perfetto trace
 //     (TSEIG_TRACE=<path>).  Traces written by this library embed the full
 //     metrics object under the "tseigMetrics" key, so both formats yield
 //     the complete report; a foreign bare trace degrades to per-phase
-//     utilization without the critical path.
+//     utilization without the roofline.
 //
 //   tseig_prof diff [--tolerance PCT] BASE OTHER
-//     Prints per-row deltas (wall, critical path, per-phase -- or per
+//     Prints per-row deltas (wall, per-phase -- or per
 //     bench result for "tseig-bench-v2" files) between two exports.
 //     Rows slower than the tolerance band are flagged.  Exit 0 always
 //     (unless a file fails to load).
@@ -62,7 +62,7 @@ int run_file(const std::string& path) {
 
   tseig::obs::Report rep;
   try {
-    // Prefer the metrics view (exact totals, critical path); fall back to
+    // Prefer the metrics view (exact totals, roofline); fall back to
     // re-aggregating the raw trace events.
     rep = tseig::obs::report_from_metrics_json(doc);
   } catch (const std::exception&) {
