@@ -134,6 +134,63 @@ void geqrf(idx m, idx n, double* a, idx lda, double* tau, idx nb) {
   }
 }
 
+namespace {
+
+/// geqrt3's recursion; `work` holds 2 * (n/2) * (n - n/2) doubles.
+void geqrt3_rec(idx m, idx n, double* a, idx lda, double* r, idx ldr,
+                double* t, idx ldt, double* work) {
+  if (n <= 16) {
+    std::vector<double> tau(static_cast<size_t>(n));
+    std::vector<double> w(static_cast<size_t>(n));
+    geqr2(m, n, a, lda, tau.data(), w.data());
+    for (idx c = 0; c < n; ++c) {
+      for (idx i = 0; i <= c; ++i) r[i + c * ldr] = a[i + c * lda];
+      for (idx i = 0; i < c; ++i) a[i + c * lda] = 0.0;
+      a[c + c * lda] = 1.0;
+    }
+    larft(m, n, a, lda, tau.data(), t, ldt);
+    return;
+  }
+  const idx n1 = n / 2;
+  const idx n2 = n - n1;
+  geqrt3_rec(m, n1, a, lda, r, ldr, t, ldt, work);
+  // A2 <- Q1^T A2 = A2 - V1 (T1^T (V1^T A2)); its top n1 rows are R12.
+  double* a2 = a + n1 * lda;
+  double* w1 = work;
+  double* w2 = work + n1 * n2;
+  blas::gemm(op::trans, op::none, n1, n2, m, 1.0, a, lda, a2, lda, 0.0, w1,
+             n1);
+  blas::gemm(op::trans, op::none, n1, n2, n1, 1.0, t, ldt, w1, n1, 0.0, w2,
+             n1);
+  blas::gemm(op::none, op::none, m, n2, n1, -1.0, a, lda, w2, n1, 1.0, a2,
+             lda);
+  for (idx c = 0; c < n2; ++c)
+    for (idx i = 0; i < n1; ++i) {
+      r[i + (n1 + c) * ldr] = a2[i + c * lda];
+      a2[i + c * lda] = 0.0;
+    }
+  double* t22 = t + n1 + n1 * ldt;
+  geqrt3_rec(m - n1, n2, a2 + n1, lda, r + n1 + n1 * ldr, ldr, t22, ldt,
+             work);
+  // T12 = -T11 (V1^T V2) T22, V2 living in rows n1.. of A2.
+  blas::gemm(op::trans, op::none, n1, n2, m - n1, 1.0, a + n1, lda, a2 + n1,
+             lda, 0.0, w1, n1);
+  blas::gemm(op::none, op::none, n1, n2, n1, 1.0, t, ldt, w1, n1, 0.0, w2,
+             n1);
+  blas::gemm(op::none, op::none, n1, n2, n2, -1.0, w2, n1, t22, ldt, 0.0,
+             t + n1 * ldt, ldt);
+}
+
+}  // namespace
+
+void geqrt3(idx m, idx n, double* a, idx lda, double* r, idx ldr, double* t,
+            idx ldt) {
+  require(m >= n && n >= 0, "geqrt3: needs m >= n");
+  if (n == 0) return;
+  std::vector<double> work(static_cast<size_t>(2 * (n / 2) * (n - n / 2)));
+  geqrt3_rec(m, n, a, lda, r, ldr, t, ldt, work.data());
+}
+
 void org2r(idx m, idx n, idx k, double* a, idx lda, const double* tau) {
   std::vector<double> work(static_cast<size_t>(n));
   // Columns k..n-1 start as identity columns.

@@ -46,6 +46,16 @@ void geqr2(idx m, idx n, double* a, idx lda, double* tau, double* work);
 /// Blocked QR factorization (LAPACK xGEQRF) with panel width `nb`.
 void geqrf(idx m, idx n, double* a, idx lda, double* tau, idx nb);
 
+/// Recursive QR factorization of a tall panel with its compact-WY factor,
+/// the recursion of LAPACK xGEQRT3 (Elmroth-Gustavson): A = Q R with
+/// Q = I - V T V^T.  Requires m >= n.  Unlike xGEQRT3, on exit `a` holds V
+/// with an explicit unit diagonal and zeros above it, `r` (n-by-n) receives
+/// R's upper triangle and `t` (n-by-n, zero on entry) the upper triangular
+/// T.  Almost all flops run in GEMM; blocks of at most 16 columns use
+/// geqr2 + larft.
+void geqrt3(idx m, idx n, double* a, idx lda, double* r, idx ldr, double* t,
+            idx ldt);
+
 /// Generates the first k columns of Q from a geqrf factorization
 /// (LAPACK xORG2R, unblocked).  A is m-by-k on exit.
 void org2r(idx m, idx n, idx k, double* a, idx lda, const double* tau);

@@ -276,12 +276,16 @@ bool lane_eligible(idx n, const SyevOptions& opts) {
   return n <= kMaxN && opts.small_n_closed_form && env_enabled();
 }
 
-void require_finite(idx n, const double* a, idx lda) {
+double require_finite(idx n, const double* a, idx lda) {
+  double amax = 0.0;
   for (idx j = 0; j < n; ++j)
-    for (idx i = j; i < n; ++i)
-      require(std::isfinite(a[i + j * lda]),
-              "syev: non-finite entry in the matrix (small-n closed-form "
-              "lane rejects NaN/Inf input)");
+    for (idx i = j; i < n; ++i) {
+      const double v = a[i + j * lda];
+      require(std::isfinite(v),
+              "syev: non-finite entry (NaN or Inf) in the matrix");
+      amax = std::max(amax, std::fabs(v));
+    }
+  return amax;
 }
 
 bool eigen_small(idx n, const double* a, idx lda, double* w, double* v,

@@ -50,10 +50,11 @@ bool env_enabled();
 bool lane_eligible(idx n, const SyevOptions& opts);
 
 /// Throws invalid_argument when any referenced (lower-triangle) entry is NaN
-/// or infinite.  The closed-form kernels have no iteration whose divergence
-/// would flag bad input, so the lane rejects it up front; the full pipeline
-/// keeps its historical garbage-in/garbage-out behavior.
-void require_finite(idx n, const double* a, idx lda);
+/// or infinite; returns the largest magnitude among them.  syev() screens
+/// every problem with it at entry, on every method and solver (the full
+/// pipeline would otherwise fail to converge or return finite garbage);
+/// solve_lane repeats it for the batch members that bypass syev().
+double require_finite(idx n, const double* a, idx lda);
 
 /// Computes all eigenvalues (w[0..n), ascending) and eigenvectors (columns
 /// of the n-by-n matrix v, ldv >= n) of the symmetric matrix whose lower

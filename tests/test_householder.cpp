@@ -246,5 +246,48 @@ TEST(Geqrf, BlockedMatchesUnblocked) {
   EXPECT_LE(max_abs_diff(taua.data(), taub.data(), n), 1e-12);
 }
 
+class Geqrt3Shapes : public ::testing::TestWithParam<std::tuple<idx, idx>> {};
+
+TEST_P(Geqrt3Shapes, ExplicitVAndTReconstructA) {
+  // (I - V T V^T) [R; 0] == A, V unit lower trapezoidal with explicit
+  // zeros above the diagonal, and I - V T V^T orthogonal.
+  const auto [m, n] = GetParam();
+  Rng rng(3 * m + n);
+  const Matrix a0 = random_matrix(m, n, rng);
+  Matrix v = a0, r(n, n), t(n, n);
+  lapack::geqrt3(m, n, v.data(), v.ld(), r.data(), r.ld(), t.data(), t.ld());
+  for (idx c = 0; c < n; ++c) {
+    for (idx i = 0; i < c; ++i) {
+      EXPECT_EQ(v(i, c), 0.0);
+      EXPECT_EQ(t(c, i), 0.0);
+    }
+    EXPECT_EQ(v(c, c), 1.0);
+  }
+  Matrix qr(m, n);
+  for (idx c = 0; c < n; ++c)
+    for (idx i = 0; i <= c; ++i) qr(i, c) = r(i, c);
+  std::vector<double> work(static_cast<size_t>(n * n));
+  lapack::larfb(side::left, op::none, m, n, n, v.data(), v.ld(), t.data(),
+                t.ld(), qr.data(), qr.ld(), work.data());
+  EXPECT_LE(max_abs_diff(qr, a0), 1e-12 * m);
+
+  Matrix q(m, m);
+  lapack::laset(m, m, 0.0, 1.0, q.data(), q.ld());
+  std::vector<double> wq(static_cast<size_t>(n * m));
+  lapack::larfb(side::left, op::none, m, m, n, v.data(), v.ld(), t.data(),
+                t.ld(), q.data(), q.ld(), wq.data());
+  EXPECT_LE(orthogonality_error(q), 1e-12 * m);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, Geqrt3Shapes,
+    ::testing::Values(std::make_tuple<idx, idx>(1, 1),
+                      std::make_tuple<idx, idx>(9, 5),     // base case only
+                      std::make_tuple<idx, idx>(16, 16),
+                      std::make_tuple<idx, idx>(40, 17),   // one split
+                      std::make_tuple<idx, idx>(64, 64),   // square
+                      std::make_tuple<idx, idx>(300, 64),  // stage-1 panel
+                      std::make_tuple<idx, idx>(150, 96)));
+
 }  // namespace
 }  // namespace tseig

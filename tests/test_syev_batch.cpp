@@ -406,5 +406,34 @@ TEST(SyevBatch, RejectsMalformedProblemsBeforeSolving) {
   EXPECT_THROW(syev_batch({good, bad_lda}), invalid_argument);
 }
 
+TEST(SyevBatch, NonFiniteMemberIsRejected) {
+  // Members get syev's input screen: a NaN in one member's referenced
+  // triangle reaches the caller as invalid_argument, on the pipeline path
+  // and on the closed-form path of tiny members alike.
+  Rng rng(29);
+  std::vector<Matrix> storage;
+  std::vector<BatchProblem> batch;
+  for (const idx n : {idx{3}, idx{40}, idx{2}, idx{48}}) {
+    storage.push_back(testing::random_symmetric(n, rng));
+    BatchProblem p;
+    p.n = n;
+    batch.push_back(p);
+  }
+  for (size_t i = 0; i < batch.size(); ++i) {
+    batch[i].a = storage[i].data();
+    batch[i].lda = storage[i].ld();
+  }
+  SyevBatchOptions bopts;
+  bopts.num_workers = 2;
+  for (const size_t bad : {size_t{0}, size_t{1}}) {
+    SCOPED_TRACE(bad);
+    Matrix& m = storage[bad];
+    const double saved = m(1, 0);
+    m(1, 0) = std::nan("");
+    EXPECT_THROW(syev_batch(batch, bopts), invalid_argument);
+    m(1, 0) = saved;
+  }
+}
+
 }  // namespace
 }  // namespace tseig

@@ -190,5 +190,20 @@ INSTANTIATE_TEST_SUITE_P(Methods, SygvMethods,
                          ::testing::Values(solver::method::one_stage,
                                            solver::method::two_stage));
 
+TEST(Sygv, NonFiniteAIsRejected) {
+  // The standard solve screens the transformed matrix, so a NaN or Inf in
+  // A's referenced triangle ends as invalid_argument, not as garbage.
+  const idx n = 24;
+  Rng rng(61);
+  const Matrix b = random_spd(n, rng);
+  for (const double bad : {std::nan(""), HUGE_VAL}) {
+    Matrix a = testing::random_symmetric(n, rng);
+    a(7, 2) = bad;
+    EXPECT_THROW(solver::sygv(n, a.data(), a.ld(), b.data(), b.ld(),
+                              solver::SyevOptions{}),
+                 invalid_argument);
+  }
+}
+
 }  // namespace
 }  // namespace tseig
