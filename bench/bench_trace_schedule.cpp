@@ -43,7 +43,6 @@ void print_utilization(const obs::Snapshot& snap) {
   std::vector<double> busy;
   idx tasks = 0;
   for (const obs::SpanRecord& s : snap.spans) {
-    if (s.is_phase) continue;
     ++tasks;
     lo = std::min(lo, s.start_seconds);
     hi = std::max(hi, s.end_seconds);

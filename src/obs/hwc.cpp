@@ -135,6 +135,9 @@ struct ThreadState {
   }
 };
 
+/// Counts credit() added on this thread (validity unused).
+thread_local Sample tl_credited;
+
 ThreadState& this_thread_state() {
   thread_local ThreadState state;
   if (!state.initialized ||
@@ -176,31 +179,31 @@ Sample sample() {
   Sample s;
   const Backend b = backend();
   if (b == Backend::off) return s;
+  s.add(tl_credited);
   if (b == Backend::fallback) {
-    s.cycles = read_tsc();
+    s.cycles += read_tsc();
     s.valid = kCycles;
     return s;
   }
 #if defined(__linux__)
   ThreadState& st = this_thread_state();
   bool ok = false;
-  s.cycles = perf_read(st.fd_cycles, ok);
-  if (ok) s.valid |= kCycles;
-  s.instructions = perf_read(st.fd_instructions, ok);
+  const std::uint64_t cycles = perf_read(st.fd_cycles, ok);
+  // The thread lost its cycles fd (exotic, e.g. fd exhaustion): degrade
+  // this sample to the TSC rather than reporting zero cycles.
+  s.cycles += ok ? cycles : read_tsc();
+  s.valid |= kCycles;
+  s.instructions += perf_read(st.fd_instructions, ok);
   if (ok) s.valid |= kInstructions;
-  s.llc_misses = perf_read(st.fd_llc, ok);
+  s.llc_misses += perf_read(st.fd_llc, ok);
   if (ok) s.valid |= kLlcMisses;
-  s.stalled_cycles = perf_read(st.fd_stalled, ok);
+  s.stalled_cycles += perf_read(st.fd_stalled, ok);
   if (ok) s.valid |= kStalledCycles;
-  if ((s.valid & kCycles) == 0) {
-    // The thread lost its cycles fd (exotic, e.g. fd exhaustion): degrade
-    // this sample to the TSC rather than reporting zero cycles.
-    s.cycles = read_tsc();
-    s.valid |= kCycles;
-  }
 #endif
   return s;
 }
+
+void credit(const Sample& d) { tl_credited.add(d); }
 
 Sample delta(const Sample& a, const Sample& b) {
   Sample d;

@@ -1,6 +1,6 @@
 // Hardware-counter sampling for the performance sentinel (obs/report.hpp's
 // roofline analyzer): per-thread cycles / instructions / LLC misses /
-// stalled cycles, read at phase and span boundaries.
+// stalled cycles, read at phase and fork_join body boundaries.
 //
 // Two backends, resolved once per process on first use:
 //
@@ -48,6 +48,14 @@ struct Sample {
   std::uint64_t llc_misses = 0;
   std::uint64_t stalled_cycles = 0;
   unsigned valid = 0;
+
+  /// Adds d's counts; the validity mask is left to the caller.
+  void add(const Sample& d) {
+    cycles += d.cycles;
+    instructions += d.instructions;
+    llc_misses += d.llc_misses;
+    stalled_cycles += d.stalled_cycles;
+  }
 };
 
 /// True when TSEIG_HWC enables sampling (one cached env probe).
@@ -60,9 +68,16 @@ Backend backend();
 /// "off", "perf" or "fallback" -- the `hwc_backend` metadata stamp.
 const char* backend_name();
 
-/// Reads the calling thread's counters.  All-zero (valid == 0) when
-/// disabled.  First call on a thread opens its perf fds (perf backend).
+/// Reads the calling thread's counters plus everything credit() added on
+/// this thread.  All-zero (valid == 0) when disabled.  First call on a
+/// thread opens its perf fds (perf backend).
 Sample sample();
+
+/// Adds `d`'s counts to the calling thread's later samples.  fork_join
+/// credits the deltas its bodies ran on pool workers to the forking thread,
+/// so a delta the forking thread takes around a fork_join covers the whole
+/// forked work -- the rule flop and byte counts follow.
+void credit(const Sample& d);
 
 /// Returns `b - a` field-wise with the intersected validity mask.
 Sample delta(const Sample& a, const Sample& b);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 
@@ -51,50 +52,61 @@ Report analyze(const Snapshot& snap) {
   // The dispatch tier is process-wide and resolved by first use; recording
   // it makes every trace say which microkernels actually ran.
   rep.kernel = blas::kernels::active_kernel_name();
-  rep.span_count = static_cast<idx>(snap.spans.size());
+  rep.span_count = static_cast<idx>(snap.spans.size() + snap.phases.size());
   rep.dropped_spans = snap.dropped_spans;
-  rep.dropped_counters = snap.dropped_counters;
   rep.workers = snap.workers;
   rep.hwc_backend = snap.hwc_backend;
   rep.flops_per_cycle_peak = blas::kernels::active_kernel().flops_per_cycle;
-  for (const HistogramSnapshot& h : snap.histograms)
-    if (h.samples > 0) rep.histograms.push_back(h);
+  rep.span_durations = snap.span_durations;
 
-  if (!snap.spans.empty()) {
-    double lo = snap.spans.front().start_seconds;
-    double hi = snap.spans.front().end_seconds;
-    for (const SpanRecord& s : snap.spans) {
-      lo = std::min(lo, s.start_seconds);
-      hi = std::max(hi, s.end_seconds);
-    }
-    rep.wall_seconds = hi - lo;
-  }
+  double lo = 0.0, hi = 0.0;
+  bool any = false;
+  const auto extend = [&](double t0, double t1) {
+    lo = any ? std::min(lo, t0) : t0;
+    hi = any ? std::max(hi, t1) : t1;
+    any = true;
+  };
 
-  // Per-phase accumulation.
+  // Per-phase accumulation.  A task span is part of a phase's wall time when
+  // a record of its phase on its own lane contains it; records of one
+  // (lane, phase) never overlap, and snap.phases is sorted by start, so each
+  // lookup is a binary search.
   struct Acc {
     double phase_seconds = 0.0;
     double task_seconds = 0.0;
-    double caller_task_seconds = 0.0;
+    double contained_task_seconds = 0.0;
     idx tasks = 0;
-    int caller_lane = -1;  // lane of the phase span(s)
+    PhaseCost cost;
   };
   std::vector<Acc> acc(static_cast<size_t>(kPhaseCount));
+  std::map<int, std::vector<std::pair<double, double>>> records;
+  const auto key = [](std::uint16_t lane, Phase p) {
+    return static_cast<int>(lane) * kPhaseCount + static_cast<int>(p);
+  };
+  for (const PhaseRecord& r : snap.phases) {
+    Acc& a = acc[static_cast<size_t>(r.phase)];
+    a.phase_seconds += r.end_seconds - r.start_seconds;
+    a.cost.add(r.cost);
+    records[key(r.lane, r.phase)].emplace_back(r.start_seconds,
+                                               r.end_seconds);
+    extend(r.start_seconds, r.end_seconds);
+  }
   for (const SpanRecord& s : snap.spans) {
     Acc& a = acc[static_cast<size_t>(s.phase)];
-    if (s.is_phase != 0) {
-      a.phase_seconds += s.end_seconds - s.start_seconds;
-      a.caller_lane = s.lane;
-    } else {
-      a.task_seconds += s.end_seconds - s.start_seconds;
-      ++a.tasks;
-    }
+    const double d = s.end_seconds - s.start_seconds;
+    a.task_seconds += d;
+    ++a.tasks;
+    extend(s.start_seconds, s.end_seconds);
+    const auto it = records.find(key(s.lane, s.phase));
+    if (it == records.end()) continue;
+    const auto& iv = it->second;
+    const auto next = std::upper_bound(
+        iv.begin(), iv.end(), s.start_seconds,
+        [](double t, const std::pair<double, double>& r) { return t < r.first; });
+    if (next != iv.begin() && std::prev(next)->second >= s.end_seconds)
+      a.contained_task_seconds += d;
   }
-  // Task spans on the caller's lane are already part of the phase wall.
-  for (const SpanRecord& s : snap.spans) {
-    Acc& a = acc[static_cast<size_t>(s.phase)];
-    if (s.is_phase == 0 && a.caller_lane == s.lane)
-      a.caller_task_seconds += s.end_seconds - s.start_seconds;
-  }
+  rep.wall_seconds = hi - lo;
 
   const int workers = std::max(1, rep.meta.num_workers);
 
@@ -108,10 +120,10 @@ Report analyze(const Snapshot& snap) {
     pr.seconds = a.phase_seconds;
     pr.task_seconds = a.task_seconds;
     pr.tasks = a.tasks;
-    // Serial remainder: phase wall not covered by task spans on the caller
-    // lane.
+    // Serial remainder: phase wall not covered by the task spans it
+    // contains.
     const double serial =
-        std::max(0.0, a.phase_seconds - a.caller_task_seconds);
+        std::max(0.0, a.phase_seconds - a.contained_task_seconds);
     pr.serial_seconds = serial;
     pr.work_seconds = a.task_seconds + serial;
     // Guarded: a zero-duration phase must report 0, never a NaN/inf that
@@ -120,16 +132,15 @@ Report analyze(const Snapshot& snap) {
         static_cast<double>(workers) * a.phase_seconds;
     pr.parallel_efficiency =
         phase_capacity > 0.0 ? pr.work_seconds / phase_capacity : 0.0;
-    // Roofline attribution from the per-phase cost table.  Derived ratios
-    // stay 0 when the denominator is missing (no bytes reported, hwc off).
-    const PhaseCost& cost = snap.phase_costs[static_cast<size_t>(p)];
-    pr.flops = cost.flops;
-    pr.bytes = cost.bytes;
-    pr.cycles = cost.cycles;
-    pr.instructions = cost.instructions;
-    pr.llc_misses = cost.llc_misses;
-    pr.stalled_cycles = cost.stalled_cycles;
-    pr.hwc_valid = cost.hwc_valid;
+    // Roofline attribution.  Derived ratios stay 0 when the denominator is
+    // missing (no bytes reported, hwc off).
+    pr.flops = a.cost.flops;
+    pr.bytes = a.cost.bytes;
+    pr.cycles = a.cost.hw.cycles;
+    pr.instructions = a.cost.hw.instructions;
+    pr.llc_misses = a.cost.hw.llc_misses;
+    pr.stalled_cycles = a.cost.hw.stalled_cycles;
+    pr.hwc_valid = a.cost.hw.valid;
     if (pr.seconds > 0.0)
       pr.gflops = static_cast<double>(pr.flops) / pr.seconds * 1e-9;
     if (pr.bytes > 0)
@@ -175,8 +186,7 @@ std::string metrics_object(const Snapshot& snap) {
       << ",\"work_seconds\":" << num(rep.work_seconds)
       << ",\"parallel_efficiency\":" << num(rep.parallel_efficiency)
       << ",\"spans\":" << rep.span_count
-      << ",\"dropped_spans\":" << rep.dropped_spans
-      << ",\"dropped_counters\":" << rep.dropped_counters << "}";
+      << ",\"dropped_spans\":" << rep.dropped_spans << "}";
   out << ",\"phases\":[";
   bool first = true;
   for (const PhaseReport& p : rep.phases) {
@@ -201,12 +211,10 @@ std::string metrics_object(const Snapshot& snap) {
         << ",\"pct_of_peak\":" << num(p.pct_of_peak) << "}";
   }
   out << "],\"histograms\":[";
-  first = true;
-  for (const HistogramSnapshot& h : rep.histograms) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"name\":" << json_string(histogram_name(h.which))
-        << ",\"samples\":" << h.samples << ",\"buckets\":[";
+  const HistogramSnapshot& h = rep.span_durations;
+  if (h.samples > 0) {
+    out << "{\"name\":\"span_duration\",\"samples\":" << h.samples
+        << ",\"buckets\":[";
     for (int b = 0; b < kHistogramBuckets; ++b)
       out << (b > 0 ? "," : "") << h.buckets[static_cast<size_t>(b)];
     out << "]}";
@@ -245,6 +253,8 @@ std::string to_chrome_trace_json(const Snapshot& snap) {
        "\"tseig\"}}");
   std::uint16_t max_lane = 0;
   for (const SpanRecord& s : snap.spans) max_lane = std::max(max_lane, s.lane);
+  for (const PhaseRecord& r : snap.phases)
+    max_lane = std::max(max_lane, r.lane);
   for (std::uint16_t lane = 0; lane <= max_lane; ++lane) {
     std::ostringstream ev;
     ev << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << lane
@@ -253,25 +263,25 @@ std::string to_chrome_trace_json(const Snapshot& snap) {
     emit(ev.str());
   }
 
-  for (const SpanRecord& s : snap.spans) {
+  // One complete event; arg < 0 omits the "arg" entry.
+  const auto complete = [&](const char* label, const char* cat,
+                            std::uint16_t lane, Phase phase, double t0,
+                            double t1, std::int32_t arg) {
     std::ostringstream ev;
-    ev << "{\"name\":" << json_string(s.label)
-       << ",\"cat\":" << (s.is_phase != 0 ? "\"phase\"" : "\"task\"")
-       << ",\"ph\":\"X\",\"pid\":1,\"tid\":" << s.lane
-       << ",\"ts\":" << num(s.start_seconds * 1e6)
-       << ",\"dur\":" << num((s.end_seconds - s.start_seconds) * 1e6)
-       << ",\"args\":{\"phase\":" << json_string(phase_name(s.phase));
-    if (s.arg >= 0) ev << ",\"arg\":" << s.arg;
+    ev << "{\"name\":" << json_string(label) << ",\"cat\":\"" << cat
+       << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << lane
+       << ",\"ts\":" << num(t0 * 1e6) << ",\"dur\":" << num((t1 - t0) * 1e6)
+       << ",\"args\":{\"phase\":" << json_string(phase_name(phase));
+    if (arg >= 0) ev << ",\"arg\":" << arg;
     ev << "}}";
     emit(ev.str());
-  }
-  for (const CounterRecord& c : snap.counters) {
-    std::ostringstream ev;
-    ev << "{\"name\":" << json_string(c.name)
-       << ",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":" << num(c.t_seconds * 1e6)
-       << ",\"args\":{" << json_string(c.name) << ":" << num(c.value) << "}}";
-    emit(ev.str());
-  }
+  };
+  for (const PhaseRecord& r : snap.phases)
+    complete(r.label, "phase", r.lane, r.phase, r.start_seconds,
+             r.end_seconds, -1);
+  for (const SpanRecord& s : snap.spans)
+    complete(s.label, "task", s.lane, s.phase, s.start_seconds,
+             s.end_seconds, s.arg);
 
   out << "],\"metadata\":{\"schema\":\"tseig-trace-v1\",\"label\":"
       << json_string(snap.meta.label) << ",\"n\":" << snap.meta.n
@@ -279,8 +289,7 @@ std::string to_chrome_trace_json(const Snapshot& snap) {
       << ",\"git\":" << json_string(TSEIG_GIT_DESCRIBE)
       << ",\"kernel\":" << json_string(blas::kernels::active_kernel_name())
       << ",\"hwc_backend\":" << json_string(snap.hwc_backend)
-      << ",\"dropped_spans\":" << snap.dropped_spans
-      << ",\"dropped_counters\":" << snap.dropped_counters << "}";
+      << ",\"dropped_spans\":" << snap.dropped_spans << "}";
   out << ",\"tseigMetrics\":" << metrics_object(snap) << "}";
   return out.str();
 }
@@ -298,9 +307,6 @@ std::string format_report(const Report& rep) {
   if (rep.dropped_spans > 0)
     out << "  WARNING: " << rep.dropped_spans
         << " spans dropped (ring overwrite) -- raise TSEIG_TRACE_CAPACITY\n";
-  if (rep.dropped_counters > 0)
-    out << "  WARNING: " << rep.dropped_counters
-        << " counter samples dropped (ring overwrite)\n";
   out << "  work                " << fmt("%10.6f", rep.work_seconds)
       << " cpu-s\n";
   out << "  parallel efficiency " << fmt("%10.1f", rep.parallel_efficiency * 100)
@@ -356,20 +362,17 @@ std::string format_report(const Report& rep) {
     }
   }
 
-  if (!rep.histograms.empty()) {
-    out << "\n  duration histograms (log2-ns buckets):\n";
-    for (const HistogramSnapshot& h : rep.histograms) {
-      char line[200];
-      std::snprintf(line, sizeof line,
-                    "    %-14s %10llu samples  p50 %9.1fus  p90 %9.1fus  "
-                    "p99 %9.1fus\n",
-                    histogram_name(h.which),
-                    static_cast<unsigned long long>(h.samples),
-                    histogram_quantile(h, 0.50) * 1e6,
-                    histogram_quantile(h, 0.90) * 1e6,
-                    histogram_quantile(h, 0.99) * 1e6);
-      out << line;
-    }
+  if (const HistogramSnapshot& h = rep.span_durations; h.samples > 0) {
+    char line[200];
+    std::snprintf(line, sizeof line,
+                  "\n  duration histograms (log2-ns buckets):\n"
+                  "    span_duration  %10llu samples  p50 %9.1fus  "
+                  "p90 %9.1fus  p99 %9.1fus\n",
+                  static_cast<unsigned long long>(h.samples),
+                  histogram_quantile(h, 0.50) * 1e6,
+                  histogram_quantile(h, 0.90) * 1e6,
+                  histogram_quantile(h, 0.99) * 1e6);
+    out << line;
   }
 
   if (!rep.workers.empty()) {
@@ -426,8 +429,6 @@ Report report_from_metrics_json(const JsonValue& doc) {
     rep.span_count = static_cast<idx>(t->number_or("spans", 0));
     rep.dropped_spans =
         static_cast<std::uint64_t>(t->number_or("dropped_spans", 0));
-    rep.dropped_counters =
-        static_cast<std::uint64_t>(t->number_or("dropped_counters", 0));
   }
   if (const JsonValue* phases = m.find("phases")) {
     for (const JsonValue& p : phases->as_array()) {
@@ -458,17 +459,8 @@ Report report_from_metrics_json(const JsonValue& doc) {
   }
   if (const JsonValue* hists = m.find("histograms")) {
     for (const JsonValue& h : hists->as_array()) {
-      HistogramSnapshot hs;
-      const std::string name = h.string_or("name", "");
-      bool known = false;
-      for (int i = 0; i < kHistogramCount; ++i) {
-        if (name == histogram_name(static_cast<Histogram>(i))) {
-          hs.which = static_cast<Histogram>(i);
-          known = true;
-          break;
-        }
-      }
-      if (!known) continue;
+      if (h.string_or("name", "") != "span_duration") continue;
+      HistogramSnapshot& hs = rep.span_durations;
       hs.samples = static_cast<std::uint64_t>(h.number_or("samples", 0));
       if (const JsonValue* buckets = h.find("buckets")) {
         const auto& arr = buckets->as_array();
@@ -476,7 +468,6 @@ Report report_from_metrics_json(const JsonValue& doc) {
              b < arr.size() && b < static_cast<size_t>(kHistogramBuckets); ++b)
           hs.buckets[b] = static_cast<std::uint64_t>(arr[b].as_number());
       }
-      rep.histograms.push_back(hs);
     }
   }
   if (const JsonValue* pool = m.find("pool")) {
@@ -489,73 +480,6 @@ Report report_from_metrics_json(const JsonValue& doc) {
       rep.workers.push_back(wm);
     }
   }
-  return rep;
-}
-
-Report report_from_trace_json(const JsonValue& doc) {
-  const JsonValue* events = doc.find("traceEvents");
-  require(events != nullptr,
-          "report_from_trace_json: no traceEvents array in document");
-
-  Report rep;
-  if (const JsonValue* meta = doc.find("metadata")) {
-    rep.meta.label = meta->string_or("label", "");
-    rep.meta.n = static_cast<idx>(meta->number_or("n", 0));
-    rep.meta.nb = static_cast<idx>(meta->number_or("nb", 0));
-    rep.meta.num_workers = static_cast<int>(meta->number_or("workers", 0));
-    rep.git = meta->string_or("git", "unknown");
-    rep.kernel = meta->string_or("kernel", "unknown");
-  }
-
-  struct Acc {
-    double phase_seconds = 0.0;
-    double task_seconds = 0.0;
-    idx tasks = 0;
-  };
-  std::map<std::string, Acc> acc;
-  double lo = 0.0, hi = 0.0;
-  bool any = false;
-  for (const JsonValue& ev : events->as_array()) {
-    if (ev.string_or("ph", "") != "X") continue;
-    const double ts = ev.number_or("ts", 0.0) * 1e-6;
-    const double dur = ev.number_or("dur", 0.0) * 1e-6;
-    if (!any) {
-      lo = ts;
-      hi = ts + dur;
-      any = true;
-    }
-    lo = std::min(lo, ts);
-    hi = std::max(hi, ts + dur);
-    std::string phase = "none";
-    if (const JsonValue* args = ev.find("args"))
-      phase = args->string_or("phase", "none");
-    Acc& a = acc[phase];
-    if (ev.string_or("cat", "") == "phase") {
-      a.phase_seconds += dur;
-    } else {
-      a.task_seconds += dur;
-      ++a.tasks;
-    }
-    ++rep.span_count;
-  }
-  rep.wall_seconds = any ? hi - lo : 0.0;
-  double phase_wall = 0.0;
-  for (const auto& [name, a] : acc) {
-    PhaseReport pr;
-    pr.name = name;
-    pr.phase = phase_from_name(name);
-    pr.seconds = a.phase_seconds;
-    pr.task_seconds = a.task_seconds;
-    pr.work_seconds = a.task_seconds;
-    pr.tasks = a.tasks;
-    rep.phases.push_back(pr);
-    rep.work_seconds += a.task_seconds;
-    phase_wall += a.phase_seconds;
-  }
-  int workers = std::max(1, rep.meta.num_workers);
-  const double capacity = static_cast<double>(workers) *
-                          (phase_wall > 0.0 ? phase_wall : rep.wall_seconds);
-  rep.parallel_efficiency = capacity > 0.0 ? rep.work_seconds / capacity : 0.0;
   return rep;
 }
 

@@ -3,15 +3,15 @@
 //  * utilization analyzer -- the per-phase "where did the time go"
 //    attribution: phase wall, work in task spans, serial remainder and
 //    parallel efficiency;
-//  * roofline analyzer -- joins the per-phase flop/byte/hardware-counter
-//    costs (obs::PhaseCost) into achieved GFLOP/s, arithmetic intensity,
-//    IPC, and %-of-kernel-tier-peak per phase;
-//  * exporters -- a Perfetto/Chrome trace (phase-nested spans, counter
-//    tracks, run metadata), a stable JSON metrics schema
-//    ("tseig-metrics-v2", shared by all benches via bench_support), and a
-//    human-readable summary;
-//  * report loaders for tseig_prof -- rebuild the summary from either
-//    exported file format (metrics v1 documents still load);
+//  * roofline analyzer -- joins the flop/byte/hardware-counter costs of
+//    the phase records (obs::PhaseRecord) into achieved GFLOP/s,
+//    arithmetic intensity, IPC, and %-of-kernel-tier-peak per phase;
+//  * exporters -- a Perfetto/Chrome trace (phase records and item spans,
+//    run metadata), a stable JSON metrics schema ("tseig-metrics-v2",
+//    shared by all benches via bench_support), and a human-readable summary;
+//  * report loader for tseig_prof -- rebuilds the summary from a metrics
+//    document or the metrics object every exported trace embeds (metrics v1
+//    documents still load);
 //  * diff/gate -- compares two metrics or bench documents row by row with a
 //    noise tolerance, for `tseig_prof diff`/`gate` and scripts/bench_ci.sh.
 #pragma once
@@ -28,18 +28,18 @@ namespace tseig::obs {
 struct PhaseReport {
   Phase phase = Phase::none;
   std::string name;
-  double seconds = 0.0;        ///< wall time of the phase (its phase spans)
+  double seconds = 0.0;        ///< wall time of the phase (its records)
   double task_seconds = 0.0;   ///< sum of task-span durations inside it
   double work_seconds = 0.0;   ///< task work + serial (untasked) remainder
-  /// Phase wall time not covered by caller-lane task spans: the serial
-  /// remainder look-ahead scheduling attacks in stage 1.
+  /// Phase wall time not covered by task spans on the phase record's own
+  /// lane: the serial remainder look-ahead scheduling attacks in stage 1.
   double serial_seconds = 0.0;
   /// work / (workers * seconds); 0 (never NaN/inf) for zero-duration phases.
   double parallel_efficiency = 0.0;
   idx tasks = 0;
 
-  // Roofline attribution (schema v2).  Raw costs come from the per-phase
-  // PhaseCost table; the derived ratios are 0 (never NaN/inf) when the
+  // Roofline attribution (schema v2).  Raw costs sum the phase records'
+  // PhaseCost deltas; the derived ratios are 0 (never NaN/inf) when the
   // denominator is missing -- e.g. no bytes reported, or the hwc backend
   // was off so no cycles were sampled.
   std::uint64_t flops = 0;
@@ -69,21 +69,20 @@ struct Report {
   double parallel_efficiency = 0.0;   ///< work / (workers * phase wall)
   std::vector<PhaseReport> phases;    ///< phases with activity only
   std::vector<WorkerMetric> workers;
-  std::vector<HistogramSnapshot> histograms;  ///< non-empty ones only
+  HistogramSnapshot span_durations;
   std::string hwc_backend = "off";    ///< "off", "perf", or "fallback"
   double flops_per_cycle_peak = 0.0;  ///< active kernel tier's nominal peak
   idx span_count = 0;
   std::uint64_t dropped_spans = 0;
-  std::uint64_t dropped_counters = 0;
 };
 
 /// Builds the report from a snapshot.
 Report analyze(const Snapshot& snap);
 
-/// Chrome-tracing/Perfetto JSON: spans as complete events (one row per
-/// lane), counters as counter tracks, run metadata, plus the full metrics
-/// object embedded under the "tseigMetrics" key so tseig_prof can print the
-/// full report from the trace file alone.
+/// Chrome-tracing/Perfetto JSON: phase records and item spans as complete
+/// events (one row per lane), run metadata, plus the full metrics object
+/// embedded under the "tseigMetrics" key so tseig_prof can print the full
+/// report from the trace file alone.
 std::string to_chrome_trace_json(const Snapshot& snap);
 
 /// The stable metrics document ("schema": "tseig-metrics-v2").
@@ -97,12 +96,10 @@ void write_chrome_trace_file(const Snapshot& snap, const std::string& path);
 void write_metrics_file(const Snapshot& snap, const std::string& path);
 
 /// Rebuilds a report from a parsed "tseig-metrics-v1" or "-v2" document (or
-/// a trace document embedding one under "tseigMetrics").
+/// a trace document embedding one under "tseigMetrics").  Entries older
+/// documents carry and this schema no longer has (critical_path_seconds,
+/// dropped_counters) are ignored.
 Report report_from_metrics_json(const JsonValue& doc);
-
-/// Rebuilds what it can (per-phase totals, utilization; no roofline)
-/// from a bare Chrome trace document's traceEvents.
-Report report_from_trace_json(const JsonValue& doc);
 
 /// Linear-interpolated quantile (q in [0, 1]) of a log-bucket histogram,
 /// in seconds, using each bucket's geometric midpoint.  0 when empty.

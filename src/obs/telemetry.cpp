@@ -35,36 +35,44 @@ std::size_t ring_capacity() {
   return cap;
 }
 
-constexpr std::size_t kCounterCapacity = 1 << 14;
+/// Single-producer ring of records: preallocated slots, a monotone push
+/// count (slot = count % capacity) the writer publishes with a release
+/// store, so a post-quiescence reader sees complete records.
+template <class T>
+struct Ring {
+  std::vector<T> slots;
+  std::atomic<std::uint64_t> count{0};
 
-/// Per-thread recording lane: preallocated single-producer rings.  Owned by
-/// the global registry (never freed), so snapshots may read them after the
-/// recording thread exited.
+  explicit Ring(std::size_t capacity) : slots(capacity) {}
+
+  void push(const T& rec) {
+    const std::uint64_t c = count.load(std::memory_order_relaxed);
+    slots[static_cast<std::size_t>(c % slots.size())] = rec;
+    count.store(c + 1, std::memory_order_release);
+  }
+
+  /// Appends the kept records, oldest first; returns how many were lost.
+  std::uint64_t copy_to(std::vector<T>& out) const {
+    const std::uint64_t n = count.load(std::memory_order_acquire);
+    const std::uint64_t kept = std::min<std::uint64_t>(n, slots.size());
+    for (std::uint64_t k = n - kept; k < n; ++k)
+      out.push_back(slots[static_cast<std::size_t>(k % slots.size())]);
+    return n - kept;
+  }
+};
+
+/// Per-thread recording lane.  Owned by the global registry (never freed),
+/// so snapshots may read it after the recording thread exited.  Phase
+/// records are coarse (a few per solve, one per closed-form batch member),
+/// so their ring is an eighth of the span ring.
 struct Lane {
-  std::uint16_t id = 0;
-  std::vector<SpanRecord> spans;      // ring storage, size = capacity
-  std::vector<CounterRecord> counters;
-  // Monotone push counts; slot = count % capacity.  The writer publishes
-  // with a release store so a post-quiescence reader sees complete records.
-  std::atomic<std::uint64_t> span_count{0};
-  std::atomic<std::uint64_t> counter_count{0};
+  std::uint16_t id;
+  Ring<SpanRecord> spans;
+  Ring<PhaseRecord> phases;
 
-  explicit Lane(std::uint16_t lane_id) : id(lane_id) {
-    spans.resize(ring_capacity());
-    counters.resize(kCounterCapacity);
-  }
-
-  void push_span(const SpanRecord& rec) {
-    const std::uint64_t c = span_count.load(std::memory_order_relaxed);
-    spans[static_cast<std::size_t>(c % spans.size())] = rec;
-    span_count.store(c + 1, std::memory_order_release);
-  }
-
-  void push_counter(const CounterRecord& rec) {
-    const std::uint64_t c = counter_count.load(std::memory_order_relaxed);
-    counters[static_cast<std::size_t>(c % counters.size())] = rec;
-    counter_count.store(c + 1, std::memory_order_release);
-  }
+  explicit Lane(std::uint16_t lane_id)
+      : id(lane_id), spans(ring_capacity()),
+        phases(std::max<std::size_t>(1, ring_capacity() / 8)) {}
 };
 
 /// Global recorder state (cold paths only; the rings above are the hot
@@ -76,24 +84,23 @@ struct Recorder {
   /// their owning threads and read via acquire loads.
   std::vector<Lane*> lanes TSEIG_GUARDED_BY(mu);
   std::vector<WorkerMetric> workers TSEIG_GUARDED_BY(mu);
-  PhaseCost phase_costs[kPhaseCount] TSEIG_GUARDED_BY(mu);
   RunMeta meta TSEIG_GUARDED_BY(mu);
   std::string trace_path TSEIG_GUARDED_BY(mu);
   std::string metrics_path TSEIG_GUARDED_BY(mu);
   bool atexit_registered TSEIG_GUARDED_BY(mu) = false;
 };
 
-/// Histogram storage: process-wide atomic bucket arrays (lock-free adds,
+/// Span-duration histogram: process-wide atomic buckets (lock-free adds,
 /// never dropped -- the whole point is surviving ring overwrite).
-std::atomic<std::uint64_t>
-    g_hist[kHistogramCount][kHistogramBuckets];
+std::atomic<std::uint64_t> g_hist[kHistogramBuckets];
+
+/// The calling thread's current phase (see PhaseScope).
+thread_local Phase tl_phase = Phase::none;
 
 Recorder& recorder() {
   static Recorder* r = new Recorder();  // leaked: usable during atexit
   return *r;
 }
-
-std::atomic<std::uint8_t> g_phase{0};
 
 Lane& this_lane() {
   thread_local Lane* lane = [] {
@@ -160,59 +167,11 @@ const char* phase_name(Phase p) {
   return "?";
 }
 
-Phase current_phase() {
-  return static_cast<Phase>(g_phase.load(std::memory_order_relaxed));
-}
+Phase current_phase() { return tl_phase; }
 
-PhaseScope::PhaseScope(Phase p) {
-  if (!enabled()) return;
-  active_ = true;
-  saved_ = current_phase();
-  g_phase.store(static_cast<std::uint8_t>(p), std::memory_order_relaxed);
-}
+PhaseScope::PhaseScope(Phase p) : saved_(tl_phase) { tl_phase = p; }
 
-PhaseScope::~PhaseScope() {
-  if (active_)
-    g_phase.store(static_cast<std::uint8_t>(saved_),
-                  std::memory_order_relaxed);
-}
-
-std::uint16_t thread_lane() { return this_lane().id; }
-
-void record_span(const char* label, double t0, double t1, std::int32_t arg) {
-  if (!enabled()) return;
-  Lane& lane = this_lane();
-  SpanRecord rec;
-  rec.label = label;
-  rec.arg = arg;
-  rec.lane = lane.id;
-  rec.phase = current_phase();
-  rec.start_seconds = t0;
-  rec.end_seconds = t1;
-  lane.push_span(rec);
-  record_histogram(Histogram::span_duration, t1 - t0);
-}
-
-void record_phase_span(const char* label, Phase phase, double t0, double t1) {
-  if (!enabled()) return;
-  Lane& lane = this_lane();
-  SpanRecord rec;
-  rec.label = label;
-  rec.lane = lane.id;
-  rec.phase = phase;
-  rec.is_phase = 1;
-  rec.start_seconds = t0;
-  rec.end_seconds = t1;
-  lane.push_span(rec);
-}
-
-const char* histogram_name(Histogram h) {
-  switch (h) {
-    case Histogram::span_duration: return "span_duration";
-    case Histogram::count: break;
-  }
-  return "?";
-}
+PhaseScope::~PhaseScope() { tl_phase = saved_; }
 
 int log2_ns_bucket(double seconds) {
   const double ns = seconds * 1e9;
@@ -230,27 +189,25 @@ double bucket_mid_seconds(int bucket) {
   return 1.5 * std::ldexp(1.0, bucket) * 1e-9;  // geometric-ish midpoint
 }
 
-void record_histogram(Histogram h, double seconds) {
-  if (!enabled()) return;
-  const int which = static_cast<int>(h);
-  if (which < 0 || which >= kHistogramCount) return;
-  g_hist[which][log2_ns_bucket(seconds)].fetch_add(
-      1, std::memory_order_relaxed);
-}
-
-void record_phase_cost(Phase p, const PhaseCost& delta) {
-  if (!enabled()) return;
-  const int which = static_cast<int>(p);
-  if (which < 0 || which >= kPhaseCount) return;
-  Recorder& r = recorder();
-  LockGuard lock(r.mu);
-  r.phase_costs[which].add(delta);
-}
-
-void record_counter(const char* name, double value) {
+void record_span(const char* label, double t0, double t1, std::int32_t arg) {
   if (!enabled()) return;
   Lane& lane = this_lane();
-  lane.push_counter({name, now_seconds(), value});
+  SpanRecord rec;
+  rec.label = label;
+  rec.arg = arg;
+  rec.lane = lane.id;
+  rec.phase = tl_phase;
+  rec.start_seconds = t0;
+  rec.end_seconds = t1;
+  lane.spans.push(rec);
+  g_hist[log2_ns_bucket(t1 - t0)].fetch_add(1, std::memory_order_relaxed);
+}
+
+void record_phase(const char* label, Phase phase, double t0, double t1,
+                  const PhaseCost& cost) {
+  if (!enabled()) return;
+  Lane& lane = this_lane();
+  lane.phases.push({label, phase, lane.id, t0, t1, cost});
 }
 
 void publish_worker_metrics(const std::vector<WorkerMetric>& workers) {
@@ -270,44 +227,20 @@ Snapshot snapshot() {
   Snapshot out;
   LockGuard lock(r.mu);
   for (const Lane* lane : r.lanes) {
-    const std::uint64_t nspans =
-        lane->span_count.load(std::memory_order_acquire);
-    const std::uint64_t cap = lane->spans.size();
-    const std::uint64_t kept = std::min(nspans, cap);
-    out.dropped_spans += nspans - kept;
-    for (std::uint64_t k = nspans - kept; k < nspans; ++k)
-      out.spans.push_back(lane->spans[static_cast<std::size_t>(k % cap)]);
-
-    const std::uint64_t nctr =
-        lane->counter_count.load(std::memory_order_acquire);
-    const std::uint64_t ccap = lane->counters.size();
-    const std::uint64_t ckept = std::min(nctr, ccap);
-    out.dropped_counters += nctr - ckept;
-    for (std::uint64_t k = nctr - ckept; k < nctr; ++k)
-      out.counters.push_back(
-          lane->counters[static_cast<std::size_t>(k % ccap)]);
+    out.dropped_spans += lane->spans.copy_to(out.spans);
+    out.dropped_spans += lane->phases.copy_to(out.phases);
   }
-  std::stable_sort(out.spans.begin(), out.spans.end(),
-                   [](const SpanRecord& a, const SpanRecord& b) {
-                     return a.start_seconds < b.start_seconds;
-                   });
-  std::stable_sort(out.counters.begin(), out.counters.end(),
-                   [](const CounterRecord& a, const CounterRecord& b) {
-                     return a.t_seconds < b.t_seconds;
-                   });
+  const auto by_start = [](const auto& a, const auto& b) {
+    return a.start_seconds < b.start_seconds;
+  };
+  std::stable_sort(out.spans.begin(), out.spans.end(), by_start);
+  std::stable_sort(out.phases.begin(), out.phases.end(), by_start);
   out.workers = r.workers;
   out.meta = r.meta;
-  for (int p = 0; p < kPhaseCount; ++p)
-    out.phase_costs[static_cast<std::size_t>(p)] = r.phase_costs[p];
-  for (int h = 0; h < kHistogramCount; ++h) {
-    HistogramSnapshot hs;
-    hs.which = static_cast<Histogram>(h);
-    for (int b = 0; b < kHistogramBuckets; ++b) {
-      hs.buckets[static_cast<std::size_t>(b)] =
-          g_hist[h][b].load(std::memory_order_relaxed);
-      hs.samples += hs.buckets[static_cast<std::size_t>(b)];
-    }
-    out.histograms.push_back(hs);
+  for (int b = 0; b < kHistogramBuckets; ++b) {
+    const std::uint64_t c = g_hist[b].load(std::memory_order_relaxed);
+    out.span_durations.buckets[static_cast<std::size_t>(b)] = c;
+    out.span_durations.samples += c;
   }
   out.hwc_backend = hwc::backend_name();
   return out;
@@ -317,15 +250,13 @@ void reset() {
   Recorder& r = recorder();
   LockGuard lock(r.mu);
   for (Lane* lane : r.lanes) {
-    lane->span_count.store(0, std::memory_order_relaxed);
-    lane->counter_count.store(0, std::memory_order_relaxed);
+    lane->spans.count.store(0, std::memory_order_relaxed);
+    lane->phases.count.store(0, std::memory_order_relaxed);
   }
   r.workers.clear();
   r.meta = RunMeta{};
-  for (int p = 0; p < kPhaseCount; ++p) r.phase_costs[p] = PhaseCost{};
-  for (int h = 0; h < kHistogramCount; ++h)
-    for (int b = 0; b < kHistogramBuckets; ++b)
-      g_hist[h][b].store(0, std::memory_order_relaxed);
+  for (std::atomic<std::uint64_t>& b : g_hist)
+    b.store(0, std::memory_order_relaxed);
 }
 
 void set_export_paths(const std::string& trace_path,

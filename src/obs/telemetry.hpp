@@ -1,5 +1,5 @@
-// Process-wide telemetry layer (`tseig::obs`): one solver-wide span/counter
-// recorder that unifies every instrumentation path in the library.
+// Process-wide telemetry layer (`tseig::obs`): one solver-wide span and
+// phase recorder that unifies every instrumentation path in the library.
 //
 // The paper's argument is read off execution traces (Figure 2's kernel
 // timeline, Figure 1's phase breakdown); before this layer each producer
@@ -13,22 +13,27 @@
 //    bodies, the solver phases and the batch scheduler all stamp on this
 //    clock, so spans from different subsystems line up without offset
 //    splicing.
-//  * Per-thread preallocated ring buffers: record_span/record_counter write
-//    into a lock-free single-producer ring owned by the calling thread
+//  * Per-thread preallocated ring buffers: record_span/record_phase write
+//    into lock-free single-producer rings owned by the calling thread
 //    (registered once, on first record).  No allocation and no locks on the
 //    hot path; overflow overwrites the oldest records and is counted.
 //  * A relaxed atomic enabled flag: when telemetry is off, every span
 //    costs exactly one predictable branch (see Span) -- cheap enough to keep
 //    the instrumentation compiled in everywhere, always.
+//  * Phases follow the forking thread: the current phase is per thread, and
+//    ThreadPool::fork_join runs every body under the phase of the thread
+//    that forked it -- the rule flop and byte counts already follow -- so
+//    concurrent solves and batch members never tag each other's spans.
 //  * Pool metrics: ThreadPool reports per-worker busy/park time.
-//    obs/report.hpp turns spans, phase costs and these into the
+//    obs/report.hpp turns spans, phase records and these into the
 //    utilization and roofline analysis behind the tseig_prof report.
 //
 // Activation: set TSEIG_TRACE=<path> (Chrome/Perfetto trace) and/or
 // TSEIG_METRICS=<path> (metrics JSON) in the environment -- recording starts
 // at load and the files are written at process exit -- or programmatically
-// via set_enabled()/set_export_paths(), or per solve via
-// SyevOptions::trace_path / metrics_path.
+// via set_export_paths(), or set_enabled() + snapshot() + the write_*_file
+// exporters of obs/report.hpp.  Recording is process-wide: a capture holds
+// everything every thread did while it was on.
 //
 // Label lifetime: labels are `const char*` pointers stored verbatim (no
 // copy, no hash) and must outlive the process -- use string literals.  This
@@ -42,6 +47,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "obs/hwc.hpp"
 
 namespace tseig::obs {
 
@@ -64,7 +70,7 @@ inline bool enabled() {
 void set_enabled(bool on);
 
 /// Seconds since the process-wide epoch (a steady_clock origin captured at
-/// load).  All spans and counters share this time base.
+/// load).  All spans and phase records share this time base.
 double now_seconds();
 
 // ---------------------------------------------------------------------------
@@ -87,13 +93,13 @@ enum class Phase : std::uint8_t {
 constexpr int kPhaseCount = static_cast<int>(Phase::count);
 const char* phase_name(Phase p);
 
-/// Current phase attribution for newly recorded spans.  Process-wide (the
-/// solver's phases are sequential within a solve; concurrent batch clients
-/// all record under Phase::batch), relaxed atomic.
+/// The calling thread's current phase, which newly recorded spans carry.
+/// Pool workers run each fork_join body under the forking thread's phase.
 Phase current_phase();
 
-/// RAII phase scope: sets the process-wide current phase, restores the
-/// previous one on destruction.  No-op (one branch) when disabled.
+/// RAII phase scope: sets the calling thread's current phase, restores the
+/// previous one on destruction.  Two thread-local stores, whether or not
+/// telemetry is recording.
 class PhaseScope {
 public:
   explicit PhaseScope(Phase p);
@@ -102,44 +108,65 @@ public:
   PhaseScope& operator=(const PhaseScope&) = delete;
 
 private:
-  Phase saved_ = Phase::none;
-  bool active_ = false;
+  Phase saved_;
 };
 
 // ---------------------------------------------------------------------------
 // Records.
 
-/// One recorded span.  32 bytes; label is a borrowed static string.
+/// One recorded item span.  32 bytes; label is a borrowed static string.
 struct SpanRecord {
   const char* label = "";
   std::int32_t arg = -1;        ///< optional instance id (sweep, problem, ...)
-  std::uint16_t lane = 0;       ///< recording thread's lane (see thread_lane)
+  /// Recording thread's lane: registered on the thread's first record, in
+  /// order (lane 0 is normally the caller/main thread), stable for the
+  /// thread's lifetime.
+  std::uint16_t lane = 0;
   Phase phase = Phase::none;
-  std::uint8_t is_phase = 0;    ///< 1 for phase-level spans (syev's timed())
   double start_seconds = 0.0;
   double end_seconds = 0.0;
 };
 
-/// One counter sample (instantaneous value on the shared clock).
-struct CounterRecord {
-  const char* name = "";
-  double t_seconds = 0.0;
-  double value = 0.0;
+/// Resource deltas of one phase: flop/byte counters (FlopScope / ByteScope
+/// around the phase body) plus the hardware-counter delta (obs/hwc).  Both
+/// include the work of the pool bodies the phase forked, which fork_join
+/// credits back to the forking thread, so hw.cycles sums over every thread
+/// that worked for the phase and flops / (flops_per_cycle * cycles) is its
+/// fraction of peak regardless of worker count.
+struct PhaseCost {
+  std::uint64_t flops = 0;
+  std::uint64_t bytes = 0;
+  hwc::Sample hw;  ///< hw.valid: union of the validity masks summed
+
+  void add(const PhaseCost& d) {
+    flops += d.flops;
+    bytes += d.bytes;
+    hw.add(d.hw);
+    hw.valid |= d.hw.valid;
+  }
 };
 
-/// Lane id of the calling thread (registered on first use).  Lane 0 is the
-/// first recording thread (normally the caller/main thread); pool workers
-/// get their own lanes.  Stable for the thread's lifetime.
-std::uint16_t thread_lane();
+/// One phase of one solve on the thread that ran it: the record the
+/// utilization and roofline analyses are built from.
+struct PhaseRecord {
+  const char* label = "";
+  Phase phase = Phase::none;
+  std::uint16_t lane = 0;
+  double start_seconds = 0.0;
+  double end_seconds = 0.0;
+  PhaseCost cost;
+};
 
-/// Records a completed span on the calling thread's ring.  `t0`/`t1` are
-/// now_seconds() stamps.  No-op when disabled.
+/// Records a completed item span on the calling thread's ring, under the
+/// thread's current phase.  `t0`/`t1` are now_seconds() stamps.  No-op when
+/// disabled.
 void record_span(const char* label, double t0, double t1,
                  std::int32_t arg = -1);
-void record_phase_span(const char* label, Phase phase, double t0, double t1);
 
-/// Records a counter sample stamped now.  No-op when disabled.
-void record_counter(const char* name, double value);
+/// Records one phase [t0, t1] with its cost on the calling thread's lane.
+/// No-op when disabled.
+void record_phase(const char* label, Phase phase, double t0, double t1,
+                  const PhaseCost& cost);
 
 /// RAII span: stamps start on construction, records on destruction.  When
 /// telemetry is disabled both ends cost one predictable branch.
@@ -164,57 +191,15 @@ private:
 };
 
 // ---------------------------------------------------------------------------
-// Per-phase resource costs (fed by syev's timed() and the pool workers; the
-// roofline analyzer in obs/report.hpp joins them with the phase wall time).
-
-/// Accumulated resource deltas of one phase: flop/byte counters (FlopScope /
-/// ByteScope around the phase body) plus hardware-counter deltas (obs/hwc).
-/// Cycles sum over every sampling thread, so flops / (flops_per_cycle *
-/// cycles) is the phase's fraction of peak regardless of worker count.
-struct PhaseCost {
-  std::uint64_t flops = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t cycles = 0;
-  std::uint64_t instructions = 0;
-  std::uint64_t llc_misses = 0;
-  std::uint64_t stalled_cycles = 0;
-  unsigned hwc_valid = 0;  ///< union of hwc::Sample validity masks seen
-
-  void add(const PhaseCost& d) {
-    flops += d.flops;
-    bytes += d.bytes;
-    cycles += d.cycles;
-    instructions += d.instructions;
-    llc_misses += d.llc_misses;
-    stalled_cycles += d.stalled_cycles;
-    hwc_valid |= d.hwc_valid;
-  }
-};
-
-/// Adds `delta` into the process-wide per-phase cost table (mutex-guarded;
-/// called at phase boundaries and fork_join body boundaries -- cold).
-/// No-op when disabled.
-void record_phase_cost(Phase p, const PhaseCost& delta);
-
-// ---------------------------------------------------------------------------
-// Log-bucket duration histograms.
+// Span-duration histogram.
 //
-// The span/counter rings overwrite their oldest records on overflow, so the
-// tail of a long run silently vanishes from raw exports.  These process-wide
-// histograms never drop: one atomic increment per sample into 64 log2(ns)
-// buckets (bucket i covers [2^i, 2^(i+1)) nanoseconds; <= 1 ns lands in
-// bucket 0, overflow clamps to the last).  record_span feeds the
-// span-duration histogram automatically.
+// The span rings overwrite their oldest records on overflow, so the tail of
+// a long run silently vanishes from raw exports.  This process-wide
+// histogram never drops: record_span adds one relaxed atomic increment per
+// span into 64 log2(ns) buckets (bucket i covers [2^i, 2^(i+1))
+// nanoseconds; <= 1 ns lands in bucket 0, overflow clamps to the last).
 
 constexpr int kHistogramBuckets = 64;
-
-/// The tracked duration distributions.
-enum class Histogram : std::uint8_t {
-  span_duration = 0,  ///< every recorded span's end - start
-  count
-};
-constexpr int kHistogramCount = static_cast<int>(Histogram::count);
-const char* histogram_name(Histogram h);
 
 /// Bucket index for a duration (exposed for the bucketing tests).
 int log2_ns_bucket(double seconds);
@@ -223,13 +208,8 @@ int log2_ns_bucket(double seconds);
 /// [2^i, 2^(i+1)) ns.  Inverse-ish of log2_ns_bucket for rendering.
 double bucket_mid_seconds(int bucket);
 
-/// Adds one sample.  Lock-free (relaxed atomic increment); no-op when
-/// disabled.
-void record_histogram(Histogram h, double seconds);
-
-/// One exported histogram: bucket counts plus the total sample count.
+/// Bucket counts plus the total sample count.
 struct HistogramSnapshot {
-  Histogram which = Histogram::span_duration;
   std::array<std::uint64_t, kHistogramBuckets> buckets{};
   std::uint64_t samples = 0;
 };
@@ -237,19 +217,12 @@ struct HistogramSnapshot {
 // ---------------------------------------------------------------------------
 // Pool metrics (fed by ThreadPool, cold paths).
 
-/// Per-pool-worker time accounting, published by ThreadPool.  The hardware
-/// counters accumulate over the worker's fork_join bodies when obs/hwc
-/// sampling is on (hwc_valid == 0 otherwise).
+/// Per-pool-worker time accounting, published by ThreadPool.
 struct WorkerMetric {
   int worker = 0;
   double busy_seconds = 0.0;  ///< executing fork_join bodies
   double park_seconds = 0.0;  ///< blocked waiting for work
   std::uint64_t jobs = 0;
-  std::uint64_t cycles = 0;
-  std::uint64_t instructions = 0;
-  std::uint64_t llc_misses = 0;
-  std::uint64_t stalled_cycles = 0;
-  unsigned hwc_valid = 0;
 };
 
 /// Replaces the stored per-worker metrics (ThreadPool publishes a snapshot
@@ -274,20 +247,19 @@ void set_run_meta(const RunMeta& meta);
 /// (outside parallel regions); rings are single-producer, so a snapshot
 /// while a worker is mid-record could tear that one newest entry.
 struct Snapshot {
-  std::vector<SpanRecord> spans;        ///< merged, sorted by start time
-  std::vector<CounterRecord> counters;  ///< merged, sorted by time
+  std::vector<SpanRecord> spans;    ///< merged, sorted by start time
+  std::vector<PhaseRecord> phases;  ///< merged, sorted by start time
   std::vector<WorkerMetric> workers;
-  std::array<PhaseCost, static_cast<std::size_t>(kPhaseCount)> phase_costs{};
-  std::vector<HistogramSnapshot> histograms;  ///< one per Histogram id
+  HistogramSnapshot span_durations;
   RunMeta meta;
   std::string hwc_backend = "off";    ///< obs/hwc backend that sampled
-  std::uint64_t dropped_spans = 0;    ///< ring overwrites (oldest lost)
-  std::uint64_t dropped_counters = 0;
+  /// Item spans and phase records lost to ring overwrite (oldest first).
+  std::uint64_t dropped_spans = 0;
 };
 Snapshot snapshot();
 
-/// Clears all recorded data (spans, counters, costs, meta).  Buffers
-/// stay allocated.  Call between runs for per-run exports.
+/// Clears all recorded data (spans, phase records, histogram, meta).
+/// Buffers stay allocated.  Call between runs for per-run exports.
 void reset();
 
 /// Enables recording and registers an at-exit export of the current data to

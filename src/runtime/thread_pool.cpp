@@ -36,17 +36,19 @@ struct ThreadPool::Impl {
   /// the shared queue, the caller runs body 0 and then waits on `done`.
   struct Batch {
     const std::function<void(int)>* job = nullptr;
+    // The forking thread's telemetry phase; every body runs under it.
+    obs::Phase phase = obs::Phase::none;
     std::atomic<int> remaining{0};  // bodies not yet finished (incl. body 0)
-    // Flops/bytes the forked bodies executed on pool workers; credited back
-    // to the forking thread's counters after the join so a FlopScope /
-    // ByteScope around the fork_join sees exactly this call's work (and none
-    // of the work other concurrent pool clients delegated).
-    std::atomic<std::uint64_t> forked_flops{0};
-    std::atomic<std::uint64_t> forked_bytes{0};
     Mutex m;
     std::condition_variable done;
     // First exception a body threw; fork_join rethrows it after the join.
     std::exception_ptr error TSEIG_GUARDED_BY(m);
+    // Flops, bytes and hardware-counter deltas the forked bodies executed on
+    // pool workers; credited back to the forking thread after the join, so
+    // a FlopScope / ByteScope / hwc delta around the fork_join sees exactly
+    // this call's work (and none of the work other concurrent pool clients
+    // delegated).
+    obs::PhaseCost forked TSEIG_GUARDED_BY(m);
   };
 
   struct Ticket {
@@ -95,51 +97,34 @@ struct ThreadPool::Impl {
       ++busy;
       lock.unlock();
       const double b0 = obs::now_seconds();
-      const std::uint64_t flops_before = flops_now();
-      const std::uint64_t bytes_before = bytes_now();
-      // Hardware-counter sampling per body: the process-wide phase is fixed
-      // for the duration of a fork_join (the solver's phases are sequential),
-      // so this body's counter deltas attribute to the phase that forked it.
-      // The caller thread's own delta is sampled by syev's timed(); workers
-      // contribute only their hwc deltas here (flops/bytes are credited back
-      // to the caller and counted there -- adding them again would double).
+      // This body's cost, credited to the forking thread at the join: the
+      // flops and bytes always (PhaseBreakdown counts them), the hardware
+      // counters when telemetry samples them.  The body runs under the
+      // forking thread's phase, so its spans carry that phase too.
+      obs::PhaseCost cost;
+      cost.flops = flops_now();
+      cost.bytes = bytes_now();
       const bool hw = obs::enabled() && obs::hwc::enabled();
       obs::hwc::Sample h0;
       if (hw) h0 = obs::hwc::sample();
-      run_body(*t.batch, t.index);
-      obs::hwc::Sample hd;
-      if (hw) hd = obs::hwc::delta(h0, obs::hwc::sample());
-      t.batch->forked_flops.fetch_add(flops_now() - flops_before,
-                                      std::memory_order_relaxed);
-      t.batch->forked_bytes.fetch_add(bytes_now() - bytes_before,
-                                      std::memory_order_relaxed);
+      {
+        const obs::PhaseScope phase(t.batch->phase);
+        run_body(*t.batch, t.index);
+      }
+      if (hw) cost.hw = obs::hwc::delta(h0, obs::hwc::sample());
+      cost.flops = flops_now() - cost.flops;
+      cost.bytes = bytes_now() - cost.bytes;
       const double b1 = obs::now_seconds();
       jobs.fetch_add(1, std::memory_order_relaxed);
-      if (hw) {
-        obs::PhaseCost cost;
-        cost.cycles = hd.cycles;
-        cost.instructions = hd.instructions;
-        cost.llc_misses = hd.llc_misses;
-        cost.stalled_cycles = hd.stalled_cycles;
-        cost.hwc_valid = hd.valid;
-        obs::record_phase_cost(obs::current_phase(), cost);
-      }
       lock.lock();
       --busy;
       obs::WorkerMetric& wm = wtimes[static_cast<size_t>(id)];
       wm.busy_seconds += b1 - b0;
       ++wm.jobs;
-      if (hw) {
-        wm.cycles += hd.cycles;
-        wm.instructions += hd.instructions;
-        wm.llc_misses += hd.llc_misses;
-        wm.stalled_cycles += hd.stalled_cycles;
-        wm.hwc_valid |= hd.valid;
-      }
       // Only after `busy` dropped: a caller woken by the last body must not
       // see this worker still busy, or its next fork_join would grow the
       // pool although this worker is free.
-      finish_body(*t.batch);
+      finish_body(*t.batch, cost);
     }
   }
 
@@ -169,12 +154,15 @@ struct ThreadPool::Impl {
     }
   }
 
-  /// Marks one body of `b` finished; wakes the fork_join caller on the last.
-  /// The decrement happens under b.m: the caller's wait predicate can only
-  /// observe remaining == 0 while holding b.m, i.e. after this worker has
-  /// released it, so the batch cannot be destroyed under our feet.
-  static void finish_body(Batch& b) TSEIG_EXCLUDES(b.m) {
+  /// Marks one body of `b` finished, adding the cost it ran off the forking
+  /// thread; wakes the fork_join caller on the last.  The decrement happens
+  /// under b.m: the caller's wait predicate can only observe remaining == 0
+  /// while holding b.m, i.e. after this worker has released it, so the
+  /// batch cannot be destroyed under our feet.
+  static void finish_body(Batch& b, const obs::PhaseCost& forked)
+      TSEIG_EXCLUDES(b.m) {
     LockGuard g(b.m);
+    b.forked.add(forked);
     if (b.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
       b.done.notify_all();
   }
@@ -255,6 +243,7 @@ void ThreadPool::fork_join(int njobs, const std::function<void(int)>& job) {
 
   Impl::Batch batch;
   batch.job = &job;
+  batch.phase = obs::current_phase();
   batch.remaining.store(njobs, std::memory_order_relaxed);
   {
     LockGuard lock(im.mu);
@@ -265,20 +254,20 @@ void ThreadPool::fork_join(int njobs, const std::function<void(int)>& job) {
 
   Impl::run_body(batch, 0);
   im.jobs.fetch_add(1, std::memory_order_relaxed);
-  Impl::finish_body(batch);
+  Impl::finish_body(batch, {});
 
   LockGuard lock(batch.m);
   batch.done.wait(lock.native(), [&] {
     return batch.remaining.load(std::memory_order_acquire) == 0;
   });
   const std::exception_ptr error = batch.error;
+  const obs::PhaseCost forked = batch.forked;
   lock.unlock();
   // Credit the delegated work to this thread's counters (body 0 already ran
   // here and counted itself).
-  count_flops(static_cast<std::int64_t>(
-      batch.forked_flops.load(std::memory_order_relaxed)));
-  count_bytes(static_cast<std::int64_t>(
-      batch.forked_bytes.load(std::memory_order_relaxed)));
+  count_flops(static_cast<std::int64_t>(forked.flops));
+  count_bytes(static_cast<std::int64_t>(forked.bytes));
+  if (forked.hw.valid != 0) obs::hwc::credit(forked.hw);
   if (obs::enabled()) im.publish_metrics();
   if (error) std::rethrow_exception(error);
 }

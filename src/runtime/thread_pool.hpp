@@ -73,8 +73,13 @@ public:
   /// bulge chase's hop waits), so every borrowed worker must actually be
   /// live.
   ///
+  /// Every body runs under the calling thread's telemetry phase, and the
+  /// flops, bytes and hardware-counter deltas of the bodies run on workers
+  /// are credited to the calling thread after the join (see common/flops.hpp
+  /// and obs/hwc.hpp).
+  ///
   /// A body that throws does not stop the others: every body runs to its
-  /// end, and after the join (and the flop/byte credit) fork_join rethrows
+  /// end, and after the join (and the cost credit) fork_join rethrows
   /// the first exception caught, so the caller sees it as if thrown by a
   /// serial loop.
   ///

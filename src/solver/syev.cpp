@@ -7,7 +7,6 @@
 #include "common/flops.hpp"
 #include "common/scaling.hpp"
 #include "obs/hwc.hpp"
-#include "obs/report.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/thread_pool.hpp"
 #include "lapack/aux.hpp"
@@ -79,17 +78,16 @@ std::vector<double> tridiag_subset(idx n, const double* d, const double* e,
 }
 
 /// Phase timing helper: runs fn under the named telemetry phase,
-/// accumulating seconds and flops.  The recorded phase span uses the same
-/// two clock reads as the PhaseBreakdown accumulation, so tseig_prof's
-/// per-phase report and PhaseBreakdown agree exactly.  When obs/hwc sampling
-/// is on, the caller thread's hardware-counter delta over the phase joins
-/// the FlopScope/ByteScope counts in the per-phase cost table (pool workers
-/// add their own deltas per fork_join body) -- the roofline analyzer's
-/// input.
+/// accumulating seconds and flops into the PhaseBreakdown fields and handing
+/// telemetry one phase record with the same two clock reads and the same
+/// cost delta, so tseig_prof's per-phase report and PhaseBreakdown agree
+/// exactly.  The delta covers the pool bodies fn forks (fork_join credits
+/// their flops, bytes and hardware counters to this thread) -- the roofline
+/// analyzer's input.
 template <class F>
 void timed(obs::Phase phase, const char* label, double& seconds,
            std::uint64_t& flops, F&& fn) {
-  obs::PhaseScope scope_phase(phase);
+  const obs::PhaseScope scope_phase(phase);
   const bool hw = obs::enabled() && obs::hwc::enabled();
   obs::hwc::Sample h0;
   if (hw) h0 = obs::hwc::sample();
@@ -98,27 +96,13 @@ void timed(obs::Phase phase, const char* label, double& seconds,
   ByteScope bytes;
   fn();
   const double t1 = obs::now_seconds();
-  const std::uint64_t f = scope.count();
+  obs::PhaseCost cost;
+  cost.flops = scope.count();
+  cost.bytes = bytes.count();
+  if (hw) cost.hw = obs::hwc::delta(h0, obs::hwc::sample());
   seconds += t1 - t0;
-  flops += f;
-  if (obs::enabled()) {
-    obs::record_phase_span(label, phase, t0, t1);
-    if (t1 > t0)
-      obs::record_counter("flop_rate_gflops",
-                          static_cast<double>(f) / (t1 - t0) * 1e-9);
-    obs::PhaseCost cost;
-    cost.flops = f;
-    cost.bytes = bytes.count();
-    if (hw) {
-      const obs::hwc::Sample hd = obs::hwc::delta(h0, obs::hwc::sample());
-      cost.cycles = hd.cycles;
-      cost.instructions = hd.instructions;
-      cost.llc_misses = hd.llc_misses;
-      cost.stalled_cycles = hd.stalled_cycles;
-      cost.hwc_valid = hd.valid;
-    }
-    obs::record_phase_cost(phase, cost);
-  }
+  flops += cost.flops;
+  obs::record_phase(label, phase, t0, t1, cost);
 }
 
 /// Closed-form lane driver for n <= 3: one kernel call replaces every
@@ -315,24 +299,6 @@ SyevResult syev(idx n, const double* a, idx lda, const SyevOptions& opts) {
     o.vu *= sc.scale;
   }
 
-  // Per-solve telemetry export: turn recording on for this call (clearing
-  // anything a previous per-solve export left in the rings) and write the
-  // requested files when the solve returns.  If telemetry is already active
-  // (TSEIG_TRACE / set_export_paths), record into the ongoing session and
-  // just add the extra per-solve files.
-  const bool per_solve = !o.trace_path.empty() || !o.metrics_path.empty();
-  const bool was_enabled = obs::enabled();
-  struct EnableGuard {  // exception-safe restore of the disabled state
-    bool restore = false;
-    ~EnableGuard() {
-      if (restore) obs::set_enabled(false);
-    }
-  } guard;
-  if (per_solve && !was_enabled) {
-    obs::reset();
-    obs::set_enabled(true);
-    guard.restore = true;
-  }
   // Nested solves (whole-problem batch tasks) must not clobber the outer
   // scheduler's run metadata.
   if (obs::enabled() && !nested)
@@ -343,11 +309,6 @@ SyevResult syev(idx n, const double* a, idx lda, const SyevOptions& opts) {
                        ? solve_one_stage(n, a, lda, o)
                        : solve_two_stage(n, a, lda, o);
   for (double& w : res.eigenvalues) w *= sc.unscale;
-  if (per_solve) {
-    const obs::Snapshot snap = obs::snapshot();
-    if (!o.trace_path.empty()) obs::write_chrome_trace_file(snap, o.trace_path);
-    if (!o.metrics_path.empty()) obs::write_metrics_file(snap, o.metrics_path);
-  }
   return res;
 }
 

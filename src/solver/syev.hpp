@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/matrix.hpp"
@@ -94,13 +93,6 @@ struct SyevOptions {
   /// (the lane-vs-pipeline debugging oracle).  Results of the two paths
   /// agree to the usual scaled-oracle bounds but are not bitwise identical.
   bool small_n_closed_form = true;
-  /// Per-solve telemetry export (tseig::obs): non-empty paths turn recording
-  /// on for this call and write a Chrome/Perfetto trace and/or a
-  /// "tseig-metrics-v2" JSON when the solve returns.  Independent of the
-  /// process-wide TSEIG_TRACE / TSEIG_METRICS environment activation (which
-  /// records everything and exports once at process exit).
-  std::string trace_path;
-  std::string metrics_path;
 };
 
 /// Per-phase instrumentation (seconds and nominal flops).

@@ -54,7 +54,7 @@ SyevBatchResult syev_batch(const std::vector<BatchProblem>& problems,
   // stays relative to the call (its documented time base) via t_base, while
   // the recorded spans use the absolute values so the batch lines up with
   // every other subsystem on one timeline.
-  obs::PhaseScope batch_phase(obs::Phase::batch);
+  const obs::PhaseScope batch_phase(obs::Phase::batch);
   const double t_base = obs::now_seconds();
   // One acceptance stamp for the whole submission loop: the loop itself is
   // sub-microsecond per problem, and a per-problem clock read would cost as
@@ -99,18 +99,19 @@ SyevBatchResult syev_batch(const std::vector<BatchProblem>& problems,
     SyevResult& res = out.results[static_cast<size_t>(i)];
     st.start_seconds = t0 - t_base;
     st.worker = worker;
+    obs::PhaseCost cost;
     {
-      obs::PhaseScope scope_phase(obs::Phase::small_n);
+      const obs::PhaseScope scope_phase(obs::Phase::small_n);
       FlopScope scope;
       res = small::solve_lane(p.n, p.a, p.lda, p.opts);
-      res.phases.solve_flops = scope.count();
+      cost.flops = scope.count();
     }
     const double t1 = obs::now_seconds();
+    res.phases.solve_flops = cost.flops;
     res.phases.solve_seconds = t1 - t0;
-    st.phases = res.phases;
     st.end_seconds = t1 - t_base;
     if (obs::enabled()) {
-      obs::record_phase_span("small_n", obs::Phase::small_n, t0, t1);
+      obs::record_phase("small_n", obs::Phase::small_n, t0, t1, cost);
       obs::record_span("batch_solve", t0, t1, static_cast<std::int32_t>(i));
     }
     return t1;
@@ -125,7 +126,6 @@ SyevBatchResult syev_batch(const std::vector<BatchProblem>& problems,
     SyevOptions o = p.opts;
     o.num_workers = num_workers;
     out.results[static_cast<size_t>(i)] = syev(p.n, p.a, p.lda, o);
-    st.phases = out.results[static_cast<size_t>(i)].phases;
     const double t1 = obs::now_seconds();
     st.end_seconds = t1 - t_base;
     // Recorded on the executing thread, so the span lands on the lane of
@@ -184,7 +184,7 @@ SyevBatchResult syev_batch(const std::vector<BatchProblem>& problems,
     out.stats.busy_seconds += st.solve_seconds();
 
   if (obs::enabled()) {
-    obs::record_phase_span("batch", obs::Phase::batch, t_base, t_end);
+    obs::record_phase("batch", obs::Phase::batch, t_base, t_end, {});
     // Set last so a large problem's nested syev (which runs on the calling
     // thread, outside any parallel region) cannot leave its own meta behind.
     idx max_n = 0;

@@ -72,7 +72,9 @@ struct SyevBatchOptions {
 inline constexpr idx kBatchCrossover = 256;
 
 /// Per-problem scheduling record (times in seconds from the syev_batch
-/// call; flop totals from the problem's own PhaseBreakdown).
+/// call).  The problem's own PhaseBreakdown is results[i].phases; it is
+/// exact per problem even under concurrency because flop counters are
+/// per-thread with pool propagation.
 struct BatchProblemStats {
   idx n = 0;
   /// True when the problem ran whole-problem-per-worker (n <= crossover).
@@ -84,10 +86,6 @@ struct BatchProblemStats {
   double enqueue_seconds = 0.0;  ///< when the scheduler accepted the problem
   double start_seconds = 0.0;    ///< when its solve began
   double end_seconds = 0.0;      ///< when its solve finished
-  /// Copy of the solve's per-phase breakdown (reduction / solve / update
-  /// seconds and flops); exact per problem even under concurrency because
-  /// flop counters are per-thread with pool propagation.
-  PhaseBreakdown phases;
 
   double queue_wait_seconds() const { return start_seconds - enqueue_seconds; }
   double solve_seconds() const { return end_seconds - start_seconds; }

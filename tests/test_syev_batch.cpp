@@ -233,12 +233,13 @@ TEST(SyevBatch, StatsAreConsistent) {
       EXPECT_EQ(p.worker, 0);  // full-budget problems run on the caller
     }
     busy += p.solve_seconds();
-    // The per-problem phase copy must describe a real solve (tiny problems
+    // The per-problem breakdown must describe a real solve (tiny problems
     // may legitimately round their reduction to zero flops).
+    const solver::PhaseBreakdown& ph = out.results[i].phases;
     if (p.n >= 16) {
-      EXPECT_GT(p.phases.reduction_flops, 0u);
+      EXPECT_GT(ph.reduction_flops, 0u);
     }
-    EXPECT_GE(p.phases.total_seconds(), 0.0);
+    EXPECT_GE(ph.total_seconds(), 0.0);
   }
   EXPECT_EQ(whole, st.whole_problem_count);
   EXPECT_DOUBLE_EQ(busy, st.busy_seconds);

@@ -393,7 +393,7 @@ TEST(SyevSmallBatch, MixedSizeBatchRoutesAndMatchesSequential) {
     EXPECT_EQ(st.whole_problem, p.n <= batch.stats.crossover);
     EXPECT_GE(st.start_seconds, st.enqueue_seconds);
     EXPECT_GE(st.end_seconds, st.start_seconds);
-    EXPECT_GT(st.phases.solve_flops, 0u);
+    EXPECT_GT(got.phases.solve_flops, 0u);
   }
 }
 

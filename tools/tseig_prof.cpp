@@ -5,9 +5,8 @@
 //     telemetry export -- either a metrics JSON ("tseig-metrics-v1"/"-v2",
 //     written via TSEIG_METRICS=<path>) or a Chrome/Perfetto trace
 //     (TSEIG_TRACE=<path>).  Traces written by this library embed the full
-//     metrics object under the "tseigMetrics" key, so both formats yield
-//     the complete report; a foreign bare trace degrades to per-phase
-//     utilization without the roofline.
+//     metrics object under the "tseigMetrics" key, which is what the report
+//     is read from; a trace without it is rejected.
 //
 //   tseig_prof diff [--tolerance PCT] BASE OTHER
 //     Prints per-row deltas (wall, per-phase -- or per
@@ -62,19 +61,13 @@ int run_file(const std::string& path) {
 
   tseig::obs::Report rep;
   try {
-    // Prefer the metrics view (exact totals, roofline); fall back to
-    // re-aggregating the raw trace events.
     rep = tseig::obs::report_from_metrics_json(doc);
-  } catch (const std::exception&) {
-    try {
-      rep = tseig::obs::report_from_trace_json(doc);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr,
-                   "tseig_prof: %s: neither a tseig-metrics document nor "
-                   "a Chrome trace (%s)\n",
-                   path.c_str(), e.what());
-      return 1;
-    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr,
+                 "tseig_prof: %s: neither a tseig-metrics document nor a "
+                 "trace embedding one (%s)\n",
+                 path.c_str(), e.what());
+    return 1;
   }
   std::printf("%s\n%s", path.c_str(),
               tseig::obs::format_report(rep).c_str());
@@ -87,8 +80,9 @@ int usage() {
       "usage: tseig_prof [report] FILE [FILE...]\n"
       "       tseig_prof diff [--tolerance PCT] BASE OTHER\n"
       "       tseig_prof gate [--tolerance PCT] BASE OTHER\n"
-      "  FILE: a TSEIG_METRICS json, a TSEIG_TRACE Chrome trace, or (for\n"
-      "  diff/gate) a tseig-bench-v2 json written by a bench's --json flag\n"
+      "  FILE: a TSEIG_METRICS json, a TSEIG_TRACE trace (read through its\n"
+      "  embedded tseigMetrics object), or (for diff/gate) a tseig-bench-v2\n"
+      "  json written by a bench's --json flag\n"
       "  --tolerance PCT: noise band for diff/gate, percent (default 5)\n");
   return 2;
 }
