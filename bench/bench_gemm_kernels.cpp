@@ -9,7 +9,7 @@
 // required at build time.  Two more cells per tier time ragged tiles, which
 // the power-of-two sizes never hit: a ragged square (n = 97) and the
 // back-transformation's diamond update (C(79x256, ldc 1024) -= V(79x32)
-// W(32x256), the shape of larfb's second GEMM at nb = 48, ell = 32).
+// W(32x256), the shape of larfb's last GEMM at nb = 48, ell = 32).
 //
 // Usage: bench_gemm_kernels [--nmax N] [--reps R] [--json /path/out.json]
 //

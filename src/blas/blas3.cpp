@@ -10,7 +10,7 @@
 // NOTE: this TU is compiled with -ffp-contract=off (see src/CMakeLists.txt).
 // Every Level-3 flop runs in the active tier's microkernel, at every size
 // and on every ragged edge: this file only packs, blocks and scales C, so
-// the registry.hpp rounding contract covers all of gemm/symm/syrk/trmm.
+// the registry.hpp rounding contract covers all of gemm/symm/syrk/syr2k.
 
 namespace tseig::blas {
 namespace {
@@ -25,7 +25,7 @@ thread_local int t_kernel_workers = 0;
 /// Packs an mc-by-kc block of the left operand into MR-row micro-panels for
 /// the active tier, padding the ragged edge with zeros.  `ea(i, p)` reads
 /// logical element (ic + i, pc + p) of op(A).  Accessor fallback for
-/// symm/syrk/trmm operands; raw gemm operands use the tier's contiguous
+/// symm/syrk/syr2k operands; raw gemm operands use the tier's contiguous
 /// packers instead.
 template <class EA>
 void pack_a_generic(idx mr_tile, idx mc, idx kc, EA&& ea, double* buf) {
@@ -160,7 +160,7 @@ void gemm_blocked(idx m, idx n, idx k, double alpha, PA&& packa, PB&& packb,
   }
 }
 
-/// Accessor-based core shared by symm/syrk/syr2k/trmm: C += alpha * EA * EB
+/// Accessor-based core shared by symm/syrk/syr2k: C += alpha * EA * EB
 /// where the operands are exposed element-wise.  C must already be scaled by
 /// beta.
 template <class EA, class EB>
@@ -336,122 +336,9 @@ void syr2k(uplo ul, op trans, idx n, idx k, double alpha, const double* a,
   }
 }
 
-// trmm/trsm are deliberately simple column-sweep implementations: in every
-// call site in this library (compact WY applications, tile QR kernels) the
-// triangular factor is a small nb-by-nb block, so these kernels are a
-// lower-order cost next to the adjacent GEMMs.
-
-void trmm(side sd, uplo ul, op trans, diag d, idx m, idx n, double alpha,
-          const double* a, idx lda, double* b, idx ldb) {
-  count_flops(flop_count::trmm(sd, m, n));
-  count_bytes(byte_count::trmm(sd, m, n));
-  const bool unit = d == diag::unit;
-  // Fast path for block-sized triangles: route through the packed GEMM core
-  // with a triangle-aware accessor.  This doubles the nominal flops (the
-  // zero half is multiplied) but runs at GEMM rate instead of the Level-2
-  // rate of the column sweeps below -- a net win for the compact-WY
-  // applications that dominate the two-stage update phase.
-  const idx kt = sd == side::left ? m : n;
-  if (kt >= 24 && m * n >= 24 * 24) {
-    auto tri = [=](idx r, idx c) -> double {
-      if (r == c) return unit ? 1.0 : a[r + r * lda];
-      const bool stored = (ul == uplo::lower) ? (r > c) : (r < c);
-      return stored ? a[r + c * lda] : 0.0;
-    };
-    std::vector<double> scratch(static_cast<size_t>(m) * n);
-    for (idx j = 0; j < n; ++j)
-      std::copy(b + j * ldb, b + j * ldb + m, scratch.data() + j * m);
-    scale_c(m, n, 0.0, b, ldb);
-    if (sd == side::left) {
-      gemm_core(
-          m, n, m, alpha,
-          [&](idx i, idx p) { return trans == op::none ? tri(i, p) : tri(p, i); },
-          [&](idx p, idx j) { return scratch[static_cast<size_t>(p + j * m)]; },
-          b, ldb);
-    } else {
-      gemm_core(
-          m, n, n, alpha,
-          [&](idx i, idx p) { return scratch[static_cast<size_t>(i + p * m)]; },
-          [&](idx p, idx j) { return trans == op::none ? tri(p, j) : tri(j, p); },
-          b, ldb);
-    }
-    return;
-  }
-  if (sd == side::left) {
-    // B_j <- alpha * op(A) B_j, one triangular matrix-vector per column.
-    for (idx j = 0; j < n; ++j) {
-      double* bj = b + j * ldb;
-      // In-place triangular product with the correct traversal order.
-      if (trans == op::none) {
-        if (ul == uplo::upper) {
-          for (idx i = 0; i < m; ++i) {
-            double acc = unit ? bj[i] : a[i + i * lda] * bj[i];
-            for (idx p = i + 1; p < m; ++p) acc += a[i + p * lda] * bj[p];
-            bj[i] = alpha * acc;
-          }
-        } else {
-          for (idx i = m - 1; i >= 0; --i) {
-            double acc = unit ? bj[i] : a[i + i * lda] * bj[i];
-            for (idx p = 0; p < i; ++p) acc += a[i + p * lda] * bj[p];
-            bj[i] = alpha * acc;
-          }
-        }
-      } else {
-        if (ul == uplo::upper) {
-          for (idx i = m - 1; i >= 0; --i) {
-            double acc = unit ? bj[i] : a[i + i * lda] * bj[i];
-            for (idx p = 0; p < i; ++p) acc += a[p + i * lda] * bj[p];
-            bj[i] = alpha * acc;
-          }
-        } else {
-          for (idx i = 0; i < m; ++i) {
-            double acc = unit ? bj[i] : a[i + i * lda] * bj[i];
-            for (idx p = i + 1; p < m; ++p) acc += a[p + i * lda] * bj[p];
-            bj[i] = alpha * acc;
-          }
-        }
-      }
-    }
-  } else {
-    // B <- alpha * B op(A): column j of the result is a combination of
-    // columns of B; traversal order chosen so reads see old values.
-    auto acol = [&](idx i, idx j) { return a[i + j * lda]; };
-    const bool ascending =
-        (ul == uplo::lower) == (trans == op::none);
-    for (idx jj = 0; jj < n; ++jj) {
-      const idx j = ascending ? jj : n - 1 - jj;
-      const double dj = unit ? 1.0 : acol(j, j);
-      for (idx i = 0; i < m; ++i) b[i + j * ldb] *= dj;
-      if (ul == uplo::lower && trans == op::none) {
-        for (idx p = j + 1; p < n; ++p) {
-          const double t = acol(p, j);
-          if (t != 0.0)
-            for (idx i = 0; i < m; ++i) b[i + j * ldb] += t * b[i + p * ldb];
-        }
-      } else if (ul == uplo::lower) {  // trans
-        for (idx p = 0; p < j; ++p) {
-          const double t = acol(j, p);
-          if (t != 0.0)
-            for (idx i = 0; i < m; ++i) b[i + j * ldb] += t * b[i + p * ldb];
-        }
-      } else if (trans == op::none) {  // upper
-        for (idx p = 0; p < j; ++p) {
-          const double t = acol(p, j);
-          if (t != 0.0)
-            for (idx i = 0; i < m; ++i) b[i + j * ldb] += t * b[i + p * ldb];
-        }
-      } else {  // upper, trans
-        for (idx p = j + 1; p < n; ++p) {
-          const double t = acol(j, p);
-          if (t != 0.0)
-            for (idx i = 0; i < m; ++i) b[i + j * ldb] += t * b[i + p * ldb];
-        }
-      }
-      if (alpha != 1.0)
-        for (idx i = 0; i < m; ++i) b[i + j * ldb] *= alpha;
-    }
-  }
-}
+// trsm is a deliberately simple column sweep: potrf and sygv call it on small
+// or one-off triangles, a lower-order cost next to their GEMMs.  (larfb needs
+// no triangular kernel: it multiplies by T as a GEMM.)
 
 void trsm(side sd, uplo ul, op trans, diag d, idx m, idx n, double alpha,
           const double* a, idx lda, double* b, idx ldb) {

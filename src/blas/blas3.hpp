@@ -4,8 +4,8 @@
 // parameter.  GEMM uses the standard three-level cache-blocked structure
 // (pack A into MR-row micro-panels, pack B into NR-column micro-panels, run a
 // register-tiled microkernel) so that on any host the GEMM/GEMV rate gap that
-// motivates the two-stage algorithm is realistic.  All other Level-3 kernels
-// are layered on the same packed core.
+// motivates the two-stage algorithm is realistic.  symm, syrk and syr2k are
+// layered on the same packed core; trsm is a column sweep.
 //
 // Every flop runs in a runtime-dispatched SIMD microkernel tier (scalar /
 // AVX2 / AVX-512 / NEON — see blas/kernels/registry.hpp): the best tier the
@@ -72,11 +72,6 @@ void syrk(uplo ul, op trans, idx n, idx k, double alpha, const double* a,
 /// C <- alpha (op(A) op(B)^T + op(B) op(A)^T) + beta C on triangle ul.
 void syr2k(uplo ul, op trans, idx n, idx k, double alpha, const double* a,
            idx lda, const double* b, idx ldb, double beta, double* c, idx ldc);
-
-/// B <- alpha op(A) B (side=left) or alpha B op(A) (side=right) with A
-/// triangular (triangle ul, unit flag d).
-void trmm(side sd, uplo ul, op trans, diag d, idx m, idx n, double alpha,
-          const double* a, idx lda, double* b, idx ldb);
 
 /// Solves op(A) X = alpha B (side=left) or X op(A) = alpha B (side=right),
 /// X overwriting B, with A triangular.

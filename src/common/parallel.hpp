@@ -4,9 +4,10 @@
 //    worker (Level-3 kernels' row blocks, the secular roots of a merge);
 //  * run_self_scheduled runs one body per worker, and each body takes the
 //    next item from a shared counter (stage 1's row and column blocks and
-//    its look-ahead panel, D&C tree levels, Q1 and Q2 column blocks,
-//    bisection, the bulge-chase sweeps, syev_batch's problems), so a slowed
-//    core takes fewer items.
+//    its look-ahead panel, D&C tree levels, the column blocks of every Q
+//    application in lapack::apply_block_reflectors, bisection, the
+//    bulge-chase sweeps, syev_batch's problems), so a slowed core takes
+//    fewer items.
 // Worker count defaults to TSEIG_NUM_THREADS or the hardware concurrency.
 //
 // Both execute on the same persistent rt::ThreadPool, so a warm call

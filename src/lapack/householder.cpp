@@ -1,6 +1,8 @@
 #include "lapack/householder.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -8,9 +10,30 @@
 #include "blas/blas1.hpp"
 #include "blas/blas2.hpp"
 #include "blas/blas3.hpp"
+#include "common/parallel.hpp"
 #include "lapack/aux.hpp"
+#include "obs/telemetry.hpp"
 
 namespace tseig::lapack {
+namespace {
+
+/// Per-thread scratch of larfb and apply_block_reflectors, one buffer per
+/// use: block reflectors are applied back-to-back on the same threads, so
+/// a thread_local buffer keeps the update phase free of allocations.
+enum class scratch_use { driver_w, triangle, product };
+
+double* scratch(scratch_use use, idx count) {
+  thread_local std::array<std::vector<double>, 3> bufs;
+  std::vector<double>& buf = bufs[static_cast<size_t>(use)];
+  if (static_cast<idx>(buf.size()) < count)
+    buf.resize(static_cast<size_t>(count));
+  return buf.data();
+}
+
+/// Widest column block of apply_block_reflectors.
+constexpr idx kMaxColBlock = 256;
+
+}  // namespace
 
 double larfg(idx n, double& alpha, double* x, idx incx) {
   if (n <= 1) return 0.0;
@@ -76,23 +99,56 @@ void larft(idx m, idx k, const double* v, idx ldv, const double* tau,
 void larfb(side sd, op trans, idx m, idx n, idx k, const double* v, idx ldv,
            const double* t, idx ldt, double* c, idx ldc, double* work) {
   if (m == 0 || n == 0 || k == 0) return;
+  // T's upper triangle with zeros below: callers may leave stale values
+  // under the diagonal (LAPACK's contract), and the GEMM reads all of T.
+  double* tu = scratch(scratch_use::triangle, k * k);
+  for (idx j = 0; j < k; ++j) {
+    for (idx i = 0; i <= j; ++i) tu[i + j * k] = t[i + j * ldt];
+    std::fill(tu + j * k + j + 1, tu + (j + 1) * k, 0.0);
+  }
   if (sd == side::left) {
-    // W (k-by-n) = V^T C ; W = op(T) W ; C -= V W.
+    // W (k-by-n) = V^T C ; W2 = op(T) W ; C -= V W2.
+    double* w2 = scratch(scratch_use::product, k * n);
     blas::gemm(op::trans, op::none, k, n, m, 1.0, v, ldv, c, ldc, 0.0, work,
                k);
-    blas::trmm(side::left, uplo::upper, trans, diag::non_unit, k, n, 1.0, t,
-               ldt, work, k);
-    blas::gemm(op::none, op::none, m, n, k, -1.0, v, ldv, work, k, 1.0, c,
-               ldc);
+    blas::gemm(trans, op::none, k, n, k, 1.0, tu, k, work, k, 0.0, w2, k);
+    blas::gemm(op::none, op::none, m, n, k, -1.0, v, ldv, w2, k, 1.0, c, ldc);
   } else {
-    // W (m-by-k) = C V ; W = W op(T) ; C -= W V^T.
+    // W (m-by-k) = C V ; W2 = W op(T) ; C -= W2 V^T.
+    double* w2 = scratch(scratch_use::product, m * k);
     blas::gemm(op::none, op::none, m, k, n, 1.0, c, ldc, v, ldv, 0.0, work,
                m);
-    blas::trmm(side::right, uplo::upper, trans, diag::non_unit, m, k, 1.0, t,
-               ldt, work, m);
-    blas::gemm(op::none, op::trans, m, n, k, -1.0, work, m, v, ldv, 1.0, c,
+    blas::gemm(op::none, trans, m, k, k, 1.0, work, m, tu, k, 0.0, w2, m);
+    blas::gemm(op::none, op::trans, m, n, k, -1.0, w2, m, v, ldv, 1.0, c,
                ldc);
   }
+}
+
+void apply_block_reflectors(op trans, const std::vector<BlockReflector>& list,
+                            double* c, idx ldc, idx ncols, int workers,
+                            const char* span_label) {
+  if (list.empty() || ncols <= 0) return;
+  workers = std::max(1, workers);
+  idx kmax = 0;
+  for (const BlockReflector& h : list) kmax = std::max(kmax, h.k);
+  // A narrow C still gets one block per worker, in multiples of 8 columns;
+  // a column's arithmetic does not depend on its block (see larfb).
+  const idx per_worker = (ncols + workers - 1) / workers;
+  const idx width = std::min(kMaxColBlock, (per_worker + 7) / 8 * 8);
+  const idx nblocks = (ncols + width - 1) / width;
+  std::atomic<idx> next{0};
+  const int bodies = static_cast<int>(std::min<idx>(workers, nblocks));
+  run_self_scheduled(bodies, [&](int) {
+    for (idx b = next++; b < nblocks; b = next++) {
+      obs::Span span(span_label);
+      const idx c0 = b * width;
+      const idx nc = std::min(width, ncols - c0);
+      double* work = scratch(scratch_use::driver_w, kmax * nc);
+      for (const BlockReflector& h : list)
+        larfb(side::left, trans, h.m, nc, h.k, h.v, h.ldv, h.t, h.ldt,
+              c + h.r0 + c0 * ldc, ldc, work);
+    }
+  });
 }
 
 void geqr2(idx m, idx n, double* a, idx lda, double* tau, double* work) {
@@ -154,16 +210,11 @@ void geqrt3_rec(idx m, idx n, double* a, idx lda, double* r, idx ldr,
   const idx n1 = n / 2;
   const idx n2 = n - n1;
   geqrt3_rec(m, n1, a, lda, r, ldr, t, ldt, work);
-  // A2 <- Q1^T A2 = A2 - V1 (T1^T (V1^T A2)); its top n1 rows are R12.
+  // A2 <- Q1^T A2; its top n1 rows are R12.
   double* a2 = a + n1 * lda;
   double* w1 = work;
   double* w2 = work + n1 * n2;
-  blas::gemm(op::trans, op::none, n1, n2, m, 1.0, a, lda, a2, lda, 0.0, w1,
-             n1);
-  blas::gemm(op::trans, op::none, n1, n2, n1, 1.0, t, ldt, w1, n1, 0.0, w2,
-             n1);
-  blas::gemm(op::none, op::none, m, n2, n1, -1.0, a, lda, w2, n1, 1.0, a2,
-             lda);
+  larfb(side::left, op::trans, m, n2, n1, a, lda, t, ldt, a2, lda, w1);
   for (idx c = 0; c < n2; ++c)
     for (idx i = 0; i < n1; ++i) {
       r[i + (n1 + c) * ldr] = a2[i + c * lda];
@@ -208,9 +259,7 @@ void org2r(idx m, idx n, idx k, double* a, idx lda, const double* tau) {
       *col = aii;
     }
     // Column i of Q = H_i e_i = e_i - tau_i v_i.
-    const double aii = *col;
     blas::scal(m - i - 1, -tau[i], col + 1, 1);
-    (void)aii;
     *col = 1.0 - tau[i];
     for (idx j = 0; j < i; ++j) a[j + i * lda] = 0.0;
   }

@@ -3,10 +3,15 @@
 //
 // Storage convention used throughout tseig: reflector blocks V are stored as
 // dense column panels with an EXPLICIT unit diagonal and explicit zeros above
-// it.  Owning our storage lets xLARFB run as plain GEMM + TRMM -- the
+// it.  Owning our storage lets xLARFB run as three GEMMs -- the
 // compute-bound formulation the paper's back-transformation relies on --
 // without the triangular special cases of the reference implementation.
+// larfb is the library's one block-reflector kernel, and
+// apply_block_reflectors its one column-block loop: Q1, Q2 and the
+// one-stage Q are all applied through it.
 #pragma once
+
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -35,8 +40,31 @@ void larft(idx m, idx k, const double* v, idx ldv, const double* tau,
 ///   side=left : C <- op(H) C,   V is m-by-k
 ///   side=right: C <- C op(H),   V is n-by-k
 /// `work` must hold k * n doubles (left) or m * k doubles (right).
+/// Three GEMMs (left: W = V^T C, W <- op(T) W, C -= V W), T's strictly lower
+/// part unreferenced.  Each column (left) or row (right) of C gets the same
+/// arithmetic however C is sliced, so slices give one call's bits.
 void larfb(side sd, op trans, idx m, idx n, idx k, const double* v, idx ldv,
            const double* t, idx ldt, double* c, idx ldc, double* work);
+
+/// One block reflector of a list applied by apply_block_reflectors: it acts
+/// on rows r0 .. r0 + m - 1 of C; V is m-by-k as larfb expects it and T its
+/// k-by-k upper triangular factor.
+struct BlockReflector {
+  idx r0, m, k;
+  const double* v;
+  idx ldv;
+  const double* t;
+  idx ldt;
+};
+
+/// C <- op(H_last) ... op(H_0) C for the list in list order, C having ncols
+/// columns (the paper's Figure 3c): up to `workers` pool bodies take whole
+/// column blocks of min(256, ceil(ncols / workers) rounded up to 8) columns
+/// from a shared counter, one `span_label` span each, and apply the whole
+/// list to them.  Results are bitwise independent of `workers`.
+void apply_block_reflectors(op trans, const std::vector<BlockReflector>& list,
+                            double* c, idx ldc, idx ncols, int workers,
+                            const char* span_label);
 
 /// Unblocked QR factorization (LAPACK xGEQR2).  On exit the upper triangle
 /// of A holds R; the unit lower trapezoid holds the reflector vectors

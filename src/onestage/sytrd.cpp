@@ -6,6 +6,7 @@
 #include "blas/blas1.hpp"
 #include "blas/blas2.hpp"
 #include "blas/blas3.hpp"
+#include "common/matrix.hpp"
 #include "lapack/householder.hpp"
 #include "obs/telemetry.hpp"
 
@@ -101,15 +102,9 @@ void sytrd(idx n, double* a, idx lda, double* d, double* e, double* tau,
     // one-stage timeline's unit of progress.
     obs::Span span("sytrd_panel", static_cast<std::int32_t>(j / nb));
     latrd(n - j, nb, a + j + j * lda, lda, e + j, tau + j, w.data(), n - j);
-    // Trailing update: A22 -= V W^T + W V^T with V the panel reflectors.
-    // V = A(j+nb : n, j : j+nb) with implicit unit diagonals already folded
-    // into the stored vectors (latrd left the explicit 1 restored to e, so
-    // set them temporarily as xSYTRD does via the stored-1 convention).
+    // Trailing update A22 -= V W^T + W V^T, V = A(j+nb : n, j : j+nb) the
+    // panel reflectors; latrd left their unit elements stored explicitly.
     const idx rest = n - j - nb;
-    // xSYTRD stores the unit elements implicitly: the syr2k below uses the
-    // subdiagonal entries of the panel, which latrd left holding 1.0? No --
-    // latrd restores nothing; we keep explicit 1s during the panel and
-    // restore e afterwards, matching the reference flow below.
     blas::syr2k(uplo::lower, op::none, rest, nb, -1.0, a + (j + nb) + j * lda,
                 lda, w.data() + nb, n - j, 1.0,
                 a + (j + nb) + (j + nb) * lda, lda);
@@ -130,26 +125,28 @@ void ormtr(op trans, idx n, idx ncols, const double* a, idx lda,
   if (n <= 1 || ncols == 0) return;
   const idx k = n - 1;  // number of reflectors
   nb = std::max<idx>(1, std::min(nb, k));
-  std::vector<double> v(static_cast<size_t>(n) * nb);
-  std::vector<double> t(static_cast<size_t>(nb) * nb);
-  std::vector<double> work(static_cast<size_t>(nb) * ncols);
-
-  // Q = H_0 H_1 ... H_{k-1}.  For C <- Q C apply blocks last-to-first; for
-  // C <- Q^T C apply first-to-last.
   const idx nblocks = (k + nb - 1) / nb;
-  for (idx bi = 0; bi < nblocks; ++bi) {
-    obs::Span span("ormtr_block", static_cast<std::int32_t>(bi));
-    const idx b = trans == op::none ? nblocks - 1 - bi : bi;
+  // Block b holds reflectors b*nb .. b*nb+ib-1, acting on rows b*nb+1 .. n-1;
+  // its V (explicit storage) and T are formed up front.  Q = H_0 ... H_{k-1}:
+  // C <- Q C applies the blocks last-to-first, C <- Q^T C first-to-last.
+  std::vector<Matrix> v(static_cast<size_t>(nblocks));
+  std::vector<Matrix> t(static_cast<size_t>(nblocks));
+  std::vector<lapack::BlockReflector> list(static_cast<size_t>(nblocks));
+  for (idx b = 0; b < nblocks; ++b) {
     const idx jbeg = b * nb;
     const idx ib = std::min(nb, k - jbeg);
-    const idx m = n - jbeg - 1;  // rows spanned by this block's reflectors
-    // Reflector block: columns jbeg..jbeg+ib-1 of the factored A, rows
-    // jbeg+1..n; unit-lower-trapezoidal with explicit storage.
-    lapack::extract_v(m, ib, a + (jbeg + 1) + jbeg * lda, lda, v.data(), m);
-    lapack::larft(m, ib, v.data(), m, tau + jbeg, t.data(), nb);
-    lapack::larfb(side::left, trans, m, ncols, ib, v.data(), m, t.data(), nb,
-                  c + jbeg + 1, ldc, work.data());
+    const idx m = n - jbeg - 1;
+    Matrix& vb = v[static_cast<size_t>(b)];
+    Matrix& tb = t[static_cast<size_t>(b)];
+    vb.reshape(m, ib);
+    tb.reshape(ib, ib);
+    lapack::extract_v(m, ib, a + (jbeg + 1) + jbeg * lda, lda, vb.data(), m);
+    lapack::larft(m, ib, vb.data(), m, tau + jbeg, tb.data(), ib);
+    list[static_cast<size_t>(trans == op::none ? nblocks - 1 - b : b)] = {
+        jbeg + 1, m, ib, vb.data(), m, tb.data(), ib};
   }
+  lapack::apply_block_reflectors(trans, list, c, ldc, ncols,
+                                 blas::kernel_workers(), "ormtr_cols");
 }
 
 }  // namespace tseig::onestage

@@ -32,7 +32,9 @@ void sytd2(idx n, double* a, idx lda, double* d, double* e, double* tau);
 /// Applies Q (from sytrd's factored form) to the n-by-ncols matrix C:
 ///   trans == op::none : C <- Q C   (back-transformation of eigenvectors)
 ///   trans == op::trans: C <- Q^T C
-/// Processes reflectors in compact-WY blocks of width nb (Level-3 bound).
+/// Forms the compact-WY blocks of width nb up front, then applies them with
+/// lapack::apply_block_reflectors on column blocks of C (Level-3 bound),
+/// on blas::kernel_workers() workers; results do not depend on that count.
 void ormtr(op trans, idx n, idx ncols, const double* a, idx lda,
            const double* tau, double* c, idx ldc, idx nb);
 

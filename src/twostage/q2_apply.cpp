@@ -13,13 +13,12 @@ namespace tseig::twostage {
 namespace {
 
 /// A precomputed diamond: the compact WY factor of `w` reflectors from
-/// consecutive sweeps at the same hop level (Figure 3b), ready to be applied
-/// to any column block of E with one larfb.
+/// consecutive sweeps at the same hop level (Figure 3b), one block
+/// reflector of the list apply_block_reflectors sweeps over E.
 struct Diamond {
-  idx r0 = 0;      // first row of E it touches
-  idx height = 0;  // rows it touches
-  Matrix v;        // height x w staircase with explicit zeros
-  Matrix t;        // w x w triangular factor
+  idx r0 = 0;  // first row of E it touches
+  Matrix v;    // rows touched x w staircase with explicit zeros
+  Matrix t;    // w x w triangular factor
 };
 
 /// Number of sweeps in group [s0, s1) that actually have hop b.
@@ -51,7 +50,7 @@ void fill_diamond(const V2Factor& v2, const DiamondKey& k, Diamond& d,
     for (idx i = 0; i < len; ++i) col[c + i] = v[i];
     taus[c] = v2.tau(k.s0 + c, k.b);
   }
-  lapack::larft(d.height, k.w, d.v.data(), d.v.ld(), taus, d.t.data(),
+  lapack::larft(d.v.rows(), k.w, d.v.data(), d.v.ld(), taus, d.t.data(),
                 d.t.ld());
 }
 
@@ -92,8 +91,7 @@ std::vector<Diamond> build_diamonds(op trans, const V2Factor& v2, idx ell,
     Diamond& d = out[static_cast<size_t>(j)];
     d.r0 = v2.start(k.s0, k.b);
     const idx last = k.s0 + k.w - 1;
-    d.height = v2.start(last, k.b) + v2.len(last, k.b) - d.r0;
-    d.v.reshape(d.height, k.w);
+    d.v.reshape(v2.start(last, k.b) + v2.len(last, k.b) - d.r0, k.w);
     d.t.reshape(k.w, k.w);
   }
   std::atomic<idx> next{0};
@@ -138,39 +136,21 @@ void apply_q2_naive(op trans, const V2Factor& v2, double* e, idx lde,
 }
 
 void apply_q2(op trans, const V2Factor& v2, double* e, idx lde, idx ncols,
-              idx ell, int num_workers, idx col_block) {
-  const idx nsweeps = v2.nsweeps();
-  if (nsweeps == 0 || ncols == 0) return;
-  ell = std::max<idx>(1, ell);
+              idx ell, int num_workers) {
+  if (v2.nsweeps() == 0 || ncols == 0) return;
   num_workers = rt::resolve_num_workers(num_workers);
-  // A narrow E (a subset of eigenvectors) still gets one block per worker;
-  // blocks stay multiples of 8 columns.  Each column's arithmetic does not
-  // depend on its block, so the result does not either.
-  const idx per_worker = (ncols + num_workers - 1) / num_workers;
-  col_block = std::min(col_block, (per_worker + 7) / 8 * 8);
-
   // Build every diamond's WY factor once (shared read-only by all bodies),
   // then sweep them over each column block of E (Figure 3c: communication-
   // free column blocks, each taken whole by one worker).
   const std::vector<Diamond> diamonds =
-      build_diamonds(trans, v2, ell, num_workers);
-
-  const idx nblocks = (ncols + col_block - 1) / col_block;
-  std::atomic<idx> next{0};
-  const int bodies = static_cast<int>(std::min<idx>(num_workers, nblocks));
-  run_self_scheduled(bodies, [&](int) {
-    for (idx b = next++; b < nblocks; b = next++) {
-      obs::Span span("q2_cols");
-      const idx c0 = b * col_block;
-      const idx nc = std::min(col_block, ncols - c0);
-      std::vector<double> wbuf(static_cast<size_t>(ell * nc));
-      for (const Diamond& d : diamonds) {
-        lapack::larfb(side::left, trans, d.height, nc, d.v.cols(), d.v.data(),
-                      d.v.ld(), d.t.data(), d.t.ld(), e + d.r0 + c0 * lde,
-                      lde, wbuf.data());
-      }
-    }
-  });
+      build_diamonds(trans, v2, std::max<idx>(1, ell), num_workers);
+  std::vector<lapack::BlockReflector> list;
+  list.reserve(diamonds.size());
+  for (const Diamond& d : diamonds)
+    list.push_back({d.r0, d.v.rows(), d.v.cols(), d.v.data(), d.v.ld(),
+                    d.t.data(), d.t.ld()});
+  lapack::apply_block_reflectors(trans, list, e, lde, ncols, num_workers,
+                                 "q2_cols");
 }
 
 }  // namespace tseig::twostage

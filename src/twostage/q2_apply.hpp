@@ -16,7 +16,8 @@
 // within a group (this respects every non-commuting pair; see test
 // BlockedMatchesNaive for the exhaustive check).
 //
-// Parallelism follows Figure 3c: E is split into column blocks, each
+// Parallelism follows Figure 3c: the diamonds go to
+// lapack::apply_block_reflectors, which splits E into column blocks, each
 // processed independently (no inter-core communication); a worker takes one
 // whole block at a time and applies the full diamond sequence to it.
 // Before that, the diamonds' WY factors are formed on the same workers:
@@ -39,10 +40,9 @@ void apply_q2_naive(op trans, const V2Factor& v2, double* e, idx lde,
 ///   ell        -- sweeps grouped per diamond (>= 1; 1 degenerates to a
 ///                 blocked form of the naive order).
 ///   num_workers-- workers for the self-scheduled loops over diamonds and
-///                 column blocks (<= 0 = library default, TSEIG_NUM_THREADS).
-///   col_block  -- largest number of columns of E per block; a narrower E is
-///                 cut into about one block per worker (multiples of 8).
+///                 column blocks (<= 0 = library default, TSEIG_NUM_THREADS);
+///                 results are bitwise independent of it.
 void apply_q2(op trans, const V2Factor& v2, double* e, idx lde, idx ncols,
-              idx ell = 32, int num_workers = 1, idx col_block = 256);
+              idx ell = 32, int num_workers = 1);
 
 }  // namespace tseig::twostage

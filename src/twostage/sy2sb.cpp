@@ -29,19 +29,6 @@ double* scratch(idx count) {
 /// one GEMM call each.
 constexpr idx kMinItem = 64;
 
-/// C <- op(H) C for the block reflector H = I - V T V^T (V m-by-k with an
-/// explicit unit diagonal, T k-by-k upper with zeros below, C m-by-nc): three
-/// GEMMs (V^T C, op(T) times that, C -= V times that), so each column's
-/// arithmetic does not depend on nc.  `work` holds 2 * k * nc doubles.
-void reflect(op trans, idx m, idx nc, idx k, const double* v, idx ldv,
-             const double* t, idx ldt, double* c, idx ldc, double* work) {
-  double* w1 = work;
-  double* w2 = work + k * nc;
-  blas::gemm(op::trans, op::none, k, nc, m, 1.0, v, ldv, c, ldc, 0.0, w1, k);
-  blas::gemm(trans, op::none, k, nc, k, 1.0, t, ldt, w1, k, 0.0, w2, k);
-  blas::gemm(op::none, op::none, m, nc, k, -1.0, v, ldv, w2, k, 1.0, c, ldc);
-}
-
 /// Runs f(b0, b1) over [first, last) cut into ranges of `group` blocks, on
 /// up to `workers` pool bodies that take ranges from a shared counter in
 /// increasing order.
@@ -140,8 +127,8 @@ struct Reduction {
       // Fewer rows than columns (the last panel of a ragged n): the
       // remaining columns are Q^T times themselves, all of them R.
       double* rest = v.a + k * v.ld;
-      reflect(op::trans, m, nb - k, k, v.a, v.ld, t.data(), t.ld(), rest,
-              v.ld, scratch(2 * k * (nb - k)));
+      lapack::larfb(side::left, op::trans, m, nb - k, k, v.a, v.ld, t.data(),
+                    t.ld(), rest, v.ld, scratch(k * (nb - k)));
       lapack::lacpy(k, nb - k, rest, v.ld, r.data() + k * r.ld(), r.ld());
     }
     const idx r0 = (j + 1) * nb;
@@ -324,32 +311,21 @@ Sy2sbResult sy2sb(idx n, const double* a, idx lda, idx nb,
 }
 
 void apply_q1(op trans, const Q1Factor& q1, double* g, idx ldg, idx ncols,
-              int num_workers, idx col_block) {
-  const idx panels = static_cast<idx>(q1.t.size());
-  if (panels == 0 || ncols == 0) return;
-  num_workers = rt::resolve_num_workers(num_workers);
-  // The split apply_q2 uses: a narrow G still gets one block per worker, in
-  // multiples of 8 columns.  Each column's arithmetic does not depend on its
-  // block, so the result does not either.
-  const idx per_worker = (ncols + num_workers - 1) / num_workers;
-  col_block = std::min(col_block, (per_worker + 7) / 8 * 8);
-
-  const idx nblocks = (ncols + col_block - 1) / col_block;
+              int num_workers) {
   // Q1 G = H_0 (H_1 (... H_last G)); Q1^T G = H_last^T (... (H_0^T G)).
-  for_each_group(num_workers, 0, nblocks, 1, [&](idx b, idx) {
-    obs::Span span("q1_cols");
-    const idx c0 = b * col_block;
-    const idx nc = std::min(col_block, ncols - c0);
-    double* gc = g + c0 * ldg;
-    double* work = scratch(2 * q1.nb * nc);
-    for (idx step = 0; step < panels; ++step) {
-      const idx j = trans == op::none ? panels - 1 - step : step;
-      const idx m = q1.rows(j);
-      const Matrix& t = q1.t[static_cast<size_t>(j)];
-      reflect(trans, m, nc, t.cols(), q1.v.data() + q1.panel_offset(j), m,
-              t.data(), t.ld(), gc + (q1.n - m), ldg, work);
-    }
-  });
+  const idx panels = static_cast<idx>(q1.t.size());
+  std::vector<lapack::BlockReflector> list;
+  list.reserve(static_cast<size_t>(panels));
+  for (idx step = 0; step < panels; ++step) {
+    const idx j = trans == op::none ? panels - 1 - step : step;
+    const idx m = q1.rows(j);
+    const Matrix& t = q1.t[static_cast<size_t>(j)];
+    list.push_back({q1.n - m, m, t.cols(), q1.v.data() + q1.panel_offset(j),
+                    m, t.data(), t.ld()});
+  }
+  lapack::apply_block_reflectors(trans, list, g, ldg, ncols,
+                                 rt::resolve_num_workers(num_workers),
+                                 "q1_cols");
 }
 
 }  // namespace tseig::twostage

@@ -83,13 +83,9 @@ Sy2sbResult sy2sb(idx n, const double* a, idx lda, idx nb,
 /// Applies op(Q1) to the dense n-by-ncols matrix G in place:
 ///   trans == op::none : G <- Q1 G   (eigenvector back-transformation)
 ///   trans == op::trans: G <- Q1^T G
-/// Each worker takes whole column blocks of G from a shared counter and
-/// applies every panel's block reflector to them, so workers never share
-/// data (the paper's per-core column distribution, Figure 3c).  Blocks are
-/// `col_block` columns wide, narrowed to ceil(ncols / num_workers) rounded
-/// up to 8 when that is smaller; results are bitwise independent of both
-/// arguments.
+/// The panels go to lapack::apply_block_reflectors (Figure 3c's column
+/// blocks); results are bitwise independent of num_workers (<= 0 = default).
 void apply_q1(op trans, const Q1Factor& q1, double* g, idx ldg, idx ncols,
-              int num_workers = 1, idx col_block = 256);
+              int num_workers = 1);
 
 }  // namespace tseig::twostage

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "blas/blas3.hpp"
@@ -93,6 +94,15 @@ double max_abs_diff(const Matrix& a, const Matrix& b) {
     worst = std::max(worst, d);
   }
   return worst;
+}
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (idx j = 0; j < a.cols(); ++j)
+    if (std::memcmp(a.col(j), b.col(j),
+                    static_cast<size_t>(a.rows()) * sizeof(double)) != 0)
+      return false;
+  return true;
 }
 
 double max_abs_diff(const double* a, const double* b, idx n) {

@@ -49,6 +49,10 @@ double max_abs_diff(const Matrix& a, const Matrix& b);
 /// max_i |a[i] - b[i]| over n entries; NaN when any difference is NaN.
 double max_abs_diff(const double* a, const double* b, idx n);
 
+/// True when both matrices have the same shape and hold the same bits (a
+/// zero difference would not tell -0.0 from +0.0).
+bool same_bits(const Matrix& a, const Matrix& b);
+
 /// Frobenius norm.
 double fro_norm(const Matrix& a);
 

@@ -25,6 +25,7 @@ namespace {
 
 using testing::eigen_residual;
 using testing::orthogonality_error;
+using testing::same_bits;
 
 Matrix tridiag_dense(idx n, const std::vector<double>& d,
                      const std::vector<double>& e) {
@@ -169,13 +170,6 @@ bool same_bits(const double* a, const double* b, idx n) {
 bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
          same_bits(a.data(), b.data(), static_cast<idx>(a.size()));
-}
-
-bool same_bits(const Matrix& a, const Matrix& b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  for (idx j = 0; j < a.cols(); ++j)
-    if (!same_bits(a.col(j), b.col(j), a.rows())) return false;
-  return true;
 }
 
 struct SubsetPairs {

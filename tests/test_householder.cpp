@@ -1,5 +1,7 @@
 // Tests for Householder reflector generation/application and QR helpers.
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@ namespace {
 
 using testing::max_abs_diff;
 using testing::orthogonality_error;
+using testing::same_bits;
 using testing::random_matrix;
 
 /// Forms the dense n-by-n reflector H = I - tau v v^T.
@@ -193,6 +196,88 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple<idx, idx, idx>(33, 17, 7),
                       std::make_tuple<idx, idx, idx>(50, 20, 20),
                       std::make_tuple<idx, idx, idx>(64, 40, 1)));
+
+/// larfb's contract, for both sides and both ops at block width k: an m-row
+/// V acting on C (m-by-ncols on the left, ncols-by-m on the right).
+class LarfbContract : public ::testing::TestWithParam<idx> {
+protected:
+  static constexpr idx kCols = 60;
+  idx k = GetParam();
+  idx m = GetParam() + 37;
+  Matrix v;
+  Matrix t;
+  Rng rng{static_cast<std::uint64_t>(GetParam())};
+
+  void SetUp() override {
+    std::vector<double> tau;
+    random_reflectors(m, k, rng, v, tau);
+    t.reshape(k, k);
+    lapack::larft(m, k, v.data(), v.ld(), tau.data(), t.data(), t.ld());
+  }
+
+  /// C <- op(H) C (left) or C op(H) (right) on `count` columns (left) or
+  /// rows (right) of C starting at `first`.
+  void apply(side sd, op tr, const Matrix& tf, Matrix& c, idx first,
+             idx count) const {
+    std::vector<double> work(static_cast<size_t>(count * k));
+    if (sd == side::left) {
+      lapack::larfb(sd, tr, m, count, k, v.data(), v.ld(), tf.data(),
+                    tf.ld(), c.col(first), c.ld(), work.data());
+    } else {
+      lapack::larfb(sd, tr, count, m, k, v.data(), v.ld(), tf.data(),
+                    tf.ld(), c.data() + first, c.ld(), work.data());
+    }
+  }
+
+  Matrix random_c(side sd) {
+    return sd == side::left ? random_matrix(m, kCols, rng)
+                            : random_matrix(kCols, m, rng);
+  }
+};
+
+TEST_P(LarfbContract, StrictlyLowerTIsNotReferenced) {
+  // Callers may leave stale values below T's diagonal (syevbench reuses one
+  // T buffer across block widths): NaN there must not reach C.
+  Matrix tnan = t;
+  for (idx j = 0; j < k; ++j)
+    for (idx i = j + 1; i < k; ++i)
+      tnan(i, j) = std::numeric_limits<double>::quiet_NaN();
+  for (const side sd : {side::left, side::right}) {
+    for (const op tr : {op::none, op::trans}) {
+      const Matrix c0 = random_c(sd);
+      Matrix clean = c0, stale = c0;
+      apply(sd, tr, t, clean, 0, kCols);
+      apply(sd, tr, tnan, stale, 0, kCols);
+      EXPECT_TRUE(same_bits(clean, stale))
+          << "k " << k << " side " << static_cast<char>(sd) << " trans "
+          << static_cast<char>(tr);
+    }
+  }
+}
+
+TEST_P(LarfbContract, SlicesMatchOneCall) {
+  // Each column (left) or row (right) of C gets the same arithmetic however
+  // C is cut: the column-block drivers rely on it for results that do not
+  // depend on the worker count.
+  for (const side sd : {side::left, side::right}) {
+    for (const op tr : {op::none, op::trans}) {
+      const Matrix c0 = random_c(sd);
+      Matrix whole = c0, sliced = c0;
+      apply(sd, tr, t, whole, 0, kCols);
+      idx first = 0;
+      for (const idx width : {idx{1}, idx{8}, idx{17}, kCols - 26}) {
+        apply(sd, tr, t, sliced, first, width);
+        first += width;
+      }
+      EXPECT_TRUE(same_bits(whole, sliced))
+          << "k " << k << " side " << static_cast<char>(sd) << " trans "
+          << static_cast<char>(tr);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BlockWidths, LarfbContract,
+                         ::testing::Values<idx>(8, 24, 32, 64));
 
 class QrShapes : public ::testing::TestWithParam<std::tuple<idx, idx, idx>> {};
 

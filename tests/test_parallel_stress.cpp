@@ -142,6 +142,9 @@ TEST(ParallelStress, NestedSolveInsideSelfScheduledLoopIsSafe) {
 }
 
 TEST(ParallelStress, ApplyQ2ManyColumnBlockSizes) {
+  // The column-block width is ceil(ncols / workers) rounded up to 8, at
+  // most 256: these pairs give widths from 8 to 256, and 300 columns on
+  // one worker give two blocks.  Every one must match one worker bitwise.
   const idx n = 90, bw = 10;
   Rng rng(11);
   twostage::BandMatrix band(n, bw);
@@ -149,13 +152,17 @@ TEST(ParallelStress, ApplyQ2ManyColumnBlockSizes) {
     for (idx i = j; i < std::min(n, j + bw + 1); ++i)
       band.at(i, j) = 2.0 * rng.uniform() - 1.0;
   auto res = twostage::sb2st(band);
-  Matrix e = testing::random_matrix(n, 33, rng);
-  Matrix ref = e;
-  twostage::apply_q2(op::none, res.v2, ref.data(), ref.ld(), 33, 6, 1, 33);
-  for (idx cb : {idx{1}, idx{4}, idx{7}, idx{16}, idx{100}}) {
-    Matrix got = e;
-    twostage::apply_q2(op::none, res.v2, got.data(), got.ld(), 33, 6, 4, cb);
-    EXPECT_LE(testing::max_abs_diff(got, ref), 0.0) << "col_block " << cb;
+  for (const idx ncols : {idx{33}, idx{300}}) {
+    Matrix e = testing::random_matrix(n, ncols, rng);
+    Matrix ref = e;
+    twostage::apply_q2(op::none, res.v2, ref.data(), ref.ld(), ncols, 6, 1);
+    for (const int workers : {2, 3, 4, 5, 8}) {
+      Matrix got = e;
+      twostage::apply_q2(op::none, res.v2, got.data(), got.ld(), ncols, 6,
+                         workers);
+      EXPECT_LE(testing::max_abs_diff(got, ref), 0.0)
+          << "ncols " << ncols << " workers " << workers;
+    }
   }
 }
 

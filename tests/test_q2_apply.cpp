@@ -1,6 +1,6 @@
 // Tests for the Q2 back-transformation (naive and diamond-blocked) and the
 // full two-stage eigensolver chain.
-#include <cstring>
+#include <initializer_list>
 #include <tuple>
 #include <vector>
 
@@ -22,6 +22,7 @@ namespace {
 
 using testing::max_abs_diff;
 using testing::orthogonality_error;
+using testing::same_bits;
 
 twostage::BandMatrix random_band(idx n, idx bw, Rng& rng) {
   twostage::BandMatrix b(n, bw);
@@ -29,17 +30,6 @@ twostage::BandMatrix random_band(idx n, idx bw, Rng& rng) {
     for (idx i = j; i < std::min(n, j + bw + 1); ++i)
       b.at(i, j) = 2.0 * rng.uniform() - 1.0;
   return b;
-}
-
-/// True when both matrices hold the same bits (a zero difference would not
-/// tell -0.0 from +0.0).
-bool same_bits(const Matrix& a, const Matrix& b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  for (idx j = 0; j < a.cols(); ++j)
-    if (std::memcmp(a.col(j), b.col(j),
-                    static_cast<size_t>(a.rows()) * sizeof(double)) != 0)
-      return false;
-  return true;
 }
 
 /// Dense Q2 oracle (reverse-order reflector accumulation).
@@ -118,30 +108,47 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple<idx, idx, idx>(50, 2, 4),
                       std::make_tuple<idx, idx, idx>(40, 12, 5)));
 
+/// Applies op(Q2) (both ops) to a random E of each width in `widths` on one
+/// worker and on each worker count in `workers`: every column must come
+/// out bitwise as on one worker.
+void expect_worker_independent(const twostage::V2Factor& v2, idx ell,
+                               std::initializer_list<idx> widths,
+                               std::initializer_list<int> workers, Rng& rng) {
+  const idx n = v2.n();
+  for (const op tr : {op::none, op::trans}) {
+    for (const idx ncols : widths) {
+      const Matrix e0 = testing::random_matrix(n, ncols, rng);
+      Matrix es = e0;
+      twostage::apply_q2(tr, v2, es.data(), es.ld(), ncols, ell, 1);
+      for (const int w : workers) {
+        Matrix e = e0;
+        twostage::apply_q2(tr, v2, e.data(), e.ld(), ncols, ell, w);
+        EXPECT_TRUE(same_bits(e, es))
+            << "n " << n << " ell " << ell << " trans "
+            << static_cast<char>(tr) << " ncols " << ncols << ", " << w
+            << " workers";
+      }
+    }
+  }
+}
+
 TEST(Q2Apply, ParallelMatchesSequential) {
-  // The diamonds are filled and applied on `workers` bodies; every column
-  // must come out bitwise as on one worker.  ell = 16 > nb = 6 gives
-  // diamonds of varying widths.
+  // The diamonds are filled and applied on `workers` bodies.  ell = 16 >
+  // nb = 6 gives diamonds of varying widths.
   for (const auto& [n, bw, ell] : {std::make_tuple<idx, idx, idx>(56, 7, 4),
                                    std::make_tuple<idx, idx, idx>(48, 6, 16)}) {
     Rng rng(11 + n);
-    auto band = random_band(n, bw, rng);
-    auto res = twostage::sb2st(band);
-    for (op tr : {op::none, op::trans}) {
-      for (idx ncols : {idx{1}, idx{8}, idx{24}}) {
-        const Matrix e0 = testing::random_matrix(n, ncols, rng);
-        Matrix es = e0;
-        twostage::apply_q2(tr, res.v2, es.data(), es.ld(), ncols, ell, 1);
-        for (int workers : {2, 4}) {
-          Matrix e = e0;
-          twostage::apply_q2(tr, res.v2, e.data(), e.ld(), ncols, ell,
-                             workers);
-          EXPECT_TRUE(same_bits(e, es))
-              << "n " << n << " ell " << ell << " trans "
-              << static_cast<char>(tr) << " ncols " << ncols << ", "
-              << workers << " workers";
-        }
-      }
+    const auto res = twostage::sb2st(random_band(n, bw, rng));
+    expect_worker_independent(res.v2, ell, {1, 8, 24}, {2, 4}, rng);
+  }
+  // The default ell = 32 on stage-1 band widths: 32-wide diamonds on column
+  // blocks of 8 to 136 columns.
+  for (const idx n : {idx{200}, idx{300}}) {
+    for (const idx nb : {idx{32}, idx{48}}) {
+      Rng rng(17 + n + nb);
+      const auto res = twostage::sb2st(random_band(n, nb, rng));
+      expect_worker_independent(res.v2, 32, {24, 40, 48, 130}, {2, 3, 4},
+                                rng);
     }
   }
 }

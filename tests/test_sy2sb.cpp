@@ -108,29 +108,27 @@ TEST(Sy2sb, ApplyQ1TransIsInverse) {
 }
 
 TEST(Sy2sb, ApplyQ1ParallelMatchesSequential) {
-  // Bitwise against one worker, for Q1 and Q1^T: with an explicit 16-column
-  // block, and with the default block on narrow G, which 4 workers split
-  // into one block of ceil(ncols / 4) rounded up to 8 columns per worker.
+  // Bitwise against one worker, for Q1 and Q1^T.  The column blocks are
+  // ceil(ncols / workers) rounded up to 8, at most 256 columns, so the
+  // widths vary with both; ncols = 300 gives several blocks on one worker.
   const idx n = 64, nb = 16;
   Rng rng(19);
   Matrix a = testing::random_symmetric(n, rng);
   auto res = twostage::sy2sb(n, a.data(), a.ld(), nb, 1);
 
   for (const op trans : {op::none, op::trans}) {
-    for (const idx ncols : {idx{1}, idx{7}, idx{40}}) {
+    for (const idx ncols : {idx{1}, idx{7}, idx{40}, idx{300}}) {
       SCOPED_TRACE(::testing::Message()
                    << (trans == op::none ? "Q1" : "Q1^T") << ", ncols "
                    << ncols);
-      Matrix g = testing::random_matrix(n, ncols, rng);
-      Matrix gs = g, gp = g;
-      twostage::apply_q1(trans, res.q1, gs.data(), gs.ld(), ncols, 1, 16);
-      twostage::apply_q1(trans, res.q1, gp.data(), gp.ld(), ncols, 4, 16);
-      EXPECT_LE(max_abs_diff(gs, gp), 0.0);
-      Matrix ds = g, dp = g;
-      twostage::apply_q1(trans, res.q1, ds.data(), ds.ld(), ncols, 1);
-      twostage::apply_q1(trans, res.q1, dp.data(), dp.ld(), ncols, 4);
-      EXPECT_LE(max_abs_diff(ds, dp), 0.0);
-      EXPECT_LE(max_abs_diff(gs, ds), 0.0);
+      const Matrix g = testing::random_matrix(n, ncols, rng);
+      Matrix gs = g;
+      twostage::apply_q1(trans, res.q1, gs.data(), gs.ld(), ncols, 1);
+      for (const int workers : {2, 3, 4}) {
+        Matrix gp = g;
+        twostage::apply_q1(trans, res.q1, gp.data(), gp.ld(), ncols, workers);
+        EXPECT_LE(max_abs_diff(gs, gp), 0.0) << "workers " << workers;
+      }
     }
   }
 }

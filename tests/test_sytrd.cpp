@@ -18,6 +18,7 @@ namespace {
 
 using testing::max_abs_diff;
 using testing::orthogonality_error;
+using testing::same_bits;
 
 /// Reconstructs Q by applying the factored-form reflectors to the identity.
 Matrix build_q(idx n, const Matrix& factored, const std::vector<double>& tau,
@@ -95,6 +96,35 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple<idx, idx>(65, 16),   // ragged tail
                       std::make_tuple<idx, idx>(100, 32),
                       std::make_tuple<idx, idx>(90, 90)));  // forces sytd2
+
+TEST(Sytrd, OrmtrBitwiseAcrossKernelBudgets) {
+  // ormtr applies its blocks on column blocks of C, split over
+  // blas::kernel_workers() workers: budgets 1 and 4 must give the same bits.
+  const idx n = 130, nb = 32;  // ragged last block
+  Rng rng(41);
+  Matrix a = testing::random_symmetric(n, rng);
+  std::vector<double> d(static_cast<size_t>(n)), e(static_cast<size_t>(n)),
+      tau(static_cast<size_t>(n));
+  onestage::sytrd(n, a.data(), a.ld(), d.data(), e.data(), tau.data(), nb);
+  for (const op tr : {op::none, op::trans}) {
+    for (const idx ncols : {idx{1}, idx{7}, idx{40}, n}) {
+      const Matrix c0 = testing::random_matrix(n, ncols, rng);
+      Matrix c1 = c0, c4 = c0;
+      {
+        const blas::ScopedKernelWorkers budget(1);
+        onestage::ormtr(tr, n, ncols, a.data(), a.ld(), tau.data(), c1.data(),
+                        c1.ld(), nb);
+      }
+      {
+        const blas::ScopedKernelWorkers budget(4);
+        onestage::ormtr(tr, n, ncols, a.data(), a.ld(), tau.data(), c4.data(),
+                        c4.ld(), nb);
+      }
+      EXPECT_TRUE(same_bits(c1, c4))
+          << "trans " << static_cast<char>(tr) << " ncols " << ncols;
+    }
+  }
+}
 
 TEST(Sytrd, BlockedMatchesUnblocked) {
   const idx n = 72;
