@@ -93,6 +93,11 @@ inline std::int64_t trmm(side s, idx m, idx n) {
 }
 inline std::int64_t ger(idx m, idx n) { return 2 * m * n; }
 inline std::int64_t syr2(idx n) { return 2 * n * n; }
+/// Root-free QL/QR (lapack::sterf): 13 flops per rotation and 14 for each
+/// sweep's shift; the closed-form 2x2 blocks (at most n/2) are not counted.
+inline std::int64_t sterf(idx sweeps, idx rotations) {
+  return 14 * sweeps + 13 * rotations;
+}
 }  // namespace flop_count
 
 /// Nominal memory-traffic formulas (double precision, 8 bytes/element): every

@@ -30,7 +30,8 @@ double* scratch(scratch_use use, idx count) {
   return buf.data();
 }
 
-/// Widest column block of apply_block_reflectors.
+/// Widest column block of apply_block_reflectors, and the widest slice
+/// (columns on the left, rows on the right) larfb works on.
 constexpr idx kMaxColBlock = 256;
 
 }  // namespace
@@ -106,21 +107,33 @@ void larfb(side sd, op trans, idx m, idx n, idx k, const double* v, idx ldv,
     for (idx i = 0; i <= j; ++i) tu[i + j * k] = t[i + j * ldt];
     std::fill(tu + j * k + j + 1, tu + (j + 1) * k, 0.0);
   }
+  // C is taken in slices of at most kMaxColBlock columns (left) or rows
+  // (right), so W2 is at most k x kMaxColBlock whatever the call's width.
   if (sd == side::left) {
-    // W (k-by-n) = V^T C ; W2 = op(T) W ; C -= V W2.
-    double* w2 = scratch(scratch_use::product, k * n);
-    blas::gemm(op::trans, op::none, k, n, m, 1.0, v, ldv, c, ldc, 0.0, work,
-               k);
-    blas::gemm(trans, op::none, k, n, k, 1.0, tu, k, work, k, 0.0, w2, k);
-    blas::gemm(op::none, op::none, m, n, k, -1.0, v, ldv, w2, k, 1.0, c, ldc);
+    // W (k-by-nc) = V^T C ; W2 = op(T) W ; C -= V W2.
+    double* w2 = scratch(scratch_use::product, k * std::min(n, kMaxColBlock));
+    for (idx c0 = 0; c0 < n; c0 += kMaxColBlock) {
+      const idx nc = std::min(kMaxColBlock, n - c0);
+      double* cs = c + c0 * ldc;
+      blas::gemm(op::trans, op::none, k, nc, m, 1.0, v, ldv, cs, ldc, 0.0,
+                 work, k);
+      blas::gemm(trans, op::none, k, nc, k, 1.0, tu, k, work, k, 0.0, w2, k);
+      blas::gemm(op::none, op::none, m, nc, k, -1.0, v, ldv, w2, k, 1.0, cs,
+                 ldc);
+    }
   } else {
-    // W (m-by-k) = C V ; W2 = W op(T) ; C -= W2 V^T.
-    double* w2 = scratch(scratch_use::product, m * k);
-    blas::gemm(op::none, op::none, m, k, n, 1.0, c, ldc, v, ldv, 0.0, work,
-               m);
-    blas::gemm(op::none, trans, m, k, k, 1.0, work, m, tu, k, 0.0, w2, m);
-    blas::gemm(op::none, op::trans, m, n, k, -1.0, w2, m, v, ldv, 1.0, c,
-               ldc);
+    // W (mc-by-k) = C V ; W2 = W op(T) ; C -= W2 V^T.
+    double* w2 = scratch(scratch_use::product, std::min(m, kMaxColBlock) * k);
+    for (idx r0 = 0; r0 < m; r0 += kMaxColBlock) {
+      const idx mc = std::min(kMaxColBlock, m - r0);
+      double* cs = c + r0;
+      blas::gemm(op::none, op::none, mc, k, n, 1.0, cs, ldc, v, ldv, 0.0,
+                 work, mc);
+      blas::gemm(op::none, trans, mc, k, k, 1.0, work, mc, tu, k, 0.0, w2,
+                 mc);
+      blas::gemm(op::none, op::trans, mc, n, k, -1.0, w2, mc, v, ldv, 1.0, cs,
+                 ldc);
+    }
   }
 }
 

@@ -42,7 +42,9 @@ void larft(idx m, idx k, const double* v, idx ldv, const double* tau,
 /// `work` must hold k * n doubles (left) or m * k doubles (right).
 /// Three GEMMs (left: W = V^T C, W <- op(T) W, C -= V W), T's strictly lower
 /// part unreferenced.  Each column (left) or row (right) of C gets the same
-/// arithmetic however C is sliced, so slices give one call's bits.
+/// arithmetic however C is sliced, so slices give one call's bits; larfb
+/// itself works on slices of at most 256 columns (left) or rows (right), so
+/// its thread-local scratch stays at k x k plus k x 256.
 void larfb(side sd, op trans, idx m, idx n, idx k, const double* v, idx ldv,
            const double* t, idx ldt, double* c, idx ldc, double* work);
 

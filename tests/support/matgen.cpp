@@ -80,7 +80,6 @@ Tridiag glued_wilkinson(idx blocks, idx block_n, double glue) {
 std::vector<double> tridiag_eigenvalues(const Tridiag& t) {
   const idx n = static_cast<idx>(t.d.size());
   std::vector<double> d = t.d, e = t.e;
-  e.resize(static_cast<size_t>(n));  // sterf wants capacity n
   lapack::sterf(n, d.data(), e.data());
   std::sort(d.begin(), d.end());
   return d;

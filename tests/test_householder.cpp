@@ -201,7 +201,9 @@ INSTANTIATE_TEST_SUITE_P(
 /// V acting on C (m-by-ncols on the left, ncols-by-m on the right).
 class LarfbContract : public ::testing::TestWithParam<idx> {
 protected:
-  static constexpr idx kCols = 60;
+  // Wider than larfb's 256-column (row) slices, so a whole call is cut
+  // internally too.
+  static constexpr idx kCols = 300;
   idx k = GetParam();
   idx m = GetParam() + 37;
   Matrix v;
@@ -258,7 +260,8 @@ TEST_P(LarfbContract, StrictlyLowerTIsNotReferenced) {
 TEST_P(LarfbContract, SlicesMatchOneCall) {
   // Each column (left) or row (right) of C gets the same arithmetic however
   // C is cut: the column-block drivers rely on it for results that do not
-  // depend on the worker count.
+  // depend on the worker count.  The whole call (slices 256 + 44) and the
+  // last piece here (274 = 256 + 18) are also cut inside larfb.
   for (const side sd : {side::left, side::right}) {
     for (const op tr : {op::none, op::trans}) {
       const Matrix c0 = random_c(sd);

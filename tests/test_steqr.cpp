@@ -1,8 +1,11 @@
-// Tests for the tridiagonal QL/QR eigensolver (steqr/sterf) and the
-// test-matrix generators.
+// Tests for the tridiagonal QL/QR eigensolvers (steqr, and the root-free
+// sterf against an independent bisection oracle) and the test-matrix
+// generators.
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,11 +15,14 @@
 #include "lapack/aux.hpp"
 #include "lapack/generators.hpp"
 #include "lapack/steqr.hpp"
+#include "matgen.hpp"
 #include "test_support.hpp"
+#include "tridiag/bisect.hpp"
 
 namespace tseig {
 namespace {
 
+namespace matgen = testing::matgen;
 using testing::orthogonality_error;
 
 /// Builds the dense matrix for tridiagonal (d, e).
@@ -145,6 +151,178 @@ TEST(Steqr, AccumulatesIntoExistingBasis) {
   std::vector<double> w = d, ework = e;
   lapack::steqr(n, w.data(), ework.data(), z.data(), z.ld(), n);
   EXPECT_LE(testing::eigen_residual(a, z, w), 1e-12 * n);
+}
+
+// ---- sterf (root-free QL/QR) against bisection --------------------------
+
+/// One tridiagonal of the sterf sweep; e holds the n - 1 couplings.
+struct TridiagCase {
+  std::string name;
+  std::vector<double> d, e;
+};
+
+TridiagCase truncated(std::string name, matgen::Tridiag t, idx n) {
+  t.d.resize(static_cast<size_t>(n));
+  t.e.resize(static_cast<size_t>(n - 1));
+  return {std::move(name), std::move(t.d), std::move(t.e)};
+}
+
+TridiagCase random_case(std::string name, idx n, std::uint64_t seed,
+                        double scale) {
+  Rng rng(seed);
+  TridiagCase c{std::move(name), std::vector<double>(static_cast<size_t>(n)),
+                std::vector<double>(static_cast<size_t>(n - 1))};
+  rng.fill_uniform(c.d.data(), n);
+  rng.fill_uniform(c.e.data(), n - 1);
+  for (double& x : c.d) x *= scale;
+  for (double& x : c.e) x *= scale;
+  return c;
+}
+
+/// The classes of the sweep at size n: Wilkinson ladders, glued ladders,
+/// random, a diagonal graded from 1e-150 to 1e150, zero couplings that
+/// split off 1x1 and 2x2 blocks, entries near 1e+-300 (block scaled down
+/// and up) and a subnormal coupling in an otherwise tiny matrix.
+std::vector<TridiagCase> sterf_cases(idx n) {
+  std::vector<TridiagCase> cases;
+  cases.push_back(truncated("wilkinson", matgen::wilkinson(n), n));
+  cases.push_back(truncated(
+      "glued_wilkinson", matgen::glued_wilkinson((n + 20) / 21, 21, 1e-14), n));
+  cases.push_back(random_case("random", n, 100 + n, 1.0));
+
+  TridiagCase graded{"graded", std::vector<double>(static_cast<size_t>(n)),
+                     std::vector<double>(static_cast<size_t>(n - 1))};
+  for (idx i = 0; i < n; ++i) {
+    const double t = n > 1 ? static_cast<double>(i) / (n - 1) : 0.0;
+    graded.d[static_cast<size_t>(i)] =
+        (i % 3 == 1 ? -1.0 : 1.0) * std::pow(10.0, -150.0 + 300.0 * t);
+  }
+  for (idx i = 0; i + 1 < n; ++i)
+    graded.e[static_cast<size_t>(i)] =
+        0.5 * std::sqrt(std::fabs(graded.d[static_cast<size_t>(i)])) *
+        std::sqrt(std::fabs(graded.d[static_cast<size_t>(i + 1)]));
+  cases.push_back(graded);
+
+  // e[0] = 0 splits off d[0]; e[2] = 0 leaves the 2x2 block {1, 2}; the
+  // same at the bottom and one split in the middle.
+  TridiagCase split = random_case("split", n, 200 + n, 1.0);
+  for (const idx k : {idx{0}, idx{2}, n / 2, n - 4, n - 2})
+    if (k >= 0 && k < n - 1) split.e[static_cast<size_t>(k)] = 0.0;
+  cases.push_back(split);
+
+  cases.push_back(random_case("huge", n, 300 + n, 1e300));
+  cases.push_back(random_case("tiny", n, 400 + n, 1e-300));
+  TridiagCase subnormal = random_case("subnormal_e", n, 500 + n, 1e-305);
+  if (n > 1) subnormal.e[static_cast<size_t>((n - 1) / 2)] = 3e-310;
+  cases.push_back(subnormal);
+  return cases;
+}
+
+/// max |w - ref| / (n eps ||T||_inf).
+double scaled_error(const TridiagCase& c, const std::vector<double>& w,
+                    const std::vector<double>& ref) {
+  const idx n = static_cast<idx>(c.d.size());
+  double tnorm = 0.0;
+  for (idx i = 0; i < n; ++i) {
+    double row = std::fabs(c.d[static_cast<size_t>(i)]);
+    if (i > 0) row += std::fabs(c.e[static_cast<size_t>(i - 1)]);
+    if (i + 1 < n) row += std::fabs(c.e[static_cast<size_t>(i)]);
+    tnorm = std::max(tnorm, row);
+  }
+  double err = 0.0;
+  for (idx i = 0; i < n; ++i)
+    err = std::max(err, std::fabs(w[static_cast<size_t>(i)] -
+                                  ref[static_cast<size_t>(i)]));
+  if (err == 0.0) return 0.0;
+  // T = 0: bisection stops within its pivot floor (about DBL_MIN) of 0.
+  if (tnorm == 0.0) return err / std::numeric_limits<double>::min();
+  return err / (static_cast<double>(n) *
+                std::numeric_limits<double>::epsilon() * tnorm);
+}
+
+/// sterf on (d, e) with NaN guards at e[n-1] and e[n]: the result must not
+/// read them (the eigenvalues stay finite) nor write them.
+std::vector<double> guarded_sterf(const std::vector<double>& d0,
+                                  const std::vector<double>& e0) {
+  const idx n = static_cast<idx>(d0.size());
+  std::vector<double> d = d0;
+  std::vector<double> e = e0;
+  const double guard = std::numeric_limits<double>::quiet_NaN();
+  e.push_back(guard);
+  e.push_back(guard);
+  lapack::sterf(n, d.data(), e.data());
+  EXPECT_TRUE(std::isnan(e[static_cast<size_t>(n - 1)]));
+  EXPECT_TRUE(std::isnan(e[static_cast<size_t>(n)]));
+  for (const double x : d) EXPECT_TRUE(std::isfinite(x));
+  EXPECT_TRUE(std::is_sorted(d.begin(), d.end()));
+  return d;
+}
+
+class SterfSizes : public ::testing::TestWithParam<idx> {};
+
+TEST_P(SterfSizes, MatchesBisectionOnEveryClass) {
+  // Bisection (stebz_index) is independent of both QL/QR codes.  Each case
+  // also runs reversed: the spectrum is the same, and the end with the
+  // smaller |d| moves, so the other of QL and QR runs.
+  const idx n = GetParam();
+  for (const TridiagCase& c : sterf_cases(n)) {
+    const std::vector<double> ref =
+        tridiag::stebz_index(n, c.d.data(), c.e.data(), 0, n - 1);
+    TridiagCase rev{c.name + " reversed",
+                    std::vector<double>(c.d.rbegin(), c.d.rend()),
+                    std::vector<double>(c.e.rbegin(), c.e.rend())};
+    for (const TridiagCase& t : {c, rev}) {
+      SCOPED_TRACE(t.name + " n " + std::to_string(n));
+      const std::vector<double> w = guarded_sterf(t.d, t.e);
+      EXPECT_LE(scaled_error(t, w, ref), 2.0);
+    }
+  }
+}
+
+TEST_P(SterfSizes, MatchesSteqrEigenvalues) {
+  // steqr (tql2 with vectors) on the classes it takes unscaled.
+  const idx n = GetParam();
+  for (const TridiagCase& c : sterf_cases(n)) {
+    if (c.name == "huge" || c.name == "tiny" || c.name == "subnormal_e")
+      continue;
+    SCOPED_TRACE(c.name + " n " + std::to_string(n));
+    std::vector<double> wq = c.d;
+    std::vector<double> eq = c.e;
+    eq.resize(static_cast<size_t>(n));
+    Matrix z(n, n);
+    lapack::laset(n, n, 0.0, 1.0, z.data(), z.ld());
+    lapack::steqr(n, wq.data(), eq.data(), z.data(), z.ld(), n);
+    EXPECT_LE(scaled_error(c, guarded_sterf(c.d, c.e), wq), 2.0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, SterfSizes,
+                         ::testing::Values<idx>(1, 2, 3, 17, 64, 300));
+
+TEST(Sterf, TwoByTwoBlocksAreClosedForm) {
+  // Couplings split the matrix into 2x2 blocks only, each solved by the
+  // closed form; the result is exactly the blocks' eigenvalues, sorted.
+  std::vector<double> d = {4.0, 1.0, -2.0, 3.0, 1e-3, 1e-3};
+  std::vector<double> e = {2.0, 0.0, 1e-8, 0.0, 1e-3};
+  std::vector<double> ref;
+  for (size_t b = 0; b < 3; ++b) {
+    const double a = d[2 * b], c = d[2 * b + 1], x = e[2 * b];
+    const double mid = 0.5 * (a + c);
+    const double rad = std::sqrt(0.25 * (a - c) * (a - c) + x * x);
+    ref.push_back(mid - rad);
+    ref.push_back(mid + rad);
+  }
+  std::sort(ref.begin(), ref.end());
+  const std::vector<double> w = guarded_sterf(d, e);
+  for (size_t i = 0; i < 6; ++i)
+    EXPECT_NEAR(w[i], ref[i], 4e-16 * std::fabs(ref[i]) + 1e-300) << i;
+}
+
+TEST(Sterf, NanInputThrowsConvergenceError) {
+  std::vector<double> d(17, 1.0);
+  std::vector<double> e(17, 0.5);
+  d[8] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(lapack::sterf(17, d.data(), e.data()), convergence_error);
 }
 
 TEST(Generators, RandomOrthogonalIsOrthogonal) {

@@ -2,6 +2,7 @@
 // reduction method, tridiagonal solver, job and fraction.
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -154,6 +155,47 @@ TEST(Syev, ParallelWorkersMatchSequential) {
       EXPECT_EQ(r1.eigenvalues[static_cast<size_t>(i)],
                 r2.eigenvalues[static_cast<size_t>(i)]);
     EXPECT_LE(testing::max_abs_diff(r1.z, r2.z), 0.0);
+  }
+}
+
+TEST(Syev, ValuesOnlySterfMeetsBisectionAndIsDeterministic) {
+  // Values-only qr and dc solves run sterf on the reduced tridiagonal; the
+  // bisect solver (stebz) reduces to the same tridiagonal, so it is the
+  // oracle.  sterf is serial: its eigenvalues are bitwise the same for
+  // every worker count and look-ahead depth.
+  const idx n = 200;
+  Rng rng(43);
+  Matrix a = testing::random_symmetric(n, rng);
+  for (const method algo : {method::one_stage, method::two_stage}) {
+    SyevOptions base;
+    base.algo = algo;
+    base.job = jobz::values_only;
+    base.nb = 16;
+    SyevOptions bis = base;
+    bis.solver = eig_solver::bisect;
+    const auto ref = syev(n, a.data(), a.ld(), bis);
+    for (const eig_solver sv : {eig_solver::qr, eig_solver::dc}) {
+      SCOPED_TRACE(::testing::Message() << "method " << static_cast<int>(algo)
+                                        << ", solver " << static_cast<int>(sv));
+      SyevOptions o = base;
+      o.solver = sv;
+      const auto first = syev(n, a.data(), a.ld(), o);
+      ASSERT_EQ(first.eigenvalues.size(), static_cast<size_t>(n));
+      EXPECT_TRUE(testing::check_eigenvalues(ref.eigenvalues,
+                                             first.eigenvalues, 4.0));
+      EXPECT_GT(first.phases.solve_flops, 0u);
+      for (const int workers : {1, 4}) {
+        for (const int lookahead : {0, 2}) {
+          o.num_workers = workers;
+          o.lookahead = lookahead;
+          const auto r = syev(n, a.data(), a.ld(), o);
+          EXPECT_EQ(std::memcmp(r.eigenvalues.data(), first.eigenvalues.data(),
+                                sizeof(double) * static_cast<size_t>(n)),
+                    0)
+              << "workers " << workers << ", lookahead " << lookahead;
+        }
+      }
+    }
   }
 }
 
