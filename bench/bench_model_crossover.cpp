@@ -10,15 +10,103 @@
 // then compared with measured one-stage and two-stage times.  (The stage-2
 // term uses beta for alpha', since the bulge chase runs at memory speed.)
 //
+// --sweep instead measures the crossover that method::automatic uses
+// (solver::kOneStageMaxN): whole syev calls at default options, one-stage
+// against two-stage, n in {128, 192, ..., 768}, values and vectors, 1 and 4
+// workers, R interleaved calls per point (lower quartile and spread).
+//
 // Usage: bench_model_crossover [--nmax N] [--nb NB] [--f F]
+//        bench_model_crossover --sweep [--reps R] [--nmax N]
+#include <algorithm>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_support.hpp"
 #include "solver/syev.hpp"
 
 using namespace tseig;
 
+namespace {
+
+double quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+/// The method sweep: for every (workers, job, n) the two methods run
+/// alternately (the order flips each round, so drift on a shared host hits
+/// both sides alike) after one warm-up call each.  Prints the lower quartile
+/// of each side, its spread (IQR / median) and the one-stage / two-stage
+/// ratio of lower quartiles, then per (workers, job) the largest n up to
+/// which one-stage wins at every size.
+void method_sweep(int reps, idx nmax, bench::BenchRecorder& rec) {
+  std::printf("method sweep: whole syev calls at default options, %d calls "
+              "per point; automatic runs one-stage for n <= kOneStageMaxN = "
+              "%lld\n\n",
+              reps, static_cast<long long>(solver::kOneStageMaxN));
+  std::printf("  %-7s %-8s %5s %11s %7s %11s %7s %8s\n", "workers", "job",
+              "n", "1s q1 (s)", "1s iqr", "2s q1 (s)", "2s iqr", "1s/2s");
+  const idx sizes[] = {128, 192, 256, 320, 384, 448, 512, 640, 768};
+  for (const int workers : {1, 4}) {
+    for (const solver::jobz job :
+         {solver::jobz::values_only, solver::jobz::vectors}) {
+      const char* job_name =
+          job == solver::jobz::vectors ? "vectors" : "values";
+      idx wins_up_to = 0;
+      bool lost = false;
+      for (const idx n : sizes) {
+        if (n > nmax) break;
+        const Matrix a = bench::random_symmetric(n, 41);
+        solver::SyevOptions o;
+        o.job = job;
+        o.num_workers = workers;
+        std::vector<double> t[2];
+        const solver::method m[2] = {solver::method::one_stage,
+                                     solver::method::two_stage};
+        for (int r = -1; r < reps; ++r) {
+          for (int k = 0; k < 2; ++k) {
+            const int side = (r & 1) != 0 ? 1 - k : k;
+            o.algo = m[side];
+            const double s = bench::time_seconds(
+                [&] { (void)solver::syev(n, a.data(), a.ld(), o); });
+            if (r >= 0) t[side].push_back(s);
+          }
+        }
+        double q1[2], iqr[2];
+        for (int k = 0; k < 2; ++k) {
+          q1[k] = quantile(t[k], 0.25);
+          iqr[k] = (quantile(t[k], 0.75) - q1[k]) / quantile(t[k], 0.5);
+        }
+        const double ratio = q1[0] / q1[1];
+        if (ratio < 1.0 && !lost) wins_up_to = n;
+        lost |= ratio >= 1.0;
+        std::printf("  %-7d %-8s %5lld %11.5f %6.1f%% %11.5f %6.1f%% %8.2f\n",
+                    workers, job_name, static_cast<long long>(n), q1[0],
+                    100.0 * iqr[0], q1[1], 100.0 * iqr[1], ratio);
+        const std::string key = "sweep/w" + std::to_string(workers) + "/" +
+                                job_name + "/n" + std::to_string(n);
+        rec.add(key + "/one_stage", q1[0], {{"iqr_over_median", iqr[0]}});
+        rec.add(key + "/two_stage", q1[1], {{"iqr_over_median", iqr[1]}});
+      }
+      std::printf("  -> %d worker(s), %s: one-stage wins at every n <= %lld\n",
+                  workers, job_name, static_cast<long long>(wins_up_to));
+    }
+  }
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
+  if (bench::arg_flag(argc, argv, "--sweep")) {
+    bench::BenchRecorder rec("method_sweep", argc, argv);
+    method_sweep(static_cast<int>(bench::arg_idx(argc, argv, "--reps", 15)),
+                 bench::arg_idx(argc, argv, "--nmax", 768), rec);
+    return 0;
+  }
   const idx nmax = bench::arg_idx(argc, argv, "--nmax", 2048);
   const idx nb = bench::arg_idx(argc, argv, "--nb", 48);
   const double f = bench::arg_double(argc, argv, "--f", 1.0);
@@ -46,6 +134,9 @@ int main(int argc, char** argv) {
     std::printf("model predicts no crossover on this host (denominator <= 0)"
                 "\n");
   }
+  std::printf("method::automatic threshold: one-stage for n <= kOneStageMaxN "
+              "= %lld (measured by --sweep)\n",
+              static_cast<long long>(solver::kOneStageMaxN));
 
   // Implementation-corrected alpha: the paper's model assumes the two-stage
   // kernels run at the large-GEMM rate; tile algorithms actually run at the

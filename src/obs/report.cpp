@@ -178,6 +178,7 @@ std::string metrics_object(const Snapshot& snap) {
   out << ",\"run\":{\"label\":" << json_string(rep.meta.label)
       << ",\"n\":" << rep.meta.n << ",\"nb\":" << rep.meta.nb
       << ",\"workers\":" << rep.meta.num_workers
+      << ",\"method\":" << json_string(rep.meta.method)
       << ",\"git\":" << json_string(rep.git)
       << ",\"kernel\":" << json_string(rep.kernel)
       << ",\"hwc_backend\":" << json_string(rep.hwc_backend)
@@ -286,6 +287,7 @@ std::string to_chrome_trace_json(const Snapshot& snap) {
   out << "],\"metadata\":{\"schema\":\"tseig-trace-v1\",\"label\":"
       << json_string(snap.meta.label) << ",\"n\":" << snap.meta.n
       << ",\"nb\":" << snap.meta.nb << ",\"workers\":" << snap.meta.num_workers
+      << ",\"method\":" << json_string(snap.meta.method)
       << ",\"git\":" << json_string(TSEIG_GIT_DESCRIBE)
       << ",\"kernel\":" << json_string(blas::kernels::active_kernel_name())
       << ",\"hwc_backend\":" << json_string(snap.hwc_backend)
@@ -299,7 +301,9 @@ std::string format_report(const Report& rep) {
   out << "tseig telemetry report";
   if (!rep.meta.label.empty()) out << " -- " << rep.meta.label;
   out << " (n=" << rep.meta.n << ", nb=" << rep.meta.nb
-      << ", workers=" << rep.meta.num_workers << ", git " << rep.git
+      << ", workers=" << rep.meta.num_workers;
+  if (!rep.meta.method.empty()) out << ", method=" << rep.meta.method;
+  out << ", git " << rep.git
       << ", kernel " << (rep.kernel.empty() ? "unknown" : rep.kernel)
       << ")\n";
   out << "  wall                " << fmt("%10.6f", rep.wall_seconds) << " s   ("
@@ -417,6 +421,7 @@ Report report_from_metrics_json(const JsonValue& doc) {
     rep.meta.n = static_cast<idx>(run->number_or("n", 0));
     rep.meta.nb = static_cast<idx>(run->number_or("nb", 0));
     rep.meta.num_workers = static_cast<int>(run->number_or("workers", 0));
+    rep.meta.method = run->string_or("method", "");
     rep.git = run->string_or("git", "unknown");
     rep.kernel = run->string_or("kernel", "unknown");
     rep.hwc_backend = run->string_or("hwc_backend", "off");

@@ -240,6 +240,9 @@ struct RunMeta {
   idx n = 0;
   idx nb = 0;
   int num_workers = 0;
+  /// Reduction that ran: "one_stage", "two_stage", "small_n" (closed-form
+  /// lane), several joined by '+' for a batch; empty when not a solve.
+  std::string method;
 };
 void set_run_meta(const RunMeta& meta);
 

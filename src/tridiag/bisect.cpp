@@ -196,6 +196,9 @@ idx sturm_count(idx n, const double* d, const double* e, double x) {
 std::vector<double> stebz_index(idx n, const double* d, const double* e,
                                 idx il, idx iu) {
   require(0 <= il && il <= iu && iu < n, "stebz_index: bad index range");
+  // 1x1: the eigenvalue is d[0] exactly, as in LAPACK dstebz (bisection
+  // would stop within its pivot floor of it: -pivmin/2 for d = {0}).
+  if (n == 1) return {d[0]};
   const SafeTridiag t(n, d, e);
   double gl, gu;
   gershgorin(n, t.d.data(), t.e.data(), gl, gu);
@@ -231,6 +234,10 @@ std::vector<double> stebz_index(idx n, const double* d, const double* e,
 std::vector<double> stebz_value(idx n, const double* d, const double* e,
                                 double vl, double vu) {
   require(vl < vu, "stebz_value: bad interval");
+  if (n == 1) {
+    if (vl < d[0] && d[0] <= vu) return {d[0]};
+    return {};
+  }
   const idx il = sturm_count(n, d, e, vl);        // eigenvalues <= vl excluded
   const idx iu = sturm_count(n, d, e, vu);        // eigenvalues <= vu counted
   if (iu <= il) return {};

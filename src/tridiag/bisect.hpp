@@ -29,7 +29,8 @@ idx sturm_count(idx n, const double* d, const double* e, double x);
 /// When max(|d|, |e|) lies outside [2^-500, 2^500] (where e^2 would
 /// overflow or underflow), the bisection runs on (d, e) scaled by a power
 /// of two into [0.5, 1) and the eigenvalues are scaled back exactly.
-/// sturm_count and stebz_value follow the same rule.
+/// sturm_count and stebz_value follow the same rule.  For n = 1 both
+/// return d[0] exactly (when selected), as LAPACK dstebz does.
 std::vector<double> stebz_index(idx n, const double* d, const double* e,
                                 idx il, idx iu);
 

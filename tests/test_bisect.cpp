@@ -116,6 +116,31 @@ TEST(Bisect, ValueRangeSelectsInterval) {
   for (size_t j = 0; j < w.size(); ++j) EXPECT_NEAR(w[j], expect[j], 1e-11);
 }
 
+TEST(Bisect, OneByOneReturnsTheDiagonalExactly) {
+  // LAPACK dstebz returns d(1) for n = 1; bisection alone stopped within
+  // its pivot floor of it (-pivmin/2 = -1.1e-308 for d = {0}).
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto bits_equal = [](double x, double y) {
+    return std::memcmp(&x, &y, sizeof(double)) == 0;
+  };
+  for (const double d0 : {0.0, -0.0, 1.0, -3.7, 1e-300, 1e300, 0.1}) {
+    SCOPED_TRACE(d0);
+    const double d[1] = {d0};
+    const double e[1] = {0.0};
+    const double below = std::nextafter(d0, -inf);
+    const double above = std::nextafter(d0, inf);
+    const auto w = tridiag::stebz_index(1, d, e, 0, 0);
+    ASSERT_EQ(w.size(), 1u);
+    EXPECT_TRUE(bits_equal(w[0], d0));
+    const auto in = tridiag::stebz_value(1, d, e, below, above);
+    ASSERT_EQ(in.size(), 1u);
+    EXPECT_TRUE(bits_equal(in[0], d0));
+    // (vl, vu] is half-open: d0 = vu is inside, d0 = vl is not.
+    EXPECT_EQ(tridiag::stebz_value(1, d, e, below, d0).size(), 1u);
+    EXPECT_TRUE(tridiag::stebz_value(1, d, e, d0, above).empty());
+  }
+}
+
 TEST(Bisect, SubsetTwentyPercent) {
   // The Figure-4d scenario: smallest 20% of the spectrum only.
   const idx n = 100;
@@ -339,6 +364,7 @@ std::vector<double> stebz_index(const testing::matgen::Tridiag& t, idx il,
   const auto n = static_cast<idx>(t.d.size());
   const double* d = t.d.data();
   const double* e = t.e.data();
+  if (n == 1) return {d[0]};  // dstebz's 1x1 rule, not bisected
   double gl = d[0], gu = d[0];
   for (idx i = 0; i < n; ++i) {
     const double r = (i > 0 ? std::fabs(e[i - 1]) : 0.0) +
@@ -513,6 +539,7 @@ TEST(Bisect, SubsetSolveRecordsStebzAndSteinSpans) {
   Rng rng(65);
   const Matrix a = testing::random_symmetric(n, rng);
   solver::SyevOptions opts;
+  opts.algo = solver::method::two_stage;  // the q2_build spans below
   opts.solver = solver::eig_solver::bisect;
   opts.fraction = 0.2;
   obs::reset();

@@ -165,30 +165,35 @@ TEST(CrossTier, Syr2kBitwiseIdenticalAcrossTiers) {
 }
 
 TEST(CrossTier, SyevBitwiseIdenticalAcrossTiers) {
-  // End-to-end: the whole two-stage eigensolver (reduction, D&C, back-
+  // End-to-end: the whole eigensolver on both methods (reduction, D&C, back-
   // transform -- every Level-3 call inside) must be bit-reproducible across
   // dispatch tiers.  This is what makes TSEIG_KERNEL=scalar a debugging
   // oracle for SIMD-tier bugs.
   const idx n = 96;
   Rng rng(7);
   const Matrix a = random_symmetric(n, rng);
-  solver::SyevOptions opts;
-  opts.num_workers = 1;  // serial: isolates tier effects from scheduling
-
   KernelGuard guard;
-  kern::select_kernel(kern::find_kernel("scalar"));
-  const solver::SyevResult ref = solver::syev(n, a.data(), a.ld(), opts);
-  ASSERT_EQ(static_cast<idx>(ref.eigenvalues.size()), n);
+  for (const solver::method algo :
+       {solver::method::one_stage, solver::method::two_stage}) {
+    SCOPED_TRACE(solver::method_name(algo));
+    solver::SyevOptions opts;
+    opts.algo = algo;
+    opts.num_workers = 1;  // serial: isolates tier effects from scheduling
 
-  for (const kern::Kernel* tier : kern::available_kernels()) {
-    kern::select_kernel(tier);
-    const solver::SyevResult res = solver::syev(n, a.data(), a.ld(), opts);
-    ASSERT_EQ(res.eigenvalues.size(), ref.eigenvalues.size());
-    EXPECT_TRUE(
-        bitwise_equal(res.eigenvalues.data(), ref.eigenvalues.data(), n))
-        << "eigenvalues differ under tier " << tier->name;
-    EXPECT_TRUE(bitwise_equal(res.z.data(), ref.z.data(), n * n))
-        << "eigenvectors differ under tier " << tier->name;
+    kern::select_kernel(kern::find_kernel("scalar"));
+    const solver::SyevResult ref = solver::syev(n, a.data(), a.ld(), opts);
+    ASSERT_EQ(static_cast<idx>(ref.eigenvalues.size()), n);
+
+    for (const kern::Kernel* tier : kern::available_kernels()) {
+      kern::select_kernel(tier);
+      const solver::SyevResult res = solver::syev(n, a.data(), a.ld(), opts);
+      ASSERT_EQ(res.eigenvalues.size(), ref.eigenvalues.size());
+      EXPECT_TRUE(
+          bitwise_equal(res.eigenvalues.data(), ref.eigenvalues.data(), n))
+          << "eigenvalues differ under tier " << tier->name;
+      EXPECT_TRUE(bitwise_equal(res.z.data(), ref.z.data(), n * n))
+          << "eigenvectors differ under tier " << tier->name;
+    }
   }
 }
 

@@ -35,6 +35,7 @@ TEST(ParallelStress, RepeatedFullSolvesAreBitIdentical) {
   Rng rng(3);
   Matrix a = testing::random_symmetric(n, rng);
   solver::SyevOptions seq;
+  seq.algo = solver::method::two_stage;  // the stage-2 pipeline widths below
   seq.nb = 12;
   seq.ell = 8;
   auto ref = solver::syev(n, a.data(), a.ld(), seq);
@@ -125,6 +126,7 @@ TEST(ParallelStress, NestedSolveInsideSelfScheduledLoopIsSafe) {
   Rng rng(23);
   Matrix a = testing::random_symmetric(n, rng);
   solver::SyevOptions opts;
+  opts.algo = solver::method::two_stage;  // the pipeline with most loops
   opts.nb = 8;
   opts.ell = 4;
   opts.num_workers = 4;

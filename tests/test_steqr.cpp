@@ -234,7 +234,9 @@ double scaled_error(const TridiagCase& c, const std::vector<double>& w,
     err = std::max(err, std::fabs(w[static_cast<size_t>(i)] -
                                   ref[static_cast<size_t>(i)]));
   if (err == 0.0) return 0.0;
-  // T = 0: bisection stops within its pivot floor (about DBL_MIN) of 0.
+  // T = 0 with n > 1: bisection stops within its pivot floor (about
+  // DBL_MIN) of 0.  (For n = 1 stebz returns d[0] exactly, so the floor is
+  // not needed there.)
   if (tnorm == 0.0) return err / std::numeric_limits<double>::min();
   return err / (static_cast<double>(n) *
                 std::numeric_limits<double>::epsilon() * tnorm);

@@ -21,6 +21,7 @@ namespace {
 using solver::eig_solver;
 using solver::jobz;
 using solver::method;
+using solver::method_name;
 using solver::syev;
 using solver::SyevOptions;
 
@@ -133,28 +134,32 @@ TEST(Syev, OneAndTwoStageAgreeOnKnownSpectrum) {
 }
 
 TEST(Syev, ParallelWorkersMatchSequential) {
-  // Results are bitwise independent of the worker count, with and without
-  // the stage-1 look-ahead pipeline.
+  // Results are bitwise independent of the worker count on both methods,
+  // with and without the stage-1 look-ahead pipeline.
   const idx n = 96;
   Rng rng(31);
   Matrix a = testing::random_symmetric(n, rng);
 
-  for (const int lookahead : {0, 2}) {
-    SCOPED_TRACE("lookahead " + std::to_string(lookahead));
-    SyevOptions seq;
-    seq.nb = 16;
-    seq.lookahead = lookahead;
-    auto r1 = syev(n, a.data(), a.ld(), seq);
-    SyevOptions par = seq;
-    par.num_workers = 4;
-    par.stage2_workers = 2;
-    auto r2 = syev(n, a.data(), a.ld(), par);
+  for (const method algo : {method::one_stage, method::two_stage}) {
+    for (const int lookahead : {0, 2}) {
+      SCOPED_TRACE(::testing::Message() << "method " << method_name(algo)
+                                        << ", lookahead " << lookahead);
+      SyevOptions seq;
+      seq.algo = algo;
+      seq.nb = 16;
+      seq.lookahead = lookahead;
+      auto r1 = syev(n, a.data(), a.ld(), seq);
+      SyevOptions par = seq;
+      par.num_workers = 4;
+      par.stage2_workers = 2;
+      auto r2 = syev(n, a.data(), a.ld(), par);
 
-    EXPECT_TRUE(testing::check_eigen_pairs(a, r2.eigenvalues, r2.z));
-    for (idx i = 0; i < n; ++i)
-      EXPECT_EQ(r1.eigenvalues[static_cast<size_t>(i)],
-                r2.eigenvalues[static_cast<size_t>(i)]);
-    EXPECT_LE(testing::max_abs_diff(r1.z, r2.z), 0.0);
+      EXPECT_TRUE(testing::check_eigen_pairs(a, r2.eigenvalues, r2.z));
+      for (idx i = 0; i < n; ++i)
+        EXPECT_EQ(r1.eigenvalues[static_cast<size_t>(i)],
+                  r2.eigenvalues[static_cast<size_t>(i)]);
+      EXPECT_LE(testing::max_abs_diff(r1.z, r2.z), 0.0);
+    }
   }
 }
 
@@ -222,6 +227,7 @@ TEST(Syev, PhaseBreakdownIsConsistent) {
   Rng rng(37);
   Matrix a = testing::random_symmetric(n, rng);
   SyevOptions opts;
+  opts.algo = method::two_stage;  // n = 64 would resolve to one-stage
   opts.nb = 16;
   auto res = syev(n, a.data(), a.ld(), opts);
   EXPECT_NEAR(res.phases.reduction_seconds,
@@ -342,15 +348,111 @@ TEST(Syev, MatgenTortureCatalogBothMethods) {
   }
 }
 
+TEST(Syev, ResolveOptionsPicksEachSideOfTheThreshold) {
+  const idx t = solver::kOneStageMaxN;
+  SyevOptions o;
+  ASSERT_EQ(o.algo, method::automatic);
+  EXPECT_EQ(solver::resolve_options(1, o).algo, method::one_stage);
+  EXPECT_EQ(solver::resolve_options(t, o).algo, method::one_stage);
+  EXPECT_EQ(solver::resolve_options(t + 1, o).algo, method::two_stage);
+  EXPECT_EQ(solver::resolve_options(4 * t, o).algo, method::two_stage);
+  // The method reads n alone: every worker count resolves the same way.
+  for (const int workers : {-1, 0, 1, 4}) {
+    o.num_workers = workers;
+    EXPECT_EQ(solver::resolve_options(t, o).algo, method::one_stage);
+    EXPECT_EQ(solver::resolve_options(t + 1, o).algo, method::two_stage);
+    EXPECT_GE(solver::resolve_options(t, o).num_workers, 1);
+  }
+  // An explicit method is kept on both sides.
+  for (const method m : {method::one_stage, method::two_stage}) {
+    o.algo = m;
+    EXPECT_EQ(solver::resolve_options(t, o).algo, m);
+    EXPECT_EQ(solver::resolve_options(t + 1, o).algo, m);
+  }
+  // nb: 0 picks the automatic width, then the clamps (n for one-stage, the
+  // n - 1 band for two-stage); stage2_workers never exceeds the workers.
+  o.algo = method::automatic;
+  o.nb = 0;
+  o.num_workers = 2;
+  o.stage2_workers = 8;
+  const SyevOptions r = solver::resolve_options(1000, o);
+  EXPECT_GE(r.nb, 32);
+  EXPECT_LE(r.nb, 96);
+  EXPECT_EQ(r.num_workers, 2);
+  EXPECT_EQ(r.stage2_workers, 2);
+  o.nb = 48;
+  EXPECT_EQ(solver::resolve_options(20, o).nb, 20);
+  o.algo = method::two_stage;
+  EXPECT_EQ(solver::resolve_options(20, o).nb, 19);
+  EXPECT_EQ(solver::resolve_options(1, o).nb, 1);
+}
+
+/// Bitwise equality of two solves (eigenvalues and eigenvectors).
+::testing::AssertionResult same_result(const solver::SyevResult& x,
+                                       const solver::SyevResult& y) {
+  if (x.eigenvalues.size() != y.eigenvalues.size() ||
+      std::memcmp(x.eigenvalues.data(), y.eigenvalues.data(),
+                  sizeof(double) * x.eigenvalues.size()) != 0)
+    return ::testing::AssertionFailure() << "eigenvalues differ";
+  if (x.z.rows() != y.z.rows() || x.z.cols() != y.z.cols() ||
+      (x.z.cols() > 0 && !testing::same_bits(x.z, y.z)))
+    return ::testing::AssertionFailure() << "eigenvectors differ";
+  return ::testing::AssertionSuccess();
+}
+
+TEST(Syev, AutomaticIsBitwiseTheMethodItResolvesTo) {
+  const idx t = solver::kOneStageMaxN;
+  Rng rng(53);
+  for (const idx n : {idx{40}, t, t + 1}) {
+    const Matrix a = testing::random_symmetric(n, rng);
+    for (const jobz job : {jobz::values_only, jobz::vectors}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "n " << n << ", job " << static_cast<int>(job));
+      SyevOptions o;
+      o.job = job;
+      const auto got = syev(n, a.data(), a.ld(), o);
+      o.algo = n <= t ? method::one_stage : method::two_stage;
+      EXPECT_TRUE(same_result(got, syev(n, a.data(), a.ld(), o)));
+    }
+  }
+}
+
+TEST(Syev, AutomaticIsBitwiseAcrossWorkersAndLookahead) {
+  // Both sides of the threshold, so both reductions: the resolved method
+  // and its bits never depend on the worker count or look-ahead depth.
+  const idx t = solver::kOneStageMaxN;
+  Rng rng(59);
+  for (const idx n : {t, t + 1}) {
+    const Matrix a = testing::random_symmetric(n, rng);
+    SyevOptions o;
+    const auto ref = syev(n, a.data(), a.ld(), o);
+    EXPECT_TRUE(testing::check_eigen_pairs(a, ref.eigenvalues, ref.z)) << n;
+    for (const int workers : {1, 4}) {
+      for (const int lookahead : {0, 2}) {
+        SCOPED_TRACE(::testing::Message() << "n " << n << ", workers "
+                                          << workers << ", lookahead "
+                                          << lookahead);
+        o.num_workers = workers;
+        o.lookahead = lookahead;
+        EXPECT_TRUE(same_result(ref, syev(n, a.data(), a.ld(), o)));
+      }
+    }
+  }
+}
+
 TEST(Syev, AutoNbSelectsValidTiling) {
   // nb == 0 picks a size-dependent tile width; results must stay correct.
   Rng rng(47);
   for (idx n : {idx{40}, idx{200}, idx{700}}) {
     Matrix a = testing::random_symmetric(n, rng);
-    SyevOptions opts;
-    opts.nb = 0;
-    auto res = solver::syev(n, a.data(), a.ld(), opts);
-    EXPECT_TRUE(testing::check_eigen_pairs(a, res.eigenvalues, res.z)) << n;
+    for (const method algo : {method::one_stage, method::two_stage}) {
+      SyevOptions opts;
+      opts.algo = algo;
+      opts.nb = 0;
+      auto res = solver::syev(n, a.data(), a.ld(), opts);
+      EXPECT_TRUE(testing::check_eigen_pairs(a, res.eigenvalues, res.z))
+          << n << " " << method_name(algo);
+    }
   }
 }
 
