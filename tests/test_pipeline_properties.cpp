@@ -26,6 +26,10 @@ using solver::method;
 using solver::syev;
 using solver::SyevOptions;
 
+/// Both reductions: at these sizes the default (method::automatic) would
+/// only ever run one-stage.
+constexpr method kMethods[] = {method::one_stage, method::two_stage};
+
 struct Case {
   method algo;
   eig_solver solver;
@@ -97,16 +101,20 @@ TEST_P(PipelineScales, ScaleInvariance) {
   for (idx j = 0; j < n; ++j)
     for (idx i = 0; i < n; ++i) a(i, j) *= scale;
 
-  SyevOptions opts;
-  opts.nb = 8;
-  auto res = syev(n, a.data(), a.ld(), opts);
-  for (idx i = 0; i < n; ++i)
-    EXPECT_NEAR(res.eigenvalues[static_cast<size_t>(i)],
-                scale * eigs[static_cast<size_t>(i)],
-                1e-12 * n * scale * static_cast<double>(n));
-  // The scaled oracles are themselves scale-invariant, so one threshold
-  // covers matrices from 1e-100 to 1e100.
-  EXPECT_TRUE(testing::check_eigen_pairs(a, res.eigenvalues, res.z));
+  for (const method algo : kMethods) {
+    SCOPED_TRACE(solver::method_name(algo));
+    SyevOptions opts;
+    opts.algo = algo;
+    opts.nb = 8;
+    auto res = syev(n, a.data(), a.ld(), opts);
+    for (idx i = 0; i < n; ++i)
+      EXPECT_NEAR(res.eigenvalues[static_cast<size_t>(i)],
+                  scale * eigs[static_cast<size_t>(i)],
+                  1e-12 * n * scale * static_cast<double>(n));
+    // The scaled oracles are themselves scale-invariant, so one threshold
+    // covers matrices from 1e-100 to 1e100.
+    EXPECT_TRUE(testing::check_eigen_pairs(a, res.eigenvalues, res.z));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Scales, PipelineScales,
@@ -123,6 +131,7 @@ TEST_P(PipelineBandwidths, TwoStageAcrossTilings) {
   Matrix a = testing::random_symmetric(n, rng);
 
   SyevOptions opts;
+  opts.algo = method::two_stage;  // nb and ell tile the two-stage path
   opts.nb = nb;
   opts.ell = ell;
   auto res = syev(n, a.data(), a.ld(), opts);
@@ -180,6 +189,12 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(testing::matgen::class_name(info.param));
     });
 
+SyevOptions with_method(method algo) {
+  SyevOptions o;
+  o.algo = algo;
+  return o;
+}
+
 TEST(PipelineEdge, NegativeDefiniteMatrix) {
   const idx n = 32;
   Rng rng(23);
@@ -187,18 +202,24 @@ TEST(PipelineEdge, NegativeDefiniteMatrix) {
   for (double& v : eigs) v = -v;
   std::sort(eigs.begin(), eigs.end());
   Matrix a = lapack::symmetric_with_spectrum(eigs, rng);
-  auto res = syev(n, a.data(), a.ld(), SyevOptions{});
-  for (idx i = 0; i < n; ++i)
-    EXPECT_NEAR(res.eigenvalues[static_cast<size_t>(i)],
-                eigs[static_cast<size_t>(i)], 1e-11 * n * n);
+  for (const method algo : kMethods) {
+    SCOPED_TRACE(solver::method_name(algo));
+    auto res = syev(n, a.data(), a.ld(), with_method(algo));
+    for (idx i = 0; i < n; ++i)
+      EXPECT_NEAR(res.eigenvalues[static_cast<size_t>(i)],
+                  eigs[static_cast<size_t>(i)], 1e-11 * n * n);
+  }
 }
 
 TEST(PipelineEdge, ZeroMatrix) {
   const idx n = 24;
   Matrix a(n, n);
-  auto res = syev(n, a.data(), a.ld(), SyevOptions{});
-  for (double w : res.eigenvalues) EXPECT_EQ(w, 0.0);
-  EXPECT_TRUE(testing::check_eigen_pairs(a, res.eigenvalues, res.z));
+  for (const method algo : kMethods) {
+    SCOPED_TRACE(solver::method_name(algo));
+    auto res = syev(n, a.data(), a.ld(), with_method(algo));
+    for (double w : res.eigenvalues) EXPECT_EQ(w, 0.0);
+    EXPECT_TRUE(testing::check_eigen_pairs(a, res.eigenvalues, res.z));
+  }
 }
 
 TEST(PipelineEdge, RankOneMatrix) {
@@ -214,15 +235,18 @@ TEST(PipelineEdge, RankOneMatrix) {
     for (idx i = 0; i < n; ++i)
       a(i, j) = u[static_cast<size_t>(i)] * u[static_cast<size_t>(j)];
 
-  auto res = syev(n, a.data(), a.ld(), SyevOptions{});
-  EXPECT_NEAR(res.eigenvalues.back(), unorm2, 1e-12 * n);
-  for (idx i = 0; i + 1 < n; ++i)
-    EXPECT_NEAR(res.eigenvalues[static_cast<size_t>(i)], 0.0, 1e-12 * n);
+  for (const method algo : kMethods) {
+    SCOPED_TRACE(solver::method_name(algo));
+    auto res = syev(n, a.data(), a.ld(), with_method(algo));
+    EXPECT_NEAR(res.eigenvalues.back(), unorm2, 1e-12 * n);
+    for (idx i = 0; i + 1 < n; ++i)
+      EXPECT_NEAR(res.eigenvalues[static_cast<size_t>(i)], 0.0, 1e-12 * n);
+  }
 }
 
 TEST(PipelineEdge, AlreadyTridiagonalDense) {
   // A dense-stored tridiagonal matrix: stage 1 mostly deflates (tiles are
-  // already band); the pipeline must still work.
+  // already band), as do sytrd's reflectors; both pipelines must still work.
   const idx n = 40;
   Rng rng(31);
   Matrix a(n, n);
@@ -234,8 +258,11 @@ TEST(PipelineEdge, AlreadyTridiagonalDense) {
       a(i, i + 1) = v;
     }
   }
-  auto res = syev(n, a.data(), a.ld(), SyevOptions{});
-  EXPECT_TRUE(testing::check_eigen_pairs(a, res.eigenvalues, res.z));
+  for (const method algo : kMethods) {
+    SCOPED_TRACE(solver::method_name(algo));
+    auto res = syev(n, a.data(), a.ld(), with_method(algo));
+    EXPECT_TRUE(testing::check_eigen_pairs(a, res.eigenvalues, res.z));
+  }
 }
 
 TEST(PipelineEdge, IdentityPlusPerturbation) {
@@ -249,9 +276,12 @@ TEST(PipelineEdge, IdentityPlusPerturbation) {
       a(i, j) += v;
       a(j, i) += v;
     }
-  auto res = syev(n, a.data(), a.ld(), SyevOptions{});
-  for (double w : res.eigenvalues) EXPECT_NEAR(w, 1.0, 1e-8);
-  EXPECT_TRUE(testing::check_eigen_pairs(a, res.eigenvalues, res.z));
+  for (const method algo : kMethods) {
+    SCOPED_TRACE(solver::method_name(algo));
+    auto res = syev(n, a.data(), a.ld(), with_method(algo));
+    for (double w : res.eigenvalues) EXPECT_NEAR(w, 1.0, 1e-8);
+    EXPECT_TRUE(testing::check_eigen_pairs(a, res.eigenvalues, res.z));
+  }
 }
 
 }  // namespace

@@ -39,11 +39,16 @@ constexpr double kEps = std::numeric_limits<double>::epsilon();
 
 SyevOptions lane_on() { return {}; }
 
-SyevOptions lane_off() {
+SyevOptions lane_off(solver::method algo = solver::method::automatic) {
   SyevOptions o;
+  o.algo = algo;
   o.small_n_closed_form = false;
   return o;
 }
+
+/// The pipeline under both reductions (n <= 3 alone resolves to one-stage).
+const SyevOptions kPipelines[] = {lane_off(solver::method::one_stage),
+                                  lane_off(solver::method::two_stage)};
 
 Matrix to_matrix(idx n, const double* v, idx ldv, idx m) {
   Matrix z(n, m);
@@ -184,16 +189,19 @@ TEST(SyevSmallLane, AgreesWithFullPipelineOverTortureCatalog) {
                    << " scale " << s.scale);
       const Generated g = testing::matgen::generate(s);
       const SyevResult lane = solver::syev(n, g.a.data(), g.a.ld(), lane_on());
-      const SyevResult pipe =
-          solver::syev(n, g.a.data(), g.a.ld(), lane_off());
-      // Both paths pass the ground-truth and residual oracles...
       EXPECT_TRUE(testing::check_eigenvalues(g.eigs, lane.eigenvalues));
-      EXPECT_TRUE(testing::check_eigenvalues(g.eigs, pipe.eigenvalues));
       EXPECT_TRUE(testing::check_eigen_pairs(g.a, lane.eigenvalues, lane.z));
-      EXPECT_TRUE(testing::check_eigen_pairs(g.a, pipe.eigenvalues, pipe.z));
-      // ...and agree with each other within the same Weyl-scaled bound.
-      EXPECT_TRUE(testing::check_eigenvalues(pipe.eigenvalues,
-                                             lane.eigenvalues));
+      for (const SyevOptions& o : kPipelines) {
+        SCOPED_TRACE(solver::method_name(o.algo));
+        const SyevResult pipe = solver::syev(n, g.a.data(), g.a.ld(), o);
+        // Both paths pass the ground-truth and residual oracles...
+        EXPECT_TRUE(testing::check_eigenvalues(g.eigs, pipe.eigenvalues));
+        EXPECT_TRUE(
+            testing::check_eigen_pairs(g.a, pipe.eigenvalues, pipe.z));
+        // ...and agree with each other within the same Weyl-scaled bound.
+        EXPECT_TRUE(testing::check_eigenvalues(pipe.eigenvalues,
+                                               lane.eigenvalues));
+      }
       // The lane's whole cost lands in the solve phase of the breakdown.
       EXPECT_EQ(lane.phases.reduction_flops, 0u);
       EXPECT_GT(lane.phases.solve_flops, 0u);
@@ -308,7 +316,7 @@ TEST(SyevSmallLane, ReadsOnlyTheLowerTriangle) {
   for (idx j = 1; j < 3; ++j)
     for (idx i = 0; i < j; ++i)
       poisoned(i, j) = std::numeric_limits<double>::quiet_NaN();
-  for (const SyevOptions& o : {lane_on(), lane_off()}) {
+  for (const SyevOptions& o : {lane_on(), kPipelines[0], kPipelines[1]}) {
     const SyevResult clean = solver::syev(3, g.a.data(), g.a.ld(), o);
     const SyevResult dirty =
         solver::syev(3, poisoned.data(), poisoned.ld(), o);
@@ -365,8 +373,13 @@ TEST(SyevSmallBatch, MixedSizeBatchRoutesAndMatchesSequential) {
   store.push_back(testing::random_symmetric(64, rng));
   store.push_back(testing::random_symmetric(48, rng));
   store.push_back(testing::random_symmetric(300, rng));
+  // The n = 64 member runs the default (one-stage at this size), the other
+  // pipeline members two-stage; the method never affects the lane.
+  SyevOptions two_stage = lane_on();
+  two_stage.algo = solver::method::two_stage;
   for (const Matrix& m : store)
-    problems.push_back({m.rows(), m.data(), m.ld(), lane_on()});
+    problems.push_back(
+        {m.rows(), m.data(), m.ld(), m.rows() == 64 ? lane_on() : two_stage});
 
   solver::SyevBatchOptions bopts;
   bopts.num_workers = 4;

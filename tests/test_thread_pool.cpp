@@ -201,16 +201,21 @@ TEST(ThreadPool, AutoWorkerCountResolvesThroughSyev) {
   const idx n = 48;
   Rng rng(19);
   Matrix a = testing::random_symmetric(n, rng);
-  solver::SyevOptions opts;
-  opts.nb = 8;
-  opts.num_workers = 0;
-  const auto before = ThreadPool::instance().stats();
-  auto result = solver::syev(n, a.data(), a.ld(), opts);
-  const auto after = ThreadPool::instance().stats();
-  EXPECT_GT(after.jobs_executed, before.jobs_executed)
-      << "auto worker count did not engage the pool";
-  EXPECT_LE(testing::eigen_residual(a, result.z, result.eigenvalues),
-            1e-10 * n);
+  for (const solver::method algo :
+       {solver::method::one_stage, solver::method::two_stage}) {
+    SCOPED_TRACE(solver::method_name(algo));
+    solver::SyevOptions opts;
+    opts.algo = algo;
+    opts.nb = 8;
+    opts.num_workers = 0;
+    const auto before = ThreadPool::instance().stats();
+    auto result = solver::syev(n, a.data(), a.ld(), opts);
+    const auto after = ThreadPool::instance().stats();
+    EXPECT_GT(after.jobs_executed, before.jobs_executed)
+        << "auto worker count did not engage the pool";
+    EXPECT_LE(testing::eigen_residual(a, result.z, result.eigenvalues),
+              1e-10 * n);
+  }
 }
 
 TEST(ThreadPool, EnvParsingRejectsMalformedValues) {
