@@ -342,8 +342,8 @@ void syr2k(uplo ul, op trans, idx n, idx k, double alpha, const double* a,
 
 void trsm(side sd, uplo ul, op trans, diag d, idx m, idx n, double alpha,
           const double* a, idx lda, double* b, idx ldb) {
-  count_flops(flop_count::trmm(sd, m, n));
-  count_bytes(byte_count::trmm(sd, m, n));
+  count_flops(flop_count::trsm(sd, m, n));
+  count_bytes(byte_count::trsm(sd, m, n));
   const bool unit = d == diag::unit;
   if (alpha != 1.0) scale_c(m, n, alpha, b, ldb);
   if (sd == side::left) {

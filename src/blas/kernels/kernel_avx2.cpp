@@ -59,7 +59,7 @@ constexpr microkernel_fn micro = micro_simd<micro_full>;
 const Kernel* kernel_avx2() {
   static const Kernel k{"avx2",         MR,           NR,           micro,
                         pack_a_notrans, pack_a_trans, pack_b_notrans,
-                        pack_b_trans,   8.0};
+                        pack_b_trans};
   return &k;
 }
 

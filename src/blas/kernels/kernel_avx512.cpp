@@ -55,7 +55,7 @@ constexpr microkernel_fn micro = micro_simd<micro_full>;
 const Kernel* kernel_avx512() {
   static const Kernel k{"avx512",       MR,           NR,           micro,
                         pack_a_notrans, pack_a_trans, pack_b_notrans,
-                        pack_b_trans,   16.0};
+                        pack_b_trans};
   return &k;
 }
 

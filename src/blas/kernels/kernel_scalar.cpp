@@ -28,7 +28,7 @@ void micro(idx kc, double alpha, const double* ap, const double* bp, double* c,
 const Kernel* kernel_scalar() {
   static const Kernel k{"scalar", MR,           NR,           micro,
                         pack_a_notrans, pack_a_trans, pack_b_notrans,
-                        pack_b_trans,   2.0};
+                        pack_b_trans};
   return &k;
 }
 

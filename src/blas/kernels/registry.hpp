@@ -75,11 +75,6 @@ struct Kernel {
   pack_a_fn pack_a_trans;    ///< op(A) = A^T (rows contiguous)
   pack_b_fn pack_b_notrans;
   pack_b_fn pack_b_trans;
-  /// Nominal peak double-precision flops per core cycle for this tier under
-  /// the no-FMA contract (vector width x 2: one mul + one add per cycle).
-  /// The roofline analyzer multiplies by measured cycles to get the
-  /// %-of-peak denominator; it is a normalization constant, not a promise.
-  double flops_per_cycle;
 };
 
 // Per-TU factories.  Each returns its tier when the translation unit was

@@ -88,7 +88,7 @@ inline std::int64_t gemv(idx m, idx n) { return 2 * m * n; }
 inline std::int64_t symv(idx n) { return 2 * n * n; }
 inline std::int64_t syr2k(idx n, idx k) { return 2 * n * n * k + n * k; }
 inline std::int64_t syrk(idx n, idx k) { return n * n * k + n * k; }
-inline std::int64_t trmm(side s, idx m, idx n) {
+inline std::int64_t trsm(side s, idx m, idx n) {
   return s == side::left ? m * m * n : m * n * n;
 }
 inline std::int64_t ger(idx m, idx n) { return 2 * m * n; }
@@ -121,7 +121,7 @@ inline std::int64_t syrk(idx n, idx k) {
 inline std::int64_t syr2k(idx n, idx k) {
   return kElem * (2 * n * k + n * (n + 1));
 }
-inline std::int64_t trmm(side s, idx m, idx n) {
+inline std::int64_t trsm(side s, idx m, idx n) {
   const idx t = s == side::left ? m : n;
   return kElem * (t * (t + 1) / 2 + 2 * m * n);
 }
@@ -131,6 +131,16 @@ inline std::int64_t ger(idx m, idx n) {
 inline std::int64_t syr2(idx n) {
   return kElem * (n * (n + 1) + 4 * n);
 }
+/// One reflector H = I - tau v v^T of length m applied from one side to an
+/// m-by-n block (xLARF, the bulge chase's one-sided hop updates): the block
+/// read+written, v read, the n-vector w = C^T v written and read.
+inline std::int64_t larf(idx m, idx n) {
+  return kElem * (2 * m * n + m + 2 * n);
+}
+/// One reflector of length n applied from both sides to a symmetric n-by-n
+/// block stored as its lower triangle (xLARFY, the chase's two-sided
+/// update): the triangle read+written, v read, w written and read.
+inline std::int64_t larfy(idx n) { return kElem * (n * (n + 1) + 3 * n); }
 /// Plain m-by-n copy / pack traffic: source read + destination write.
 inline std::int64_t copy(idx m, idx n) { return 2 * kElem * m * n; }
 }  // namespace byte_count

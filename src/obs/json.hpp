@@ -1,17 +1,10 @@
-// Minimal JSON utilities for the telemetry layer: string escaping for every
-// exporter (Chrome traces and the metrics schema share one helper, so no
-// writer can emit invalid JSON for labels containing '"' or '\') and a small
-// recursive-descent parser used by tseig_prof and the round-trip tests.  No
-// external dependencies; the subset implemented is exactly what the tseig
-// exporters produce (objects, arrays, strings, numbers, booleans, null).
+// JSON string escaping for every exporter: Chrome traces, the metrics
+// schema and the bench documents share one helper, so no writer can emit
+// invalid JSON for labels containing '"' or '\'.  The library only writes
+// JSON; tools/tseig_prof reads it back.
 #pragma once
 
-#include <map>
-#include <memory>
 #include <string>
-#include <vector>
-
-#include "common/types.hpp"
 
 namespace tseig::obs {
 
@@ -22,49 +15,5 @@ std::string json_escape(const std::string& s);
 
 /// Writes `s` as a complete JSON string literal (quotes included).
 std::string json_string(const std::string& s);
-
-/// A parsed JSON value.  Numbers are stored as double (the exporters never
-/// emit integers that lose precision at double range).
-class JsonValue {
-public:
-  enum class Kind { null, boolean, number, string, array, object };
-
-  Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::null; }
-
-  /// Typed accessors; throw invalid_argument on kind mismatch.
-  bool as_bool() const;
-  double as_number() const;
-  const std::string& as_string() const;
-  const std::vector<JsonValue>& as_array() const;
-  const std::map<std::string, JsonValue>& as_object() const;
-
-  /// Object member lookup; returns nullptr when absent or not an object.
-  const JsonValue* find(const std::string& key) const;
-
-  /// Convenience: object member as number/string with fallback.
-  double number_or(const std::string& key, double fallback) const;
-  std::string string_or(const std::string& key,
-                        const std::string& fallback) const;
-
-  static JsonValue make_null() { return JsonValue(); }
-  static JsonValue make_bool(bool b);
-  static JsonValue make_number(double v);
-  static JsonValue make_string(std::string s);
-  static JsonValue make_array(std::vector<JsonValue> a);
-  static JsonValue make_object(std::map<std::string, JsonValue> o);
-
-private:
-  Kind kind_ = Kind::null;
-  bool bool_ = false;
-  double num_ = 0.0;
-  std::string str_;
-  std::vector<JsonValue> arr_;
-  std::map<std::string, JsonValue> obj_;
-};
-
-/// Parses a complete JSON document.  Throws invalid_argument with a byte
-/// offset on malformed input (including trailing garbage).
-JsonValue json_parse(const std::string& text);
 
 }  // namespace tseig::obs

@@ -7,7 +7,6 @@
 #include <mutex>
 
 #include "common/thread_annotations.hpp"
-#include "obs/hwc.hpp"
 #include "obs/report.hpp"
 
 namespace tseig::obs {
@@ -242,7 +241,6 @@ Snapshot snapshot() {
     out.span_durations.buckets[static_cast<std::size_t>(b)] = c;
     out.span_durations.samples += c;
   }
-  out.hwc_backend = hwc::backend_name();
   return out;
 }
 

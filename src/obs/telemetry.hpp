@@ -5,8 +5,8 @@
 // timeline, Figure 1's phase breakdown); before this layer each producer
 // (stage 1, the bulge chase, the back-transformations, stedc's merge tree,
 // syev_batch) kept its own event vector with its own per-run epoch, so a
-// full syev could not be inspected as one timeline.  Design, following StarNEig-style task-library
-// tracing:
+// full syev could not be inspected as one timeline.  Design, following
+// StarNEig-style task-library tracing:
 //
 //  * ONE epoch: every timestamp is seconds since a single process-wide
 //    steady_clock origin (epoch_seconds/now_seconds).  The pool's loop
@@ -25,8 +25,11 @@
 //    that forked it -- the rule flop and byte counts already follow -- so
 //    concurrent solves and batch members never tag each other's spans.
 //  * Pool metrics: ThreadPool reports per-worker busy/park time.
-//    obs/report.hpp turns spans, phase records and these into the
-//    utilization and roofline analysis behind the tseig_prof report.
+//
+// The library records and writes: obs/report.hpp turns spans, phase records
+// and pool metrics into the utilization and roofline analysis and writes the
+// Chrome trace and the metrics JSON.  Reading an export back (the report
+// text, diff and gate) is tools/tseig_prof's job.
 //
 // Activation: set TSEIG_TRACE=<path> (Chrome/Perfetto trace) and/or
 // TSEIG_METRICS=<path> (metrics JSON) in the environment -- recording starts
@@ -47,7 +50,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "obs/hwc.hpp"
 
 namespace tseig::obs {
 
@@ -127,22 +129,17 @@ struct SpanRecord {
   double end_seconds = 0.0;
 };
 
-/// Resource deltas of one phase: flop/byte counters (FlopScope / ByteScope
-/// around the phase body) plus the hardware-counter delta (obs/hwc).  Both
-/// include the work of the pool bodies the phase forked, which fork_join
-/// credits back to the forking thread, so hw.cycles sums over every thread
-/// that worked for the phase and flops / (flops_per_cycle * cycles) is its
-/// fraction of peak regardless of worker count.
+/// Resource deltas of one phase: the flop/byte counters (FlopScope /
+/// ByteScope around the phase body).  They include the work of the pool
+/// bodies the phase forked, which fork_join credits back to the forking
+/// thread.
 struct PhaseCost {
   std::uint64_t flops = 0;
   std::uint64_t bytes = 0;
-  hwc::Sample hw;  ///< hw.valid: union of the validity masks summed
 
   void add(const PhaseCost& d) {
     flops += d.flops;
     bytes += d.bytes;
-    hw.add(d.hw);
-    hw.valid |= d.hw.valid;
   }
 };
 
@@ -255,7 +252,6 @@ struct Snapshot {
   std::vector<WorkerMetric> workers;
   HistogramSnapshot span_durations;
   RunMeta meta;
-  std::string hwc_backend = "off";    ///< obs/hwc backend that sampled
   /// Item spans and phase records lost to ring overwrite (oldest first).
   std::uint64_t dropped_spans = 0;
 };

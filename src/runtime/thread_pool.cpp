@@ -10,7 +10,6 @@
 #include "common/flops.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/types.hpp"
-#include "obs/hwc.hpp"
 #include "obs/telemetry.hpp"
 
 namespace tseig::rt {
@@ -43,11 +42,10 @@ struct ThreadPool::Impl {
     std::condition_variable done;
     // First exception a body threw; fork_join rethrows it after the join.
     std::exception_ptr error TSEIG_GUARDED_BY(m);
-    // Flops, bytes and hardware-counter deltas the forked bodies executed on
-    // pool workers; credited back to the forking thread after the join, so
-    // a FlopScope / ByteScope / hwc delta around the fork_join sees exactly
-    // this call's work (and none of the work other concurrent pool clients
-    // delegated).
+    // Flops and bytes the forked bodies executed on pool workers; credited
+    // back to the forking thread after the join, so a FlopScope / ByteScope
+    // around the fork_join sees exactly this call's work (and none of the
+    // work other concurrent pool clients delegated).
     obs::PhaseCost forked TSEIG_GUARDED_BY(m);
   };
 
@@ -97,21 +95,16 @@ struct ThreadPool::Impl {
       ++busy;
       lock.unlock();
       const double b0 = obs::now_seconds();
-      // This body's cost, credited to the forking thread at the join: the
-      // flops and bytes always (PhaseBreakdown counts them), the hardware
-      // counters when telemetry samples them.  The body runs under the
-      // forking thread's phase, so its spans carry that phase too.
+      // This body's flops and bytes, credited to the forking thread at the
+      // join.  The body runs under the forking thread's phase, so its spans
+      // carry that phase too.
       obs::PhaseCost cost;
       cost.flops = flops_now();
       cost.bytes = bytes_now();
-      const bool hw = obs::enabled() && obs::hwc::enabled();
-      obs::hwc::Sample h0;
-      if (hw) h0 = obs::hwc::sample();
       {
         const obs::PhaseScope phase(t.batch->phase);
         run_body(*t.batch, t.index);
       }
-      if (hw) cost.hw = obs::hwc::delta(h0, obs::hwc::sample());
       cost.flops = flops_now() - cost.flops;
       cost.bytes = bytes_now() - cost.bytes;
       const double b1 = obs::now_seconds();
@@ -267,7 +260,6 @@ void ThreadPool::fork_join(int njobs, const std::function<void(int)>& job) {
   // here and counted itself).
   count_flops(static_cast<std::int64_t>(forked.flops));
   count_bytes(static_cast<std::int64_t>(forked.bytes));
-  if (forked.hw.valid != 0) obs::hwc::credit(forked.hw);
   if (obs::enabled()) im.publish_metrics();
   if (error) std::rethrow_exception(error);
 }

@@ -74,9 +74,8 @@ public:
   /// live.
   ///
   /// Every body runs under the calling thread's telemetry phase, and the
-  /// flops, bytes and hardware-counter deltas of the bodies run on workers
-  /// are credited to the calling thread after the join (see common/flops.hpp
-  /// and obs/hwc.hpp).
+  /// flops and bytes of the bodies run on workers are credited to the
+  /// calling thread after the join (see common/flops.hpp).
   ///
   /// A body that throws does not stop the others: every body runs to its
   /// end, and after the join (and the cost credit) fork_join rethrows

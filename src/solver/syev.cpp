@@ -6,7 +6,6 @@
 #include "blas/blas3.hpp"
 #include "common/flops.hpp"
 #include "common/scaling.hpp"
-#include "obs/hwc.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/thread_pool.hpp"
 #include "lapack/aux.hpp"
@@ -82,15 +81,11 @@ std::vector<double> tridiag_subset(idx n, const double* d, const double* e,
 /// telemetry one phase record with the same two clock reads and the same
 /// cost delta, so tseig_prof's per-phase report and PhaseBreakdown agree
 /// exactly.  The delta covers the pool bodies fn forks (fork_join credits
-/// their flops, bytes and hardware counters to this thread) -- the roofline
-/// analyzer's input.
+/// their flops and bytes to this thread) -- the roofline analyzer's input.
 template <class F>
 void timed(obs::Phase phase, const char* label, double& seconds,
            std::uint64_t& flops, F&& fn) {
   const obs::PhaseScope scope_phase(phase);
-  const bool hw = obs::enabled() && obs::hwc::enabled();
-  obs::hwc::Sample h0;
-  if (hw) h0 = obs::hwc::sample();
   const double t0 = obs::now_seconds();
   FlopScope scope;
   ByteScope bytes;
@@ -99,7 +94,6 @@ void timed(obs::Phase phase, const char* label, double& seconds,
   obs::PhaseCost cost;
   cost.flops = scope.count();
   cost.bytes = bytes.count();
-  if (hw) cost.hw = obs::hwc::delta(h0, obs::hwc::sample());
   seconds += t1 - t0;
   flops += cost.flops;
   obs::record_phase(label, phase, t0, t1, cost);

@@ -64,6 +64,7 @@ void sym_two_sided(const WorkBand& b, idx r1, idx len, const double* v_in,
                    double tau, double* w_in) {
   if (tau == 0.0 || len <= 0) return;
   count_flops(4 * len * len + 4 * len);
+  count_bytes(byte_count::larfy(len));
   const double* __restrict__ v = v_in;
   double* __restrict__ w = w_in;
   // w = tau * S v using one pass over the stored lower triangle.
@@ -133,6 +134,7 @@ void apply_right(const WorkBand& b, idx n, idx nb, idx r1, idx lenU,
   const idx lenB = std::min(nb, n - J1);
   if (taup == 0.0 || lenB <= 0) return;
   count_flops(4 * lenB * lenU);
+  count_bytes(byte_count::larf(lenU, lenB));
   double* __restrict__ wr = w;
   for (idx i = 0; i < lenB; ++i) wr[i] = 0.0;
   for (idx j = 0; j < lenU; ++j) {
@@ -176,6 +178,7 @@ void hbrel_hblru(const WorkBand& b, idx n, idx nb, idx r1, idx lenU,
   // --- left application to the delayed columns r1+1 .. K1-1. ---
   if (taun != 0.0) {
     count_flops(4 * lenN * (nb - 1));
+    count_bytes(byte_count::larf(lenN, nb - 1));
     for (idx j = r1 + 1; j < K1; ++j)
       apply_left_col(b, K1, lenN, j, vn, taun);
   }

@@ -1,9 +1,10 @@
-// Tests for the unified telemetry layer (tseig::obs): JSON escaping and
-// parsing round trips, a full recorded syev run pushed through both
-// exporters and parsed back -- the trace must be valid JSON with monotone
-// spans covering every phase, and the metrics totals must agree with the
-// solver's own PhaseBreakdown -- and phase attribution under concurrent
-// solves and batches.
+// Tests for the unified telemetry layer (tseig::obs), read back through
+// tseig_prof's reader: JSON escaping and parsing round trips, a full
+// recorded syev run pushed through both exporters and parsed back -- the
+// trace must be valid JSON with monotone spans covering every phase, and the
+// metrics totals must agree with the solver's own PhaseBreakdown -- the
+// roofline figures, and phase attribution under concurrent solves and
+// batches.
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -14,12 +15,11 @@
 
 #include <cmath>
 
-#include "blas/kernels/registry.hpp"
 #include "common/rng.hpp"
-#include "obs/hwc.hpp"
 #include "obs/json.hpp"
 #include "obs/report.hpp"
 #include "obs/telemetry.hpp"
+#include "prof.hpp"
 #include "solver/syev.hpp"
 #include "solver/syev_batch.hpp"
 #include "solver/syev_small.hpp"
@@ -30,14 +30,15 @@ namespace {
 
 TEST(ObsJson, EscapeRoundTrip) {
   const std::string hostile = "a\"b\\c\nd\te\x01f/";
-  const obs::JsonValue v = obs::json_parse(obs::json_string(hostile));
-  EXPECT_EQ(v.as_string(), hostile);
+  const prof::JsonValue v =
+      prof::json_parse("{\"s\":" + obs::json_string(hostile) + "}");
+  EXPECT_EQ(v.string_or("s", ""), hostile);
 }
 
 TEST(ObsJson, ParserRejectsMalformedInput) {
-  EXPECT_THROW(obs::json_parse("{\"a\":1} trailing"), invalid_argument);
-  EXPECT_THROW(obs::json_parse("{\"a\":"), invalid_argument);
-  EXPECT_THROW(obs::json_parse(""), invalid_argument);
+  EXPECT_THROW(prof::json_parse("{\"a\":1} trailing"), invalid_argument);
+  EXPECT_THROW(prof::json_parse("{\"a\":"), invalid_argument);
+  EXPECT_THROW(prof::json_parse(""), invalid_argument);
 }
 
 TEST(Obs, DisabledRecordingIsANoOp) {
@@ -87,14 +88,14 @@ TEST(Obs, SyevRoundTripThroughExporters) {
   // --- Chrome trace: must parse as JSON; every complete event monotone;
   // every two-stage phase covered by at least one span.
   const std::string trace = obs::to_chrome_trace_json(snap);
-  const obs::JsonValue doc = obs::json_parse(trace);
-  const obs::JsonValue* events = doc.find("traceEvents");
+  const prof::JsonValue doc = prof::json_parse(trace);
+  const prof::JsonValue* events = doc.find("traceEvents");
   ASSERT_NE(events, nullptr);
   std::map<std::string, int> per_phase;
-  for (const obs::JsonValue& ev : events->as_array()) {
+  for (const prof::JsonValue& ev : events->as_array()) {
     if (ev.string_or("ph", "") != "X") continue;
     EXPECT_GE(ev.number_or("dur", -1.0), 0.0);
-    if (const obs::JsonValue* args = ev.find("args"))
+    if (const prof::JsonValue* args = ev.find("args"))
       ++per_phase[args->string_or("phase", "none")];
   }
   for (const char* phase : {"stage1", "stage2", "solve", "update"}) {
@@ -105,8 +106,8 @@ TEST(Obs, SyevRoundTripThroughExporters) {
   // --- Metrics: parse back; the per-phase seconds must agree with the
   // solver's own PhaseBreakdown (same clock stamps, so only JSON formatting
   // precision in between).
-  const obs::JsonValue mdoc = obs::json_parse(obs::to_metrics_json(snap));
-  const obs::Report rep = obs::report_from_metrics_json(mdoc);
+  const prof::JsonValue mdoc = prof::json_parse(obs::to_metrics_json(snap));
+  const obs::Report rep = prof::report_from_metrics_json(mdoc);
   EXPECT_GT(rep.wall_seconds, 0.0);
   EXPECT_GT(rep.work_seconds, 0.0);
   std::map<std::string, double> phase_seconds;
@@ -123,12 +124,12 @@ TEST(Obs, SyevRoundTripThroughExporters) {
   // prints it.
   EXPECT_EQ(snap.meta.method, "two_stage");
   EXPECT_EQ(rep.meta.method, "two_stage");
-  EXPECT_NE(obs::format_report(rep).find("method=two_stage"),
+  EXPECT_NE(prof::format_report(rep).find("method=two_stage"),
             std::string::npos);
 
   // The trace embeds the same metrics object, so tseig_prof can rebuild the
   // full report from the trace file alone.
-  const obs::Report rep2 = obs::report_from_metrics_json(doc);
+  const obs::Report rep2 = prof::report_from_metrics_json(doc);
   EXPECT_NEAR(rep2.wall_seconds, rep.wall_seconds, 1e-12);
   EXPECT_NEAR(rep2.work_seconds, rep.work_seconds, 1e-12);
 }
@@ -158,8 +159,8 @@ TEST(Obs, RunMetaRecordsTheResolvedMethod) {
     obs::set_enabled(false);
     obs::reset();
     EXPECT_EQ(snap.meta.method, c.method);
-    const obs::Report rep = obs::report_from_metrics_json(
-        obs::json_parse(obs::to_metrics_json(snap)));
+    const obs::Report rep = prof::report_from_metrics_json(
+        prof::json_parse(obs::to_metrics_json(snap)));
     EXPECT_EQ(rep.meta.method, c.method);
   }
 }
@@ -182,147 +183,79 @@ TEST(Obs, ZeroDurationPhaseHasFiniteEfficiency) {
     EXPECT_EQ(p.parallel_efficiency, 0.0) << p.name;
     EXPECT_TRUE(std::isfinite(p.serial_seconds)) << p.name;
   }
-  const obs::JsonValue doc = obs::json_parse(obs::to_metrics_json(snap));
-  const obs::Report rep2 = obs::report_from_metrics_json(doc);
+  const prof::JsonValue doc = prof::json_parse(obs::to_metrics_json(snap));
+  const obs::Report rep2 = prof::report_from_metrics_json(doc);
   for (const obs::PhaseReport& p : rep2.phases)
     EXPECT_TRUE(std::isfinite(p.parallel_efficiency)) << p.name;
 }
 
 // ---------------------------------------------------------------------------
-// Hardware-counter sampling (obs/hwc): the fallback backend every perf-less
-// CI container runs, and the delta/validity algebra the roofline relies on.
-
-TEST(ObsHwc, FallbackBackendProvidesMonotoneCycles) {
-  obs::hwc::force_backend_for_testing(obs::hwc::Backend::fallback);
-  EXPECT_TRUE(obs::hwc::enabled());
-  EXPECT_STREQ(obs::hwc::backend_name(), "fallback");
-
-  const obs::hwc::Sample a = obs::hwc::sample();
-  EXPECT_NE(a.valid & obs::hwc::kCycles, 0u);
-  // The fallback can only approximate cycles; everything else stays dark.
-  EXPECT_EQ(a.valid & obs::hwc::kInstructions, 0u);
-  EXPECT_EQ(a.valid & obs::hwc::kLlcMisses, 0u);
-
-  volatile double sink = 0.0;
-  for (int i = 0; i < 200000; ++i) sink = sink + 1e-9 * i;
-  const obs::hwc::Sample b = obs::hwc::sample();
-  EXPECT_GE(b.cycles, a.cycles);
-  const obs::hwc::Sample d = obs::hwc::delta(a, b);
-  EXPECT_NE(d.valid & obs::hwc::kCycles, 0u);
-  EXPECT_EQ(d.cycles, b.cycles - a.cycles);
-
-  obs::hwc::force_backend_for_testing(obs::hwc::Backend::off);
-  EXPECT_FALSE(obs::hwc::enabled());
-  EXPECT_STREQ(obs::hwc::backend_name(), "off");
-  EXPECT_EQ(obs::hwc::sample().valid, 0u);
-}
-
-TEST(ObsHwc, CreditedCountsJoinLaterSamples) {
-  // fork_join credits its workers' deltas to the forking thread, so a delta
-  // the forking thread takes around the fork covers the forked work.
-  obs::hwc::force_backend_for_testing(obs::hwc::Backend::fallback);
-  const obs::hwc::Sample a = obs::hwc::sample();
-  obs::hwc::Sample worker;
-  worker.cycles = 1000000000ull;
-  worker.valid = obs::hwc::kCycles;
-  obs::hwc::credit(worker);
-  const obs::hwc::Sample d = obs::hwc::delta(a, obs::hwc::sample());
-  obs::hwc::force_backend_for_testing(obs::hwc::Backend::off);
-  EXPECT_EQ(d.valid, obs::hwc::kCycles);
-  EXPECT_GE(d.cycles, worker.cycles);
-}
-
-TEST(ObsHwc, DeltaIntersectsValidityMasks) {
-  obs::hwc::Sample a, b;
-  a.valid = obs::hwc::kCycles | obs::hwc::kInstructions;
-  b.valid = obs::hwc::kCycles | obs::hwc::kLlcMisses;
-  a.cycles = 100;
-  b.cycles = 350;
-  const obs::hwc::Sample d = obs::hwc::delta(a, b);
-  // A field is only meaningful when both endpoints measured it.
-  EXPECT_EQ(d.valid, obs::hwc::kCycles);
-  EXPECT_EQ(d.cycles, 250u);
-}
-
-// ---------------------------------------------------------------------------
 // Roofline attribution: a synthetic phase with hand-picked costs must come
-// back with exactly the GFLOP/s, AI, IPC and fraction-of-peak the numbers
-// imply, through analyze() and the metrics JSON round trip.
+// back with exactly the GFLOP/s and AI the numbers imply, through analyze()
+// and the metrics JSON round trip.
 
 TEST(ObsRoofline, SyntheticPhaseCostFixture) {
   obs::reset();
   obs::set_enabled(true);
   const double t0 = obs::now_seconds();
   obs::PhaseCost cost;
-  cost.flops = 4000000000ull;            // over 2 s -> 2 GFLOP/s
-  cost.bytes = 2000000000ull;            // AI = flops / bytes = 2.0
-  cost.hw.cycles = 1000000000ull;        // peak% = 4 / flops_per_cycle_peak
-  cost.hw.instructions = 2500000000ull;  // IPC = 2.5
-  cost.hw.valid = obs::hwc::kCycles | obs::hwc::kInstructions;
+  cost.flops = 4000000000ull;  // over 2 s -> 2 GFLOP/s
+  cost.bytes = 2000000000ull;  // AI = flops / bytes = 2.0
   obs::record_phase("stage1", obs::Phase::stage1, t0, t0 + 2.0, cost);
-  obs::Snapshot snap = obs::snapshot();
+  const obs::Snapshot snap = obs::snapshot();
   obs::set_enabled(false);
   obs::reset();
-  snap.hwc_backend = "perf";  // claim real counters so all columns render
 
   const obs::Report rep = obs::analyze(snap);
-  EXPECT_EQ(rep.flops_per_cycle_peak,
-            blas::kernels::active_kernel().flops_per_cycle);
-  ASSERT_GT(rep.flops_per_cycle_peak, 0.0);
   const obs::PhaseReport* s1 = nullptr;
   for (const obs::PhaseReport& p : rep.phases)
     if (p.name == std::string("stage1")) s1 = &p;
   ASSERT_NE(s1, nullptr);
   EXPECT_NEAR(s1->gflops, 2.0, 1e-6);
   EXPECT_NEAR(s1->arithmetic_intensity, 2.0, 1e-12);
-  EXPECT_NEAR(s1->ipc, 2.5, 1e-12);
-  EXPECT_NEAR(s1->pct_of_peak, 4.0 / rep.flops_per_cycle_peak, 1e-12);
 
   // Round trip: the exported metrics JSON carries the same roofline numbers.
-  const obs::Report rep2 = obs::report_from_metrics_json(
-      obs::json_parse(obs::to_metrics_json(snap)));
+  const obs::Report rep2 = prof::report_from_metrics_json(
+      prof::json_parse(obs::to_metrics_json(snap)));
   const obs::PhaseReport* s2 = nullptr;
   for (const obs::PhaseReport& p : rep2.phases)
     if (p.name == std::string("stage1")) s2 = &p;
   ASSERT_NE(s2, nullptr);
   EXPECT_NEAR(s2->gflops, s1->gflops, 1e-9);
   EXPECT_NEAR(s2->arithmetic_intensity, s1->arithmetic_intensity, 1e-9);
-  EXPECT_NEAR(s2->ipc, s1->ipc, 1e-9);
-  EXPECT_NEAR(s2->pct_of_peak, s1->pct_of_peak, 1e-9);
   EXPECT_EQ(s2->flops, cost.flops);
-  EXPECT_EQ(s2->hwc_valid, cost.hw.valid);
+  EXPECT_EQ(s2->bytes, cost.bytes);
 
-  // Rendering: with a perf backend the IPC / peak-% columns carry numbers.
-  const std::string text = obs::format_report(rep);
-  EXPECT_NE(text.find("roofline (hwc backend: perf"), std::string::npos);
-  EXPECT_NE(text.find("2.50"), std::string::npos);  // the IPC column
+  // Rendering: the roofline row carries gflop, bytes, GFLOP/s and AI.
+  EXPECT_NE(prof::format_report(rep).find(
+                "\n  stage1        4.000      2e+09     2.00   2.00\n"),
+            std::string::npos);
 }
 
-TEST(ObsRoofline, FallbackBackendWithholdsIpcAndPeakColumns) {
-  // Fallback "cycles" are clock ticks, not core cycles: printing IPC or a
-  // fraction of peak from them would be fabricated precision.
+TEST(ObsRoofline, StageTwoReadsMemoryBound) {
+  // The chase's hop kernels count their operand bytes, so stage 2 reads as
+  // the memory-bound phase it is: under 1 flop per byte.
+  const idx n = 256;
+  Rng rng(5);
+  const Matrix a = testing::random_symmetric(n, rng);
+  solver::SyevOptions o;
+  o.algo = solver::method::two_stage;
+  o.job = solver::jobz::values_only;
   obs::reset();
   obs::set_enabled(true);
-  const double t0 = obs::now_seconds();
-  obs::PhaseCost cost;
-  cost.flops = 1000000000ull;
-  cost.hw.cycles = 123456789ull;
-  cost.hw.valid = obs::hwc::kCycles;
-  obs::record_phase("solve", obs::Phase::solve, t0, t0 + 1.0, cost);
-  obs::Snapshot snap = obs::snapshot();
+  (void)solver::syev(n, a.data(), a.ld(), o);
+  const obs::Snapshot snap = obs::snapshot();
   obs::set_enabled(false);
   obs::reset();
-  snap.hwc_backend = "fallback";
 
-  const std::string text = obs::format_report(obs::analyze(snap));
-  EXPECT_NE(text.find("roofline (hwc backend: fallback"), std::string::npos);
-  // The roofline row (after the roofline header, past the phase table's own
-  // solve row) must end in dashes for IPC and peak%.
-  const size_t header = text.find("roofline");
-  const size_t row = text.find("  solve", header);
-  ASSERT_NE(row, std::string::npos);
-  const std::string line = text.substr(row, text.find('\n', row) - row);
-  EXPECT_NE(line.find('-'), std::string::npos);
+  const obs::Report rep = obs::analyze(snap);
+  const obs::PhaseReport* s2 = nullptr;
+  for (const obs::PhaseReport& p : rep.phases)
+    if (p.name == std::string("stage2")) s2 = &p;
+  ASSERT_NE(s2, nullptr);
+  EXPECT_GT(s2->flops, 0u);
+  EXPECT_GT(s2->arithmetic_intensity, 0.0);
+  EXPECT_LT(s2->arithmetic_intensity, 1.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -346,12 +279,12 @@ TEST(ObsHistogram, QuantileWalksBuckets) {
   h.buckets[10] = 50;
   h.buckets[20] = 50;
   h.samples = 100;
-  EXPECT_NEAR(obs::histogram_quantile(h, 0.25), obs::bucket_mid_seconds(10),
+  EXPECT_NEAR(prof::histogram_quantile(h, 0.25), obs::bucket_mid_seconds(10),
               1e-15);
-  EXPECT_NEAR(obs::histogram_quantile(h, 0.9), obs::bucket_mid_seconds(20),
+  EXPECT_NEAR(prof::histogram_quantile(h, 0.9), obs::bucket_mid_seconds(20),
               1e-12);
   const obs::HistogramSnapshot empty;
-  EXPECT_EQ(obs::histogram_quantile(empty, 0.5), 0.0);
+  EXPECT_EQ(prof::histogram_quantile(empty, 0.5), 0.0);
 }
 
 TEST(ObsHistogram, RecordSnapshotAndMetricsRoundTrip) {
@@ -374,7 +307,7 @@ TEST(ObsHistogram, RecordSnapshotAndMetricsRoundTrip) {
   const std::string metrics = obs::to_metrics_json(snap);
   EXPECT_NE(metrics.find("\"name\":\"span_duration\""), std::string::npos);
   const obs::Report rep =
-      obs::report_from_metrics_json(obs::json_parse(metrics));
+      prof::report_from_metrics_json(prof::json_parse(metrics));
   EXPECT_EQ(rep.span_durations.samples, 32u);
   EXPECT_EQ(rep.span_durations.buckets[static_cast<size_t>(bucket)], 32u);
 }
@@ -400,20 +333,39 @@ TEST(Obs, DroppedSpansAreCountedAndWarned) {
   EXPECT_EQ(snap.span_durations.samples, static_cast<std::uint64_t>(total));
   const obs::Report rep = obs::analyze(snap);
   EXPECT_EQ(rep.dropped_spans, 123u);
-  const std::string text = obs::format_report(rep);
+  const std::string text = prof::format_report(rep);
   EXPECT_NE(text.find("WARNING: 123 spans dropped"), std::string::npos);
 
-  const obs::Report rep2 = obs::report_from_metrics_json(
-      obs::json_parse(obs::to_metrics_json(snap)));
+  const obs::Report rep2 = prof::report_from_metrics_json(
+      prof::json_parse(obs::to_metrics_json(snap)));
   EXPECT_EQ(rep2.dropped_spans, 123u);
 }
 
 TEST(Obs, OlderMetricsWithDroppedCountersStillLoad) {
-  const obs::Report rep = obs::report_from_metrics_json(obs::json_parse(
+  const obs::Report rep = prof::report_from_metrics_json(prof::json_parse(
       "{\"schema\":\"tseig-metrics-v2\",\"totals\":{\"wall_seconds\":1,"
       "\"dropped_spans\":2,\"dropped_counters\":3}}"));
   EXPECT_EQ(rep.wall_seconds, 1.0);
   EXPECT_EQ(rep.dropped_spans, 2u);
+
+  // Older v2 exports also carry the hardware-counter fields; the kept
+  // fields load and the deleted ones are ignored.
+  const obs::Report hw = prof::report_from_metrics_json(prof::json_parse(
+      "{\"schema\":\"tseig-metrics-v2\",\"run\":{\"n\":8,"
+      "\"kernel\":\"avx2\",\"hwc_backend\":\"fallback\","
+      "\"flops_per_cycle_peak\":8},\"phases\":[{\"name\":\"stage2\","
+      "\"seconds\":0.5,\"flops\":100,\"bytes\":400,\"cycles\":7,"
+      "\"instructions\":0,\"llc_misses\":0,\"stalled_cycles\":0,"
+      "\"hwc_valid\":1,\"gflops\":2e-7,\"arithmetic_intensity\":0.25,"
+      "\"ipc\":0,\"pct_of_peak\":0.1}]}"));
+  EXPECT_EQ(hw.meta.n, 8);
+  EXPECT_EQ(hw.kernel, "avx2");
+  ASSERT_EQ(hw.phases.size(), 1u);
+  EXPECT_EQ(hw.phases[0].name, "stage2");
+  EXPECT_EQ(hw.phases[0].seconds, 0.5);
+  EXPECT_EQ(hw.phases[0].flops, 100u);
+  EXPECT_EQ(hw.phases[0].bytes, 400u);
+  EXPECT_EQ(hw.phases[0].arithmetic_intensity, 0.25);
 }
 
 // ---------------------------------------------------------------------------

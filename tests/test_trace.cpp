@@ -10,9 +10,9 @@
 #include <gtest/gtest.h>
 
 #include "common/parallel.hpp"
-#include "obs/json.hpp"
 #include "obs/report.hpp"
 #include "obs/telemetry.hpp"
+#include "prof.hpp"
 
 namespace tseig {
 namespace {
@@ -37,13 +37,13 @@ obs::Snapshot record_run(int workers, int tasks, const char* label) {
 }
 
 /// The complete events of a Chrome trace document.
-std::vector<obs::JsonValue> complete_events(const std::string& json) {
-  const obs::JsonValue doc = obs::json_parse(json);  // throws if malformed
-  const obs::JsonValue* events = doc.find("traceEvents");
+std::vector<prof::JsonValue> complete_events(const std::string& json) {
+  const prof::JsonValue doc = prof::json_parse(json);  // throws if malformed
+  const prof::JsonValue* events = doc.find("traceEvents");
   EXPECT_NE(events, nullptr);
-  std::vector<obs::JsonValue> out;
+  std::vector<prof::JsonValue> out;
   if (events == nullptr) return out;
-  for (const obs::JsonValue& ev : events->as_array())
+  for (const prof::JsonValue& ev : events->as_array())
     if (ev.string_or("ph", "") == "X") out.push_back(ev);
   return out;
 }
@@ -52,7 +52,7 @@ TEST(TraceExport, PoolLoopExportsOneCompleteEventPerItem) {
   const obs::Snapshot snap = record_run(3, 17, "work");
   const auto events = complete_events(obs::to_chrome_trace_json(snap));
   ASSERT_EQ(events.size(), 17u);
-  for (const obs::JsonValue& ev : events) {
+  for (const prof::JsonValue& ev : events) {
     EXPECT_EQ(ev.string_or("name", ""), "work");
     EXPECT_EQ(ev.string_or("cat", ""), "task");
     EXPECT_GE(ev.number_or("dur", -1.0), 0.0);
