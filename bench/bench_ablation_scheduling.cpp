@@ -1,7 +1,7 @@
 // Ablation of the scheduling choices of Sections 3 and 6:
 //
-//   * stage-2 pipeline width ("it is better to let this stage run on a
-//     small number of cores"): stage2_workers in {all, 2, 1};
+//   * stage-2 width cap ("it is better to let this stage run on a small
+//     number of cores"): stage2_workers in {all, 2, 1} range owners;
 //   * stage-1 workers (row- and column-block loops on the pool).
 //
 // On a single-core container the wall-clock differences mainly expose
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   auto s1 = twostage::sy2sb(n, a.data(), a.ld(), nb, 1);
   auto ref = twostage::sb2st(s1.band);
 
-  std::printf("\nstage 2 (bulge chase) schedule: workers x pipeline width\n");
+  std::printf("\nstage 2 (bulge chase) schedule: workers x width cap\n");
   struct Cfg {
     int w;
     int w2;

@@ -1,9 +1,12 @@
 // Execution-trace harness for the bulge chase (the paper's Figure 2 shows
-// exactly this kernel-execution view; here one "chase" span per sweep) and
-// for the parallel D&C solve: runs stage 2 and stedc with the unified
-// telemetry layer (tseig::obs) recording, writes Chrome-tracing JSONs (open
-// in chrome://tracing or Perfetto, or feed to tseig_prof), and prints
-// per-lane utilization for the all-workers vs width-2 sweep pipelines.
+// exactly this kernel-execution view) and for the parallel D&C solve: runs
+// stage 2 and stedc with the unified telemetry layer (tseig::obs)
+// recording, writes Chrome-tracing JSONs (open in chrome://tracing or
+// Perfetto, or feed to tseig_prof), and prints per-lane utilization for the
+// chase on all workers and on 2.  The chase runs on range owners: each lane
+// owns one slice of the hops of every sweep and records one "chase" span
+// per sweep it works on (arg = sweep index), so lane w's spans show its
+// slice moving down the sweeps one step behind lane w - 1's.
 //
 // Usage: bench_trace_schedule [--n N] [--nb NB] [--workers W]
 //                             [--lookahead D] [--json /path/out.json]
@@ -121,9 +124,9 @@ int main(int argc, char** argv) {
     const char* out;
   };
   const Cfg cfgs[] = {
-      {"sweep pipeline, all workers", "stage2/dynamic", 0,
+      {"owned hop ranges, all workers", "stage2/dynamic", 0,
        "/tmp/trace_stage2_dynamic.json"},
-      {"sweep pipeline, width 2", "stage2/pinned2", 2,
+      {"owned hop ranges, width 2", "stage2/pinned2", 2,
        "/tmp/trace_stage2_pinned.json"},
   };
   for (const Cfg& c : cfgs) {
@@ -166,9 +169,9 @@ int main(int argc, char** argv) {
     std::printf("  trace written to /tmp/trace_stedc.json\n");
   }
 
-  std::printf("\npaper shape (Figure 2 / Section 6): the sweep pipeline admits\n"
+  std::printf("\npaper shape (Figure 2 / Section 6): the chase admits\n"
               "limited parallelism (each sweep trails its predecessor by two\n"
-              "hops); a narrower pipeline concentrates the same work on\n"
+              "hops); a narrower split concentrates the same work on\n"
               "fewer, better-utilized cores.\n"
               "The D&C tree is the opposite: wide independent leaves that\n"
               "narrow into a few GEMM-dominated merges near the root.\n");

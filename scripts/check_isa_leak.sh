@@ -10,12 +10,14 @@
 #   kernel_avx2.o    -- ymm allowed, zmm forbidden (built -mavx2 -mno-avx512f);
 #   everything else  -- no ymm, no zmm.
 #
-# Additionally, the bitwise contracts: kernel_*.o, blas3.o, sb2st.o and
-# stedc.o must contain NO fused-multiply-add instructions
+# Additionally, the bitwise contracts: kernel_*.o, blas1.o, blas2.o, blas3.o,
+# sb2st.o and stedc.o must contain NO fused-multiply-add instructions
 # (vfmadd/vfmsub/vfnmadd/vfnmsub) on ANY tier -- those TUs build with
 # -ffp-contract=off precisely so that TSEIG_KERNEL=scalar reproduces the SIMD
-# tiers bit for bit, and so that a bulge-chase hop or a D&C merge rounds the
-# same whichever worker (and scratch alignment) runs it.  One fused
+# tiers bit for bit, so that the Level-1/2 lane sums (src/common/lanes.hpp)
+# round like their reference loop at every alignment, and so that a
+# bulge-chase hop or a D&C merge rounds the same whichever worker (and
+# scratch alignment) runs it.  One fused
 # instruction (an intrinsic slipping in, or the flag falling off a TU)
 # silently breaks that.  This scan is valid on every build, including
 # -march=native ones, because the per-TU flags always win.
@@ -65,10 +67,10 @@ uses_fma() { # obj
 # --- FMA contract scan: runs on every build configuration. ------------------
 fail=0
 fma_checked=0
-for obj in $(find "$OBJDIR" \( -name 'kernel_*.o' -o -name 'blas3*.o' \
+for obj in $(find "$OBJDIR" \( -name 'kernel_*.o' -o -name 'blas[123]*.o' \
              -o -name 'sb2st*.o' -o -name 'stedc*.o' -o -name 'kernel_*.obj' \
-             -o -name 'blas3*.obj' -o -name 'sb2st*.obj' -o -name 'stedc*.obj' \
-             \) | sort); do
+             -o -name 'blas[123]*.obj' -o -name 'sb2st*.obj' \
+             -o -name 'stedc*.obj' \) | sort); do
   fma_checked=$((fma_checked + 1))
   if uses_fma "$obj"; then
     echo "FMA LEAK: $(basename "$obj") contains fused multiply-add" \

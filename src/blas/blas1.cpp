@@ -3,19 +3,17 @@
 #include <cmath>
 
 #include "common/flops.hpp"
+#include "common/lanes.hpp"
 
 namespace tseig::blas {
 
 double dot(idx n, const double* x, idx incx, const double* y, idx incy) {
   count_flops(2 * n);
   count_bytes(byte_count::kElem * 2 * n);
-  double acc = 0.0;
-  if (incx == 1 && incy == 1) {
-    for (idx i = 0; i < n; ++i) acc += x[i] * y[i];
-  } else {
-    for (idx i = 0; i < n; ++i) acc += x[i * incx] * y[i * incy];
-  }
-  return acc;
+  if (incx == 1 && incy == 1) return lane_dot(n, x, y);
+  double s[kLanes] = {};
+  for (idx i = 0; i < n; ++i) s[i % kLanes] += x[i * incx] * y[i * incy];
+  return lane_total(s);
 }
 
 double nrm2(idx n, const double* x, idx incx) {

@@ -10,7 +10,8 @@
 
 namespace tseig::blas {
 
-/// dot <- x^T y.
+/// dot <- x^T y, summed in the fixed lane order of common/lanes.hpp at
+/// every stride: the result does not depend on alignment or build.
 double dot(idx n, const double* x, idx incx, const double* y, idx incy);
 
 /// Euclidean norm ||x||_2, computed with scaling to avoid overflow/underflow.

@@ -1,6 +1,9 @@
 #include "blas/blas2.hpp"
 
+#include <algorithm>
+
 #include "common/flops.hpp"
+#include "common/lanes.hpp"
 
 namespace tseig::blas {
 namespace {
@@ -55,42 +58,40 @@ void gemv(op trans, idx m, idx n, double alpha, const double* a, idx lda,
       for (idx i = 0; i < m; ++i) y[i * incy] += t * col[i];
     }
   } else {
-    // y += alpha * A^T x: dot products down columns (stride-1 over A),
-    // four columns at a time so four independent streams hide latency.
+    // y += alpha * A^T x: one dot product per column in lane order
+    // (common/lanes.hpp), kLaneGroup columns at a time so that each x chunk
+    // feeds that many independent accumulators.
     if (incx == 1) {
-      const double* __restrict__ xr = x;
+      constexpr idx G = kLaneGroup;
       idx j = 0;
-      for (; j + 4 <= n; j += 4) {
-        const double* __restrict__ c0 = a + j * lda;
-        const double* __restrict__ c1 = a + (j + 1) * lda;
-        const double* __restrict__ c2 = a + (j + 2) * lda;
-        const double* __restrict__ c3 = a + (j + 3) * lda;
-        double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-        for (idx i = 0; i < m; ++i) {
-          const double xi = xr[i];
-          a0 += c0[i] * xi;
-          a1 += c1[i] * xi;
-          a2 += c2[i] * xi;
-          a3 += c3[i] * xi;
+      for (; j + G <= n; j += G) {
+        const double* c = a + j * lda;
+        LaneVec acc[G] = {};
+        idx i = 0;
+        for (; i + kLanes <= m; i += kLanes) {
+          LaneVec xv;
+          lane_load(xv, x + i);
+          for (idx g = 0; g < G; ++g) {
+            LaneVec cv;
+            lane_load(cv, c + g * lda + i);
+            lane_madd(acc[g], cv, xv);
+          }
         }
-        y[j * incy] += alpha * a0;
-        y[(j + 1) * incy] += alpha * a1;
-        y[(j + 2) * incy] += alpha * a2;
-        y[(j + 3) * incy] += alpha * a3;
+        for (idx g = 0; g < G; ++g) {
+          double sum[kLanes];
+          lane_store(sum, acc[g]);
+          for (idx k = i; k < m; ++k) sum[k - i] += c[g * lda + k] * x[k];
+          y[(j + g) * incy] += alpha * lane_total(sum);
+        }
       }
-      for (; j < n; ++j) {
-        const double* __restrict__ col = a + j * lda;
-        double acc = 0.0;
-        for (idx i = 0; i < m; ++i) acc += col[i] * xr[i];
-        y[j * incy] += alpha * acc;
-      }
+      for (; j < n; ++j) y[j * incy] += alpha * lane_dot(m, a + j * lda, x);
       return;
     }
     for (idx j = 0; j < n; ++j) {
       const double* col = a + j * lda;
-      double acc = 0.0;
-      for (idx i = 0; i < m; ++i) acc += col[i] * x[i * incx];
-      y[j * incy] += alpha * acc;
+      double s[kLanes] = {};
+      for (idx i = 0; i < m; ++i) s[i % kLanes] += col[i] * x[i * incx];
+      y[j * incy] += alpha * lane_total(s);
     }
   }
 }
@@ -104,76 +105,93 @@ void symv(uplo ul, idx n, double alpha, const double* a, idx lda,
   if (ul == uplo::lower) {
     // One pass per column: the strictly-lower part of column j contributes to
     // y below j (as A) and to y[j] (as A^T), touching each stored element
-    // exactly once -- the same access pattern LAPACK's DSYMV uses.
+    // exactly once -- the same access pattern LAPACK's DSYMV uses.  Column
+    // j's A^T x sum runs over rows j+1 .. n-1 in lane order
+    // (common/lanes.hpp), row i in lane i % kLanes.
     if (incx == 1 && incy == 1) {
       // Unit-stride fast path, column-blocked: NB columns share one pass
       // over y, so each stored element is loaded once and feeds both the
       // axpy (A x) and the dot (A^T x) contribution.  This is what makes
       // SYMV run at roughly twice the GEMV rate when memory-bound -- the
       // effect behind the paper's Table 2 (TRD's 4x SYMV beats BRD's GEMVs).
-      constexpr idx NB = 8;
-      const double* __restrict__ xr = x;
-      double* __restrict__ yr = y;
+      constexpr idx NB = kLanes;
       for (idx j0 = 0; j0 < n; j0 += NB) {
         const idx jb = std::min(NB, n - j0);
-        double acc[NB] = {};
         double xs[NB] = {};
-        for (idx j = 0; j < jb; ++j) xs[j] = alpha * xr[j0 + j];
+        for (idx j = 0; j < jb; ++j) xs[j] = alpha * x[j0 + j];
+        // acc[j][i % kLanes] sums column j0+j's terms from row i: its
+        // lanes rotated by a fixed amount, which lane_total does not see.
+        // A row chunk starting at a multiple of kLanes is then one vector
+        // for every column of the block.
+        double acc[NB][kLanes] = {};
         // Triangular head of the block.
         for (idx j = 0; j < jb; ++j) {
-          const double* __restrict__ col = a + (j0 + j) * lda;
-          yr[j0 + j] += xs[j] * col[j0 + j];
+          const double* col = a + (j0 + j) * lda;
+          y[j0 + j] += xs[j] * col[j0 + j];
           for (idx i = j0 + j + 1; i < j0 + jb; ++i) {
-            yr[i] += xs[j] * col[i];
-            acc[j] += col[i] * xr[i];
+            y[i] += xs[j] * col[i];
+            acc[j][i - j0] += col[i] * x[i];
           }
         }
-        // Rectangular body: one fused pass for all jb columns.
+        // Rectangular body: whole row chunks in fused passes over
+        // kLaneGroup columns each, in column order, so every y[i] still
+        // takes its terms in column order (a partial block ends at row n
+        // and has no body).
         if (jb == NB) {
-          for (idx i = j0 + NB; i < n; ++i) {
-            const double xi = xr[i];
-            double yi = yr[i];
+          const idx chunks_end = n - (n - j0 - NB) % kLanes;
+          for (idx g0 = 0; g0 < NB; g0 += kLaneGroup) {
+            LaneVec av[kLaneGroup];
+            for (idx g = 0; g < kLaneGroup; ++g) lane_load(av[g], acc[g0 + g]);
+            for (idx i = j0 + NB; i < chunks_end; i += kLanes) {
+              LaneVec xv, yv;
+              lane_load(xv, x + i);
+              lane_load(yv, y + i);
+              for (idx g = 0; g < kLaneGroup; ++g) {
+                LaneVec cv;
+                lane_load(cv, a + (j0 + g0 + g) * lda + i);
+                lane_madd(yv, xs[g0 + g], cv);
+                lane_madd(av[g], cv, xv);
+              }
+              lane_store(y + i, yv);
+            }
+            for (idx g = 0; g < kLaneGroup; ++g) lane_store(acc[g0 + g], av[g]);
+          }
+          for (idx i = chunks_end; i < n; ++i) {
+            const double xi = x[i];
+            double yi = y[i];
             for (idx j = 0; j < NB; ++j) {
               const double v = a[(j0 + j) * lda + i];
               yi += xs[j] * v;
-              acc[j] += v * xi;
+              acc[j][i % kLanes] += v * xi;
             }
-            yr[i] = yi;
-          }
-        } else {
-          for (idx j = 0; j < jb; ++j) {
-            const double* __restrict__ col = a + (j0 + j) * lda;
-            for (idx i = j0 + jb; i < n; ++i) {
-              yr[i] += xs[j] * col[i];
-              acc[j] += col[i] * xr[i];
-            }
+            y[i] = yi;
           }
         }
-        for (idx j = 0; j < jb; ++j) yr[j0 + j] += alpha * acc[j];
+        for (idx j = 0; j < jb; ++j) y[j0 + j] += alpha * lane_total(acc[j]);
       }
       return;
     }
     for (idx j = 0; j < n; ++j) {
       const double* col = a + j * lda;
       const double xj = alpha * x[j * incx];
-      double acc = 0.0;
+      double sum[kLanes] = {};
       y[j * incy] += xj * col[j];
       for (idx i = j + 1; i < n; ++i) {
         y[i * incy] += xj * col[i];
-        acc += col[i] * x[i * incx];
+        sum[i % kLanes] += col[i] * x[i * incx];
       }
-      y[j * incy] += alpha * acc;
+      y[j * incy] += alpha * lane_total(sum);
     }
   } else {
     for (idx j = 0; j < n; ++j) {
       const double* col = a + j * lda;
       const double xj = alpha * x[j * incx];
-      double acc = 0.0;
+      double sum[kLanes] = {};
       for (idx i = 0; i < j; ++i) {
         y[i * incy] += xj * col[i];
-        acc += col[i] * x[i * incx];
+        sum[i % kLanes] += col[i] * x[i * incx];
       }
-      y[j * incy] += xj * col[j] + alpha * acc;
+      y[j * incy] += xj * col[j] + alpha * lane_total(sum);
     }
   }
 }

@@ -9,12 +9,16 @@
 
 namespace tseig::blas {
 
-/// y <- alpha op(A) x + beta y where A is m-by-n, ld >= m.
+/// y <- alpha op(A) x + beta y where A is m-by-n, ld >= m.  For op::trans
+/// each column's dot product is summed in the lane order of
+/// common/lanes.hpp, at every stride.
 void gemv(op trans, idx m, idx n, double alpha, const double* a, idx lda,
           const double* x, idx incx, double beta, double* y, idx incy);
 
 /// y <- alpha A x + beta y for symmetric A (n-by-n) referencing only the
-/// `ul` triangle.
+/// `ul` triangle.  y[i] takes the A x terms of columns 0..i in order, then
+/// alpha times the A^T x sum of column i in the lane order of
+/// common/lanes.hpp; each stored element is read once.
 void symv(uplo ul, idx n, double alpha, const double* a, idx lda,
           const double* x, idx incx, double beta, double* y, idx incy);
 

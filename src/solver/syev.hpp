@@ -97,8 +97,9 @@ struct SyevOptions {
   /// behave as 1), < 0 = TSEIG_LOOKAHEAD (default 1).  Never changes
   /// results.
   int lookahead = -1;
-  /// Pipeline width of the memory-bound bulge chase (sweeps in flight at
-  /// once; 0 = num_workers, see Sb2stOptions::stage2_workers).
+  /// Width cap of the memory-bound bulge chase (range owners, each chasing
+  /// its slice of every sweep; 0 = num_workers, see
+  /// Sb2stOptions::stage2_workers).
   int stage2_workers = 0;
   /// Has no effect (see Sb2stOptions::group); kept because existing callers
   /// assign it.

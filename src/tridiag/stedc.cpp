@@ -10,6 +10,7 @@
 
 #include "blas/blas1.hpp"
 #include "blas/blas3.hpp"
+#include "common/lanes.hpp"
 #include "common/parallel.hpp"
 #include "lapack/aux.hpp"
 #include "lapack/steqr.hpp"
@@ -32,12 +33,12 @@ constexpr idx kRowBlock = 64;
 // converge in about five.
 constexpr idx kMaxSecularEvals = 100;
 
-// Partial sums per side of the secular function.  Pole i always goes to
-// lane i % kLanes and the lanes combine in a fixed tree, so the sums
-// vectorise without their result depending on the buffer alignment.  The
-// pole arrays are padded to a multiple of kLanes with (delta, zsq) =
-// (+inf, 0), which add exact zeros, so no pass has a scalar tail.
-constexpr idx kLanes = 8;
+// Partial sums per side of the secular function, in the lane order of
+// common/lanes.hpp: pole i always goes to lane i % kLanes and the lanes
+// combine in lane_total's fixed tree, so the sums vectorise without their
+// result depending on the buffer alignment.  The pole arrays are padded to
+// a multiple of kLanes with (delta, zsq) = (+inf, 0), which add exact zeros,
+// so no pass has a scalar tail.
 
 /// Root of the secular equation f(x) = 1 + sum_i zsq[i]/(delta[i] - x) in
 /// interval j, represented as delta[anchor] + tau for accuracy.
@@ -46,12 +47,6 @@ struct SecularRoot {
   double tau;
   idx evals;  // evaluations of f: the midpoint plus the model steps
 };
-
-double lane_total(double (&s)[kLanes]) {
-  for (idx w = kLanes / 2; w > 0; w /= 2)
-    for (idx l = 0; l < w; ++l) s[l] += s[l + w];
-  return s[0];
-}
 
 /// f at x = delta[a] + tau, split into psi (poles <= j) and phi (poles > j)
 /// with their derivatives.

@@ -6,8 +6,8 @@
 #include <thread>
 #include <vector>
 
-#include "blas/blas1.hpp"
 #include "common/flops.hpp"
+#include "common/lanes.hpp"
 #include "common/parallel.hpp"
 #include "lapack/householder.hpp"
 #include "obs/telemetry.hpp"
@@ -60,30 +60,45 @@ struct WorkBand {
 /// Symmetric two-sided rank-2 reflector update on the cache-resident block
 /// S = B(r1 : r1+len-1, r1 : r1+len-1):  S <- H S H, H = I - tau v v^T.
 /// This is the trailing part of both hbceu (type 1) and hblru (type 3).
-void sym_two_sided(const WorkBand& b, idx r1, idx len, const double* v_in,
-                   double tau, double* w_in) {
+/// Its sums run in lane order (common/lanes.hpp).  The whole update counts
+/// xLARFY's 4 len^2 + 4 len flops once: symv and syr2 2 len^2 each, the dot
+/// and axpy of the correction 2 len each.
+void sym_two_sided(const WorkBand& b, idx r1, idx len, const double* v,
+                   double tau, double* w) {
   if (tau == 0.0 || len <= 0) return;
   count_flops(4 * len * len + 4 * len);
   count_bytes(byte_count::larfy(len));
-  const double* __restrict__ v = v_in;
-  double* __restrict__ w = w_in;
-  // w = tau * S v using one pass over the stored lower triangle.
+  // w = tau * S v using one pass over the stored lower triangle: column j
+  // adds its strictly-lower part to w below j and its transpose sum over
+  // rows j+1 .. len-1 to w[j].
   for (idx k = 0; k < len; ++k) w[k] = 0.0;
   for (idx j = 0; j < len; ++j) {
-    const double* __restrict__ cj = b.col(r1 + j, r1 + j);
+    const double* cj = b.col(r1 + j, r1 + j);
     w[j] += cj[0] * v[j];
     const double vj = v[j];
-    double acc = 0.0;
-    for (idx i = j + 1; i < len; ++i) {
-      w[i] += cj[i - j] * vj;
-      acc += cj[i - j] * v[i];
+    LaneVec acc = {};
+    idx i = j + 1;
+    for (; i + kLanes <= len; i += kLanes) {
+      LaneVec c, wv, vv;
+      lane_load(c, cj + (i - j));
+      lane_load(wv, w + i);
+      lane_load(vv, v + i);
+      lane_madd(wv, vj, c);
+      lane_madd(acc, c, vv);
+      lane_store(w + i, wv);
     }
-    w[j] += acc;
+    double sum[kLanes];
+    lane_store(sum, acc);
+    for (idx l = 0; i < len; ++i, ++l) {
+      w[i] += cj[i - j] * vj;
+      sum[l] += cj[i - j] * v[i];
+    }
+    w[j] += lane_total(sum);
   }
   for (idx k = 0; k < len; ++k) w[k] *= tau;
   // w <- w - (tau/2)(w^T v) v ; then S -= v w^T + w v^T.
-  const double alpha = -0.5 * tau * blas::dot(len, w, 1, v, 1);
-  blas::axpy(len, alpha, v, 1, w, 1);
+  const double alpha = -0.5 * tau * lane_dot(len, w, v);
+  for (idx k = 0; k < len; ++k) w[k] += alpha * v[k];
   for (idx j = 0; j < len; ++j) {
     double* __restrict__ cj = b.col(r1 + j, r1 + j);
     const double wj = w[j];
@@ -99,9 +114,7 @@ void sym_two_sided(const WorkBand& b, idx r1, idx len, const double* v_in,
 void apply_left_col(const WorkBand& b, idx r1, idx len, idx j,
                     const double* v, double tau) {
   double* __restrict__ cj = b.col(r1, j);
-  double acc = 0.0;
-  for (idx i = 0; i < len; ++i) acc += v[i] * cj[i];
-  acc *= tau;
+  const double acc = tau * lane_dot(len, v, cj);
   for (idx i = 0; i < len; ++i) cj[i] -= acc * v[i];
 }
 
@@ -186,14 +199,15 @@ void hbrel_hblru(const WorkBand& b, idx n, idx nb, idx r1, idx lenU,
   sym_two_sided(b, K1, lenN, vn, taun, w);
 }
 
-/// Finished hops of one sweep, on its own cache line: the body running
-/// sweep s+1 polls it while the body running sweep s stores to it.
+/// Finished hops of one sweep, on its own cache line: the owners of the
+/// next sweep's hops and the next owner of this sweep poll it while the
+/// current owner stores to it.
 struct alignas(64) SweepProgress {
   std::atomic<idx> hops{0};
 };
 
 /// Returns once at least `target` hops are published.  Spins first, since
-/// the sweep ahead is normally only a hop away, then yields so that a
+/// the hop waited for is normally only a hop away, then yields so that a
 /// descheduled producer can get the core back.
 void wait_for_hops(const std::atomic<idx>& hops, idx target) {
   constexpr int kSpins = 256;
@@ -209,26 +223,39 @@ void wait_for_hops(const std::atomic<idx>& hops, idx target) {
 /// already allocated in wb) to tridiagonal form in place, recording every
 /// reflector.
 ///
-/// Up to `width` bodies each take the next sweep from a shared counter and
-/// run its hops in order.  Hop u of sweep s starts once sweep s-1 has
-/// finished hops 0..u+1: the lattice dependences (s,u) <- (s-1,u), (s-1,u+1)
-/// of the paper's Section 5.2, checked per hop; (s,u) <- (s,u-1) is program
-/// order.  Every hop does the same arithmetic whichever body runs it, so the
-/// result is bitwise identical at every width.
+/// Owned-range schedule: body c of p owns hops [c L_s / p, (c+1) L_s / p)
+/// of every sweep s (L_s = nblocks(s)) and runs its ranges sweep by sweep,
+/// so a band window stays in one core's cache across sweeps.  Before hop u
+/// of sweep s a body waits until sweep s-1 has finished hops 0..u+1 -- the
+/// lattice dependences (s,u) <- (s-1,u), (s-1,u+1) of the paper's Section
+/// 5.2 -- and before the first hop u0 of its range until sweep s has
+/// finished hops 0..u0-1, the previous owner's: (s,u) <- (s,u-1).  Every
+/// hop does the same arithmetic whichever body runs it, so the result is
+/// bitwise identical at every width.
 V2Factor chase(const WorkBand& wb, idx n, idx nb, int width) {
   V2Factor v2(n, nb);
   if (nb <= 1 || n < 3) return v2;  // already tridiagonal
 
   const idx nsweeps = v2.nsweeps();
+  // Owners wait on each other, so all p of them must be live at once:
+  // fork_join keeps its bodies live, but a call inside a pool region runs
+  // body 0 alone (run_self_scheduled), so it takes every hop itself.
+  // Sweep 0 is the longest, so more owners than its hops would idle.
+  const idx p = rt::ThreadPool::in_parallel_region()
+                    ? 1
+                    : std::min<idx>(width, v2.nblocks(0));
   std::vector<SweepProgress> progress(static_cast<size_t>(nsweeps));
-  std::atomic<idx> next{0};
-  auto body = [&](int) {
+  auto body = [&](int c) {
     std::vector<double> w(static_cast<size_t>(nb));
-    for (idx s = next++; s < nsweeps; s = next++) {
-      obs::Span span("chase", static_cast<std::int32_t>(s));
+    for (idx s = 0; s < nsweeps; ++s) {
       const idx nbl = v2.nblocks(s);
+      const idx u0 = c * nbl / p;
+      const idx u1 = (c + 1) * nbl / p;
+      if (u0 == u1) continue;
+      obs::Span span("chase", static_cast<std::int32_t>(s));
       std::atomic<idx>& done = progress[static_cast<size_t>(s)].hops;
-      for (idx u = 0; u < nbl; ++u) {
+      wait_for_hops(done, u0);
+      for (idx u = u0; u < u1; ++u) {
         if (s > 0)
           wait_for_hops(progress[static_cast<size_t>(s - 1)].hops,
                         std::min(v2.nblocks(s - 1), u + 2));
@@ -243,11 +270,11 @@ V2Factor chase(const WorkBand& wb, idx n, idx nb, int width) {
       }
     }
   };
-  // A body only waits on the sweep before its own, which a body that is
-  // already running took earlier; run_self_scheduled keeps every body live
-  // at once, so each wait ends.  One body runs the sweeps in order and never
-  // waits.
-  run_self_scheduled(static_cast<int>(std::min<idx>(width, nsweeps)), body);
+  // Each wait is for hops earlier in the serial (sweep, hop) order, so the
+  // earliest unfinished hop can always run: its owner has finished all of
+  // its own earlier hops, and everything the hop waits for is earlier
+  // still.  With one owner the waits never fire.
+  run_self_scheduled(static_cast<int>(p), body);
   return v2;
 }
 

@@ -33,6 +33,19 @@ Matrix sym_full(uplo ul, idx n, const double* a, idx lda);
 /// the triangle; unit diagonal when d == diag::unit).
 Matrix tri_full(uplo ul, diag d, idx n, const double* a, idx lda);
 
+/// The lane order of common/lanes.hpp written out as a plain loop: term k
+/// of term(0) .. term(n-1) goes to lane k % 8, each lane adds its terms in
+/// increasing k from +0, and the lanes combine as
+/// ((s0 + s4) + (s2 + s6)) + ((s1 + s5) + (s3 + s7)).  Instantiated in the
+/// calling TU, which must build with -ffp-contract=off to round like the
+/// library (tests/CMakeLists.txt).
+template <class Term>
+double lane_order_sum(idx n, Term term) {
+  double s[8] = {};
+  for (idx k = 0; k < n; ++k) s[k % 8] += term(k);
+  return ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7]));
+}
+
 // ---- Random builders ----
 
 /// Random m-by-n matrix with entries uniform in (-1, 1).

@@ -1,5 +1,10 @@
 // Unit tests for the Level-1 BLAS kernels against straightforward loops.
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -113,6 +118,62 @@ TEST(Blas1, RotIsOrthogonal) {
   const double norm_after =
       blas::dot(n, x.data(), 1, x.data(), 1) + blas::dot(n, y.data(), 1, y.data(), 1);
   EXPECT_NEAR(norm_before, norm_after, 1e-12 * n);
+}
+
+// ---- Lane order (common/lanes.hpp) ----
+
+/// Bit pattern of a double: == would not tell -0.0 from +0.0.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(Blas1Lanes, DotIsLaneOrderAtEveryLengthStrideAndAlignment) {
+  // Lengths 0..67 give every tail 0..7 behind 0..8 whole lane chunks; the
+  // same vectors copied to start offsets 0..7 doubles pass through every
+  // alignment, and a strided copy takes the scalar path.  All must hold the
+  // bits of the plain lane-order loop.
+  const idx nmax = 67;
+  Rng rng(23);
+  std::vector<double> x0(nmax), y0(nmax);
+  rng.fill_normal(x0.data(), nmax);
+  rng.fill_normal(y0.data(), nmax);
+  std::vector<double> xb(nmax + 8), yb(nmax + 8), xs(3 * nmax), ys(2 * nmax);
+  for (idx n = 0; n <= nmax; ++n) {
+    SCOPED_TRACE("n " + std::to_string(n));
+    const double ref = testing::lane_order_sum(
+        n, [&](idx k) { return x0[k] * y0[k]; });
+    for (idx off = 0; off < 8; ++off) {
+      double* x = xb.data() + off;
+      double* y = yb.data() + (off + 3) % 8;
+      std::copy(x0.begin(), x0.begin() + n, x);
+      std::copy(y0.begin(), y0.begin() + n, y);
+      EXPECT_EQ(bits(blas::dot(n, x, 1, y, 1)), bits(ref)) << "offset " << off;
+    }
+    for (idx k = 0; k < n; ++k) {
+      xs[3 * k] = x0[k];
+      ys[2 * k] = y0[k];
+    }
+    EXPECT_EQ(bits(blas::dot(n, xs.data(), 3, ys.data(), 2)), bits(ref));
+  }
+}
+
+TEST(Blas1Lanes, DotIsAccurateAgainstLongDouble) {
+  // Every term passes one product rounding, at most ceil(n/8) - 1 lane
+  // additions and the 3 tree levels: |error| <= (n/8 + 4) eps sum |x_k y_k|.
+  constexpr double eps = std::numeric_limits<double>::epsilon();
+  constexpr long double eps_ref = std::numeric_limits<long double>::epsilon();
+  Rng rng(29);
+  for (idx n : {idx{0}, idx{1}, idx{7}, idx{8}, idx{9}, idx{67}, idx{1000}}) {
+    std::vector<double> x(n), y(n);
+    rng.fill_normal(x.data(), n);
+    rng.fill_normal(y.data(), n);
+    long double exact = 0.0L, mag = 0.0L;
+    for (idx k = 0; k < n; ++k) {
+      exact += static_cast<long double>(x[k]) * y[k];
+      mag += std::fabs(static_cast<long double>(x[k]) * y[k]);
+    }
+    const long double err =
+        std::fabs(blas::dot(n, x.data(), 1, y.data(), 1) - exact);
+    EXPECT_LE(err, ((n / 8 + 4) * eps + n * eps_ref) * mag) << "n " << n;
+  }
 }
 
 TEST(Blas1, AsumMatchesLoop) {

@@ -35,7 +35,7 @@ TEST(ParallelStress, RepeatedFullSolvesAreBitIdentical) {
   Rng rng(3);
   Matrix a = testing::random_symmetric(n, rng);
   solver::SyevOptions seq;
-  seq.algo = solver::method::two_stage;  // the stage-2 pipeline widths below
+  seq.algo = solver::method::two_stage;  // the stage-2 chase widths below
   seq.nb = 12;
   seq.ell = 8;
   auto ref = solver::syev(n, a.data(), a.ld(), seq);
@@ -75,7 +75,7 @@ TEST(ParallelStress, Sb2stPipelineUnderOversubscription) {
   auto ref = twostage::sb2st(band);
   for (int round = 0; round < 4; ++round) {
     twostage::Sb2stOptions o;
-    o.num_workers = 6 + 2 * round;  // up to 12 sweeps in flight
+    o.num_workers = 6 + 2 * round;  // up to 12 range owners
     auto got = twostage::sb2st(band, o);
     EXPECT_EQ(got.d, ref.d) << "round " << round;
     EXPECT_EQ(got.e, ref.e) << "round " << round;

@@ -1,4 +1,5 @@
 // Tests for the stage-2 bulge chasing (band -> tridiagonal, recording Q2).
+#include <cstdint>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -7,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "blas/blas3.hpp"
+#include "common/flops.hpp"
 #include "common/rng.hpp"
 #include "lapack/aux.hpp"
 #include "lapack/generators.hpp"
@@ -151,7 +153,8 @@ class Sb2stSchedules
 
 TEST_P(Sb2stSchedules, ParallelMatchesSequentialBitwise) {
   const auto [workers, stage2_workers] = GetParam();
-  // n = 4, bw = 2 has 2 sweeps, fewer than most pipeline widths here.
+  // n = 4, bw = 2 has 2 sweeps of one hop each, fewer than most widths
+  // here.
   for (const auto& [n, bw] : {std::pair<idx, idx>{60, 8}, {4, 2}}) {
     SCOPED_TRACE("n " + std::to_string(n) + " bw " + std::to_string(bw));
     Rng rng(5);
@@ -166,6 +169,87 @@ TEST_P(Sb2stSchedules, ParallelMatchesSequentialBitwise) {
 INSTANTIATE_TEST_SUITE_P(Schedules, Sb2stSchedules,
                          ::testing::Combine(::testing::Values(2, 3, 4, 8),
                                             ::testing::Values(0, 1, 2, 3)));
+
+class Sb2stOwnedRanges
+    : public ::testing::TestWithParam<std::tuple<idx, idx>> {};
+
+TEST_P(Sb2stOwnedRanges, EveryWidthAndCapMatchesWidthOneBitwise) {
+  // Every owner count 1..4 (workers x stage2_workers cap) splits the sweeps
+  // into different hop ranges; n = 5 and nb = 48 give sweeps shorter than
+  // the width, where some owners hold no hop of a sweep.
+  const auto [n, nb] = GetParam();
+  Rng rng(static_cast<std::uint64_t>(n * 7 + nb));
+  auto band = random_band(n, nb, rng);
+  twostage::Sb2stOptions one;
+  one.num_workers = 1;
+  const auto ref = twostage::sb2st(band, one);
+  for (int workers = 1; workers <= 4; ++workers) {
+    for (int cap = 0; cap <= 4; ++cap) {
+      SCOPED_TRACE("workers " + std::to_string(workers) + " cap " +
+                   std::to_string(cap));
+      twostage::Sb2stOptions opts;
+      opts.num_workers = workers;
+      opts.stage2_workers = cap;
+      expect_same_chase(ref, twostage::sb2st(band, opts));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, Sb2stOwnedRanges,
+    ::testing::Combine(::testing::Values<idx>(5, 50, 130),
+                       ::testing::Values<idx>(3, 16, 48)));
+
+TEST(Sb2st, CountedFlopsAndBytesMatchTheHopFormulas) {
+  // Stage 2's counters hold each hop's kernels once, at any width:
+  //  * larfg of a length-L reflector: nrm2 2(L-1) and scal (L-1) flops,
+  //    scal's 16(L-1) bytes;
+  //  * hop 0 (hbceu): the two-sided update, xLARFY's 4L^2 + 4L flops and
+  //    byte_count::larfy(L);
+  //  * hop u > 0 (hbrel + hblru): the previous reflector (length nb) from
+  //    the right on the L rows below it, 4 L nb flops and larf(nb, L); the
+  //    new one from the left on nb - 1 columns, 4 L (nb - 1) flops and
+  //    larf(L, nb - 1); then the two-sided update as for hop 0.
+  // A reflector with tau = 0 (L = 1, the last hop of some sweeps) applies
+  // nothing.
+  const idx n = 50, nb = 8;
+  Rng rng(17);
+  const auto band = random_band(n, nb, rng);
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    twostage::Sb2stOptions opts;
+    opts.num_workers = workers;
+    FlopScope flops;
+    ByteScope bytes;
+    const auto res = twostage::sb2st(band, opts);
+    const std::uint64_t got_flops = flops.count(), got_bytes = bytes.count();
+
+    std::int64_t want_flops = 0, want_bytes = 0;
+    const twostage::V2Factor& v2 = res.v2;
+    for (idx s = 0; s < v2.nsweeps(); ++s) {
+      for (idx u = 0; u < v2.nblocks(s); ++u) {
+        const idx len = v2.len(s, u);
+        if (len >= 2) {
+          want_flops += 3 * (len - 1);
+          want_bytes += 16 * (len - 1);
+        }
+        if (u > 0 && v2.tau(s, u - 1) != 0.0) {
+          want_flops += 4 * len * nb;
+          want_bytes += byte_count::larf(nb, len);
+        }
+        if (v2.tau(s, u) == 0.0) continue;
+        if (u > 0) {
+          want_flops += 4 * len * (nb - 1);
+          want_bytes += byte_count::larf(len, nb - 1);
+        }
+        want_flops += 4 * len * len + 4 * len;
+        want_bytes += byte_count::larfy(len);
+      }
+    }
+    EXPECT_EQ(got_flops, static_cast<std::uint64_t>(want_flops));
+    EXPECT_EQ(got_bytes, static_cast<std::uint64_t>(want_bytes));
+  }
+}
 
 TEST(Sb2st, NestedInsidePoolRegionMatchesSequentialBitwise) {
   // A call from inside a fork_join body runs the pipeline on one worker.
