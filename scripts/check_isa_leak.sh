@@ -10,17 +10,21 @@
 #   kernel_avx2.o    -- ymm allowed, zmm forbidden (built -mavx2 -mno-avx512f);
 #   everything else  -- no ymm, no zmm.
 #
-# Additionally, the bitwise contracts: kernel_*.o, blas1.o, blas2.o, blas3.o,
-# sb2st.o and stedc.o must contain NO fused-multiply-add instructions
-# (vfmadd/vfmsub/vfnmadd/vfnmsub) on ANY tier -- those TUs build with
-# -ffp-contract=off precisely so that TSEIG_KERNEL=scalar reproduces the SIMD
-# tiers bit for bit, so that the Level-1/2 lane sums (src/common/lanes.hpp)
-# round like their reference loop at every alignment, and so that a
-# bulge-chase hop or a D&C merge rounds the same whichever worker (and
-# scratch alignment) runs it.  One fused
-# instruction (an intrinsic slipping in, or the flag falling off a TU)
-# silently breaks that.  This scan is valid on every build, including
-# -march=native ones, because the per-TU flags always win.
+# Additionally, the bitwise contracts, both ways round:
+#   blas1.o, blas2.o, blas3.o, sb2st.o, stedc.o -- NO fused-multiply-add
+#     instructions (vfmadd/vfmsub/vfnmadd/vfnmsub).  Those TUs build with
+#     -ffp-contract=off so that the Level-1/2 lane sums
+#     (src/common/lanes.hpp) round like their reference loop at every
+#     alignment, and so that a bulge-chase hop or a D&C merge rounds the same
+#     whichever worker (and scratch alignment) runs it.  One fused
+#     instruction (an intrinsic slipping in, or the flag falling off a TU)
+#     silently breaks that.
+#   kernel_avx2.o, kernel_avx512.o (when the compiler built them) and
+#     kernel_scalar.o -- MUST contain vfmadd: every tier takes one fused
+#     multiply-add per k-step (src/blas/kernels/registry.hpp), and a tier
+#     that silently lost its fused step would no longer match the others.
+# These scans are valid on every build, including -march=native ones,
+# because the per-TU flags always win.
 #
 # The wide-register scan is only meaningful on a build whose global flags do
 # not enable AVX themselves, so it requires TSEIG_NATIVE=OFF in the build's
@@ -64,30 +68,51 @@ uses_fma() { # obj
   objdump -d "$1" 2>/dev/null | grep -Eq '\bvf(n?madd|n?msub)[0-9]{3}'
 }
 
-# --- FMA contract scan: runs on every build configuration. ------------------
+# --- FMA contract scans: run on every build configuration. -----------------
 fail=0
 fma_checked=0
-for obj in $(find "$OBJDIR" \( -name 'kernel_*.o' -o -name 'blas[123]*.o' \
-             -o -name 'sb2st*.o' -o -name 'stedc*.o' -o -name 'kernel_*.obj' \
-             -o -name 'blas[123]*.obj' -o -name 'sb2st*.obj' \
-             -o -name 'stedc*.obj' \) | sort); do
+for obj in $(find "$OBJDIR" \( -name 'blas[123]*.o' -o -name 'sb2st*.o' \
+             -o -name 'stedc*.o' -o -name 'blas[123]*.obj' \
+             -o -name 'sb2st*.obj' -o -name 'stedc*.obj' \) | sort); do
   fma_checked=$((fma_checked + 1))
   if uses_fma "$obj"; then
     echo "FMA LEAK: $(basename "$obj") contains fused multiply-add" \
-         "instructions; the cross-tier bitwise contract requires every" \
+         "instructions; the lane sums and blas3 require every" \
          "product to round (-ffp-contract=off, no FMA intrinsics)"
     fail=1
   fi
 done
 if [ "$fma_checked" -eq 0 ]; then
-  echo "check_isa_leak: found no kernel objects for the FMA scan" >&2
+  echo "check_isa_leak: found no unfused objects for the FMA scan" >&2
   exit 1
 fi
+
+# The fused tiers.  A wide tier is scanned only when the compiler accepted
+# its flags (otherwise its TU is a nullptr stub).
+fused="kernel_scalar"
+grep -q '^TSEIG_HAS_MAVX2:INTERNAL=1' "$CACHE" &&
+  grep -q '^TSEIG_HAS_MFMA:INTERNAL=1' "$CACHE" && fused="$fused kernel_avx2"
+grep -q '^TSEIG_HAS_MAVX512F:INTERNAL=1' "$CACHE" &&
+  fused="$fused kernel_avx512"
+for tier in $fused; do
+  obj=$(find "$OBJDIR" \( -name "$tier.*o" -o -name "$tier.*obj" \) |
+        head -n 1)
+  if [ -z "$obj" ]; then
+    echo "check_isa_leak: no object for $tier" >&2
+    exit 1
+  fi
+  fma_checked=$((fma_checked + 1))
+  if ! uses_fma "$obj"; then
+    echo "FMA MISSING: $(basename "$obj") holds no fused multiply-add;" \
+         "every tier must fuse each k-step (blas/kernels/registry.hpp)"
+    fail=1
+  fi
+done
 if [ "$fail" -ne 0 ]; then
-  echo "check_isa_leak: FAILED (FMA in bitwise-contract TUs)" >&2
+  echo "check_isa_leak: FAILED (FMA contract)" >&2
   exit 1
 fi
-echo "check_isa_leak: FMA scan OK ($fma_checked bitwise-contract objects)"
+echo "check_isa_leak: FMA scans OK ($fma_checked objects)"
 
 if ! grep -q '^TSEIG_NATIVE:BOOL=OFF' "$CACHE"; then
   echo "check_isa_leak: build uses native flags (TSEIG_NATIVE!=OFF);" \

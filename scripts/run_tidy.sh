@@ -37,7 +37,8 @@ TSEIG_TIDY="$BUILD/tools/tseig-tidy/tseig-tidy"
 if [ "$SELF_TEST" = "1" ]; then
   echo "== tseig-tidy --self-test (fixtures must trip every check)"
   if OUT=$("$TSEIG_TIDY" --src-root tools/tseig-tidy/fixtures \
-           src/solver/bad_thread.cpp src/blas/kernels/bad_fma.cpp \
+           src/solver/bad_thread.cpp src/blas/blas1.cpp \
+           src/blas/kernels/fused_step.cpp \
            src/solver/bad_wallclock.cpp src/solver/clean.cpp); then
     echo "self-test FAILED: fixtures produced no findings" >&2
     exit 1

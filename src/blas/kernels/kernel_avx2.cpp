@@ -1,17 +1,18 @@
 // AVX2 microkernel tier: 8x4 C tile held in eight ymm accumulators.
 //
-// This TU is compiled with per-file -mavx2 (and -mno-avx512f so a
+// This TU is compiled with per-file -mavx2 -mfma (and -mno-avx512f so a
 // -march=native build cannot widen it — the tier must be exactly what its
-// name claims).  __AVX2__ is therefore defined here exactly when the
-// compiler could honour the flag; on other architectures the factory
-// returns nullptr and the registry skips the tier.  Products are combined
-// with separate multiply and add (no FMA) to honour the cross-tier bitwise
-// contract in registry.hpp.
+// name claims).  __AVX2__ and __FMA__ are therefore defined here exactly
+// when the compiler could honour the flags; otherwise the factory returns
+// nullptr and the registry skips the tier, as it does on a host without
+// FMA.  Each k-step is one vfmadd per accumulator, the fused step every
+// tier takes (registry.hpp contract).
 #include <algorithm>
+#include <cmath>
 
 #include "blas/kernels/registry.hpp"
 
-#if defined(__AVX2__)
+#if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
 
 namespace tseig::blas::kernels {
@@ -38,8 +39,8 @@ void micro_full(idx kc, double alpha, const double* ap, const double* bp,
     const double* b = bp + p * NR;
     for (idx j = 0; j < NR; ++j) {
       const __m256d bj = _mm256_set1_pd(b[j]);
-      acc0[j] = _mm256_add_pd(acc0[j], _mm256_mul_pd(a0, bj));
-      acc1[j] = _mm256_add_pd(acc1[j], _mm256_mul_pd(a1, bj));
+      acc0[j] = _mm256_fmadd_pd(a0, bj, acc0[j]);
+      acc1[j] = _mm256_fmadd_pd(a1, bj, acc1[j]);
     }
   }
   const __m256d va = _mm256_set1_pd(alpha);
@@ -65,7 +66,7 @@ const Kernel* kernel_avx2() {
 
 }  // namespace tseig::blas::kernels
 
-#else  // !__AVX2__
+#else  // !(__AVX2__ && __FMA__)
 
 namespace tseig::blas::kernels {
 const Kernel* kernel_avx2() { return nullptr; }

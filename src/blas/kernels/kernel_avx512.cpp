@@ -3,10 +3,11 @@
 // Compiled with per-file -mavx512f; the factory compiles to a nullptr stub
 // when the flag was unavailable.  The wide 16x8 tile amortizes the packed-A
 // loads across eight broadcast columns; 16 accumulators + 2 A streams +
-// broadcast + alpha stay well inside the 32-register zmm file.  Multiply
-// and add are kept separate (no vfmadd) so results match every other tier
-// bitwise (registry.hpp contract).
+// broadcast + alpha stay well inside the 32-register zmm file.  Each
+// k-step is one vfmadd per accumulator, the fused step every tier takes
+// (registry.hpp contract); the landing on C multiplies and adds separately.
 #include <algorithm>
+#include <cmath>
 
 #include "blas/kernels/registry.hpp"
 
@@ -34,8 +35,8 @@ void micro_full(idx kc, double alpha, const double* ap, const double* bp,
     const double* b = bp + p * NR;
     for (idx j = 0; j < NR; ++j) {
       const __m512d bj = _mm512_set1_pd(b[j]);
-      acc0[j] = _mm512_add_pd(acc0[j], _mm512_mul_pd(a0, bj));
-      acc1[j] = _mm512_add_pd(acc1[j], _mm512_mul_pd(a1, bj));
+      acc0[j] = _mm512_fmadd_pd(a0, bj, acc0[j]);
+      acc1[j] = _mm512_fmadd_pd(a1, bj, acc1[j]);
     }
   }
   const __m512d va = _mm512_set1_pd(alpha);

@@ -2,10 +2,12 @@
 // accumulators.
 //
 // NEON is baseline on AArch64, so this TU needs no per-file ISA flag — only
-// -ffp-contract=off like every kernel TU.  vmulq/vaddq are used instead of
-// vfmaq to honour the cross-tier bitwise contract in registry.hpp.  On
-// non-ARM targets the factory compiles to a nullptr stub.
+// -ffp-contract=off like every kernel TU.  Each k-step is one vfmaq per
+// accumulator, the fused step every tier takes (registry.hpp contract); the
+// landing on C multiplies and adds separately.  On non-ARM targets the
+// factory compiles to a nullptr stub.
 #include <algorithm>
+#include <cmath>
 
 #include "blas/kernels/registry.hpp"
 
@@ -34,7 +36,7 @@ void micro_full(idx kc, double alpha, const double* ap, const double* bp,
     for (idx j = 0; j < NR; ++j) {
       const float64x2_t bj = vdupq_n_f64(b[j]);
       for (int h = 0; h < 4; ++h)
-        acc[j][h] = vaddq_f64(acc[j][h], vmulq_f64(av[h], bj));
+        acc[j][h] = vfmaq_f64(acc[j][h], av[h], bj);
     }
   }
   const float64x2_t va = vdupq_n_f64(alpha);

@@ -10,9 +10,11 @@
 namespace tseig::blas::kernels {
 namespace {
 
-bool host_has_avx2() {
+/// The AVX2 tier's fused k-step is a VEX vfmadd, a separate cpuid bit.
+bool host_has_avx2_fma() {
 #if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") != 0;
+  return __builtin_cpu_supports("avx2") != 0 &&
+         __builtin_cpu_supports("fma") != 0;
 #else
   return false;
 #endif
@@ -33,7 +35,7 @@ std::vector<const Kernel*> probe_available() {
   std::vector<const Kernel*> out;
   if (const Kernel* k = kernel_avx512(); k != nullptr && host_has_avx512f())
     out.push_back(k);
-  if (const Kernel* k = kernel_avx2(); k != nullptr && host_has_avx2())
+  if (const Kernel* k = kernel_avx2(); k != nullptr && host_has_avx2_fma())
     out.push_back(k);
   if (const Kernel* k = kernel_neon(); k != nullptr) out.push_back(k);
   out.push_back(kernel_scalar());

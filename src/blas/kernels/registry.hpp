@@ -14,15 +14,19 @@
 //
 // Consistency contract (load-bearing — tests assert it bitwise):
 //   Every tier computes C(i,j) with the SAME floating-point operation
-//   sequence: products are rounded individually and accumulated in k-order
-//   within each KC chunk (no FMA contraction anywhere — kernel TUs compile
-//   with -ffp-contract=off), and each chunk lands on C as one
-//   `c += alpha * acc` (separate multiply and add).  Tile geometry (MR/NR),
-//   vector width and edge handling therefore do not affect results: scalar,
-//   AVX2, AVX-512 and NEON tiers produce bitwise-identical output at every
-//   problem size (blas::gemm has one packed path, no small-size branch).
-//   This is what makes TSEIG_KERNEL=scalar a usable oracle for the whole
-//   eigensolver.
+//   sequence: within each KC chunk, every k-step is one fused multiply-add
+//   `acc = fma(a, b, acc)` in k-order, starting from acc = +0.0, and each
+//   chunk lands on C as one `c += alpha * acc` (separate multiply and add).
+//   The fused steps are explicit (vfmadd / vfmaq / std::fma); kernel TUs
+//   compile with -ffp-contract=off so the compiler fuses nothing else.  Tile
+//   geometry (MR/NR), vector width and edge handling therefore do not affect
+//   results: scalar, AVX2, AVX-512 and NEON tiers produce bitwise-identical
+//   output at every problem size (blas::gemm has one packed path, no
+//   small-size branch).  This is what makes TSEIG_KERNEL=scalar a usable
+//   oracle for the whole eigensolver.  The AVX2 tier is listed only on
+//   hosts with the fma cpuid bit (AVX-512F and AArch64 include fused
+//   multiply-add); the scalar tier runs an xmm FMA body on x86 hosts that
+//   have it and std::fma elsewhere.
 //
 // Selection order: TSEIG_KERNEL env var ("scalar", "avx2", "avx512", "neon",
 // or "native"/"auto"/"best" for best-available) if set, else the best tier

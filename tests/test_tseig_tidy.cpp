@@ -71,21 +71,49 @@ TEST(TseigTidy, RawThreadAllowedInRuntime) {
   EXPECT_TRUE(run_checks(in).empty());
 }
 
-TEST(TseigTidy, KernelFpContractFixture) {
-  const auto findings = on_fixture("src/blas/kernels/bad_fma.cpp");
-  // std::fma call + FP_CONTRACT ON pragma + omp simd reduction pragma; the
-  // NOLINT'd fma and the plain a*b+c stay quiet.
-  EXPECT_EQ(count_check(findings, "tseig-kernel-fp-contract"), 3) << [&] {
-    std::string all;
-    for (const Finding& f : findings) all += f.format() + "\n";
-    return all;
-  }();
+std::string format_all(const std::vector<Finding>& fs) {
+  std::string all;
+  for (const Finding& f : fs) all += f.format() + "\n";
+  return all;
 }
 
-TEST(TseigTidy, FmaAllowedOutsideKernelTUs) {
-  // fp-contract rules bind only the bitwise-contract TUs.
+TEST(TseigTidy, LaneTuFpContractFixture) {
+  const auto findings = on_fixture("src/blas/blas1.cpp");
+  // std::fma call + FP_CONTRACT ON pragma + omp simd reduction pragma; the
+  // NOLINT'd fma and the plain a*b+c stay quiet.
+  EXPECT_EQ(count_check(findings, "tseig-kernel-fp-contract"), 3)
+      << format_all(findings);
+}
+
+TEST(TseigTidy, KernelTuAllowsFusedStepButNotPragmas) {
+  const auto findings = on_fixture("src/blas/kernels/fused_step.cpp");
+  // _mm512_fmadd_pd and std::fma are the contract; the FP_CONTRACT ON
+  // pragma and the fast-math attribute fire.
+  EXPECT_EQ(count_check(findings, "tseig-kernel-fp-contract"), 2)
+      << format_all(findings);
+  for (const Finding& f : findings)
+    EXPECT_TRUE(f.line == 8 || f.line == 18) << f.format();
+}
+
+TEST(TseigTidy, FmaBannedInEveryUnfusedTu) {
+  // blas3.cpp and every Level-1/2 lane TU round each product.
+  for (const char* path :
+       {"src/blas/blas3.cpp", "src/blas/blas1.cpp", "src/blas/blas2.cpp",
+        "src/common/lanes.hpp", "src/twostage/sb2st.cpp",
+        "src/tridiag/stedc.cpp"}) {
+    tseig::tidy::FileInput in;
+    in.path = path;
+    in.content =
+        "#include <cmath>\ndouble f(double a){return std::fma(a,a,a);}\n";
+    EXPECT_EQ(count_check(run_checks(in), "tseig-kernel-fp-contract"), 1)
+        << path;
+  }
+}
+
+TEST(TseigTidy, FmaAllowedOutsideContractTUs) {
+  // fp-contract rules bind only the kernel tiers and the unfused TUs.
   tseig::tidy::FileInput in;
-  in.path = "src/tridiag/stedc.cpp";
+  in.path = "src/tridiag/steqr.cpp";
   in.content = "#include <cmath>\ndouble f(double a){return std::fma(a,a,a);}\n";
   EXPECT_EQ(count_check(run_checks(in), "tseig-kernel-fp-contract"), 0);
 }
@@ -118,10 +146,10 @@ TEST(TseigTidy, FindingFormatIsClangShaped) {
 }
 
 // The real tree must audit clean: every invariant the three checks encode
-// already holds in src/ (threads only under src/runtime/, no FMA or
-// contraction pragmas in kernel TUs, steady clock everywhere outside
-// src/obs/).  A finding here is
-// a regression or an engine false positive -- both block.
+// already holds in src/ (threads only under src/runtime/, no contraction
+// pragmas in kernel TUs and no FMA in the unfused TUs, steady clock
+// everywhere outside src/obs/).  A finding here is a regression or an
+// engine false positive -- both block.
 TEST(TseigTidy, RealSourceTreeAuditsClean) {
   const fs::path src = fs::path(TSEIG_SOURCE_ROOT) / "src";
   ASSERT_TRUE(fs::exists(src)) << src;

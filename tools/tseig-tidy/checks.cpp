@@ -234,8 +234,16 @@ bool in_runtime(const std::string& p) {
   return starts_with(p, "src/runtime/");
 }
 bool in_obs(const std::string& p) { return starts_with(p, "src/obs/"); }
+/// The microkernel tiers: their k-steps are explicit fused multiply-adds.
 bool is_kernel_tu(const std::string& p) {
-  return starts_with(p, "src/blas/kernels/") || p == "src/blas/blas3.cpp";
+  return starts_with(p, "src/blas/kernels/");
+}
+/// TUs that must round every product: the packed GEMM engine (blas3.cpp)
+/// and the Level-1/2 lane sums (DESIGN.md §18).
+bool is_unfused_tu(const std::string& p) {
+  return p == "src/blas/blas3.cpp" || p == "src/blas/blas1.cpp" ||
+         p == "src/blas/blas2.cpp" || p == "src/common/lanes.hpp" ||
+         p == "src/twostage/sb2st.cpp" || p == "src/tridiag/stedc.cpp";
 }
 
 // ---------------------------------------------------------------------------
@@ -300,17 +308,19 @@ bool directive_contains(const std::string& text, const char* needle) {
 }
 
 void check_kernel_fp_contract(const Ctx& ctx, const std::string& path) {
-  if (!is_kernel_tu(path)) return;
+  const bool unfused = is_unfused_tu(path);
+  if (!unfused && !is_kernel_tu(path)) return;
   const std::vector<Token>& t = ctx.lexed->tokens;
   for (size_t k = 0; k < t.size(); ++k) {
     if (t[k].kind != TokKind::identifier) continue;
     const bool called = k + 1 < t.size() && t[k + 1].text == "(";
-    if (called && is_fma_identifier(t[k].text)) {
+    // Kernel tiers fuse each k-step explicitly; that is their contract.
+    if (unfused && called && is_fma_identifier(t[k].text)) {
       ctx.report(kKernelFpContract, t[k].line, t[k].col,
                  "'" + t[k].text +
-                     "' fuses the multiply-add rounding step; kernel TUs "
-                     "must round every product (bitwise cross-tier "
-                     "contract, DESIGN.md §11)");
+                     "' fuses the multiply-add rounding step; blas3.cpp and "
+                     "the Level-1/2 lane sums must round every product "
+                     "(DESIGN.md §11, §18)");
     }
     // __attribute__((optimize("fast-math"))) and friends.
     if (t[k].text == "optimize" && called) {
@@ -319,8 +329,8 @@ void check_kernel_fp_contract(const Ctx& ctx, const std::string& path) {
             (t[j].text.find("fast-math") != std::string::npos ||
              t[j].text.find("associative-math") != std::string::npos)) {
           ctx.report(kKernelFpContract, t[k].line, t[k].col,
-                     "fast-math optimize attribute in a kernel TU breaks "
-                     "the bitwise cross-tier contract");
+                     "fast-math optimize attribute breaks the bitwise "
+                     "cross-tier and lane-order contracts");
           break;
         }
       }
@@ -346,9 +356,10 @@ void check_kernel_fp_contract(const Ctx& ctx, const std::string& path) {
          directive_contains(d.text, "vectorize"));
     if (fp_contract_on || fast_math || reassoc)
       ctx.report(kKernelFpContract, d.line, 1,
-                 "pragma invites FMA contraction or reassociation in a "
-                 "kernel TU; the k-ordered, contraction-free accumulation "
-                 "is what keeps all tiers bitwise identical");
+                 "pragma invites FMA contraction or reassociation; only "
+                 "the explicit k-ordered fused steps of the kernel tiers "
+                 "may fuse, which is what keeps all tiers and lane sums "
+                 "bitwise reproducible");
   }
 }
 

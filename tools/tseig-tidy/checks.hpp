@@ -9,13 +9,18 @@
 //                                 or the pool's zero-thread-after-warmup and
 //                                 nesting contracts silently break.
 //   tseig-kernel-fp-contract   -- the microkernel TUs (src/blas/kernels/*)
-//                                 and the packed driver (src/blas/blas3.cpp)
-//                                 carry the bitwise cross-tier contract: no
-//                                 fma()/FMA intrinsics, no fp-contract or
-//                                 fast-math pragmas, no reassociation
-//                                 pragmas.  One contracted multiply and
-//                                 TSEIG_KERNEL=scalar can no longer
-//                                 reproduce the SIMD tiers bit for bit.
+//                                 fuse each k-step explicitly and nothing
+//                                 else: no fp-contract, fast-math or
+//                                 reassociation pragmas or attributes.  The
+//                                 GEMM engine (src/blas/blas3.cpp) and the
+//                                 Level-1/2 lane TUs (blas1, blas2,
+//                                 common/lanes.hpp, sb2st, stedc) round
+//                                 every product: the same pragma rules plus
+//                                 no fma()/FMA intrinsics.  One stray fused
+//                                 step and TSEIG_KERNEL=scalar no longer
+//                                 reproduces the SIMD tiers bit for bit, or
+//                                 a lane sum no longer matches its
+//                                 reference loop.
 //   tseig-no-wallclock-in-kernels -- everything outside src/obs/ must stay
 //                                 on the steady clock (obs::now_seconds);
 //                                 system_clock/gettimeofday timestamps jump
