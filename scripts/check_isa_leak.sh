@@ -10,21 +10,19 @@
 #   kernel_avx2.o    -- ymm allowed, zmm forbidden (built -mavx2 -mno-avx512f);
 #   everything else  -- no ymm, no zmm.
 #
-# Additionally, the bitwise contracts, both ways round:
-#   blas1.o, blas2.o, blas3.o, sb2st.o, stedc.o -- NO fused-multiply-add
-#     instructions (vfmadd/vfmsub/vfnmadd/vfnmsub).  Those TUs build with
-#     -ffp-contract=off so that the Level-1/2 lane sums
-#     (src/common/lanes.hpp) round like their reference loop at every
-#     alignment, and so that a bulge-chase hop or a D&C merge rounds the same
-#     whichever worker (and scratch alignment) runs it.  One fused
-#     instruction (an intrinsic slipping in, or the flag falling off a TU)
+# Additionally, the floating-point contract (DESIGN.md §11), both ways round:
+#   every object except kernel_*.o -- NO fused-multiply-add instructions
+#     (vfmadd/vfmsub/vfnmadd/vfnmsub/vfmaddsub/vfmsubadd).  The whole library
+#     builds with -ffp-contract=off, so the explicit k-steps of the kernel
+#     tiers are the only fused operations and a -march=native build gives
+#     the bits of a generic one.  One fused instruction elsewhere (an
+#     intrinsic slipping in, or a vectorizer pattern that ignores the flag)
 #     silently breaks that.
 #   kernel_avx2.o, kernel_avx512.o (when the compiler built them) and
 #     kernel_scalar.o -- MUST contain vfmadd: every tier takes one fused
 #     multiply-add per k-step (src/blas/kernels/registry.hpp), and a tier
 #     that silently lost its fused step would no longer match the others.
-# These scans are valid on every build, including -march=native ones,
-# because the per-TU flags always win.
+# These scans are valid on every build, including -march=native ones.
 #
 # The wide-register scan is only meaningful on a build whose global flags do
 # not enable AVX themselves, so it requires TSEIG_NATIVE=OFF in the build's
@@ -65,25 +63,27 @@ uses_reg() { # obj regex
   objdump -d "$1" 2>/dev/null | grep -Eq "%$2[0-9]"
 }
 uses_fma() { # obj
-  objdump -d "$1" 2>/dev/null | grep -Eq '\bvf(n?madd|n?msub)[0-9]{3}'
+  objdump -d "$1" 2>/dev/null |
+    grep -Eq '\bvf(n?madd|n?msub|maddsub|msubadd)[0-9]{3}'
 }
 
 # --- FMA contract scans: run on every build configuration. -----------------
 fail=0
 fma_checked=0
-for obj in $(find "$OBJDIR" \( -name 'blas[123]*.o' -o -name 'sb2st*.o' \
-             -o -name 'stedc*.o' -o -name 'blas[123]*.obj' \
-             -o -name 'sb2st*.obj' -o -name 'stedc*.obj' \) | sort); do
+for obj in $(find "$OBJDIR" -name '*.o' -o -name '*.obj' | sort); do
+  case "$(basename "$obj")" in
+    kernel_*) continue ;;  # the tiers: fused by contract, scanned below
+  esac
   fma_checked=$((fma_checked + 1))
   if uses_fma "$obj"; then
     echo "FMA LEAK: $(basename "$obj") contains fused multiply-add" \
-         "instructions; the lane sums and blas3 require every" \
-         "product to round (-ffp-contract=off, no FMA intrinsics)"
+         "instructions; only the kernel tiers may fuse" \
+         "(-ffp-contract=off on the whole library, DESIGN.md §11)"
     fail=1
   fi
 done
 if [ "$fma_checked" -eq 0 ]; then
-  echo "check_isa_leak: found no unfused objects for the FMA scan" >&2
+  echo "check_isa_leak: found no non-kernel objects for the FMA scan" >&2
   exit 1
 fi
 

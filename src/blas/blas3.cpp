@@ -7,10 +7,11 @@
 #include "common/flops.hpp"
 #include "common/parallel.hpp"
 
-// NOTE: this TU is compiled with -ffp-contract=off (see src/CMakeLists.txt).
-// Every Level-3 flop runs in the active tier's microkernel, at every size
-// and on every ragged edge: this file only packs, blocks and scales C, so
-// the registry.hpp rounding contract covers all of gemm/symm/syrk/syr2k.
+// Like the whole library, this TU is compiled with -ffp-contract=off (see
+// src/CMakeLists.txt).  Every Level-3 flop runs in the active tier's
+// microkernel, at every size and on every ragged edge: this file only packs,
+// blocks and scales C, so the registry.hpp rounding contract covers all of
+// gemm/symm/syrk/syr2k.
 
 namespace tseig::blas {
 namespace {

@@ -1,9 +1,9 @@
 // NEON (AArch64) microkernel tier: 8x4 C tile in sixteen 128-bit
 // accumulators.
 //
-// NEON is baseline on AArch64, so this TU needs no per-file ISA flag — only
-// -ffp-contract=off like every kernel TU.  Each k-step is one vfmaq per
-// accumulator, the fused step every tier takes (registry.hpp contract); the
+// NEON is baseline on AArch64, so this TU needs no per-file flag; it builds
+// with -ffp-contract=off like the whole library.  Each k-step is one vfmaq
+// per accumulator, the fused step every tier takes (registry.hpp contract); the
 // landing on C multiplies and adds separately.  On non-ARM targets the
 // factory compiles to a nullptr stub.
 #include <algorithm>

@@ -1,7 +1,7 @@
 // Scalar (portable baseline) microkernel tier: 8x4 register tile.
 //
 // Compiled with any wider ISA explicitly DISABLED (see src/CMakeLists.txt:
-// -mno-avx... -mno-fma -ffp-contract=off) so that on a -march=native build
+// -mno-avx... -mno-fma) so that on a -march=native build
 // "scalar" still means the portable baseline and cross-tier A/B numbers are
 // honest.  This tier doubles as the determinism oracle: TSEIG_KERNEL=scalar
 // must reproduce every other tier bitwise (registry.hpp contract).

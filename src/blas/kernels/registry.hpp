@@ -17,8 +17,9 @@
 //   sequence: within each KC chunk, every k-step is one fused multiply-add
 //   `acc = fma(a, b, acc)` in k-order, starting from acc = +0.0, and each
 //   chunk lands on C as one `c += alpha * acc` (separate multiply and add).
-//   The fused steps are explicit (vfmadd / vfmaq / std::fma); kernel TUs
-//   compile with -ffp-contract=off so the compiler fuses nothing else.  Tile
+//   The fused steps are explicit (vfmadd / vfmaq / std::fma); the whole
+//   library compiles with -ffp-contract=off (src/CMakeLists.txt) so the
+//   compiler fuses nothing else.  Tile
 //   geometry (MR/NR), vector width and edge handling therefore do not affect
 //   results: scalar, AVX2, AVX-512 and NEON tiers produce bitwise-identical
 //   output at every problem size (blas::gemm has one packed path, no

@@ -18,12 +18,12 @@
 // commutative), so lane (k + c) % kLanes for any fixed c gives the same
 // bits: a loop may index lanes by an absolute row index.
 //
-// Products must round before they are added: every TU that multiplies into
-// lanes builds with -ffp-contract=off (src/CMakeLists.txt), and
-// scripts/check_isa_leak.sh fails if one of their objects holds a fused
-// multiply-add.  lane_madd and lane_dot are always inlined, so each caller
-// gets its own TU's flags and no contracted copy can stand in for them at
-// link time.
+// Products must round before they are added: the whole library, and every
+// target that links it, builds with -ffp-contract=off (src/CMakeLists.txt),
+// and scripts/check_isa_leak.sh fails if an object outside the kernel tiers
+// holds a fused multiply-add.  lane_madd and lane_dot are always inlined, so
+// each caller gets its own TU's flags and no contracted copy can stand in
+// for them at link time.
 #pragma once
 
 #include <cstring>

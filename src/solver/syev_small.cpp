@@ -50,15 +50,17 @@ void eig2(double a11, double a21, double a22, double* w, double* v, idx ldv) {
   double c = 1.0, s = 0.0;
   rot2(a11, a21, a22, c, s);
   // Rotated quadratic forms: exact to a few ulps even when the small
-  // eigenvalue is at the cancellation limit of mean -/+ hypot.
-  const double lo = c * c * a22 + s * (s * a11 - 2.0 * c * a21);
-  const double hi = c * c * a11 + s * (s * a22 + 2.0 * c * a21);
-  w[0] = lo;
-  w[1] = hi;
+  // eigenvalue is at the cancellation limit of mean -/+ hypot.  The vector
+  // stores sit between the two forms on purpose: with w[0] and w[1] stored
+  // side by side, GCC's SLP vectorizer pairs the forms into one vfmaddsub,
+  // which -ffp-contract=off does not prevent, and an FMA build would round
+  // n = 2 differently from a generic one (scripts/check_isa_leak.sh).
+  w[0] = c * c * a22 + s * (s * a11 - 2.0 * c * a21);
   v[0] = -s;       // column 0: eigenvector of the smaller eigenvalue
   v[1] = c;
   v[ldv + 0] = c;  // column 1: eigenvector of the larger eigenvalue
   v[ldv + 1] = s;
+  w[1] = c * c * a11 + s * (s * a22 + 2.0 * c * a21);
 }
 
 struct Vec3 {

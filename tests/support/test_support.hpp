@@ -37,8 +37,8 @@ Matrix tri_full(uplo ul, diag d, idx n, const double* a, idx lda);
 /// of term(0) .. term(n-1) goes to lane k % 8, each lane adds its terms in
 /// increasing k from +0, and the lanes combine as
 /// ((s0 + s4) + (s2 + s6)) + ((s1 + s5) + (s3 + s7)).  Instantiated in the
-/// calling TU, which must build with -ffp-contract=off to round like the
-/// library (tests/CMakeLists.txt).
+/// calling TU, which rounds like the library because every target linking
+/// tseig inherits its PUBLIC -ffp-contract=off (src/CMakeLists.txt).
 template <class Term>
 double lane_order_sum(idx n, Term term) {
   double s[8] = {};

@@ -96,11 +96,12 @@ TEST(TseigTidy, KernelTuAllowsFusedStepButNotPragmas) {
 }
 
 TEST(TseigTidy, FmaBannedInEveryUnfusedTu) {
-  // blas3.cpp and every Level-1/2 lane TU round each product.
+  // Only src/blas/kernels/ may fuse: every other src/ file, header or
+  // source, rounds each product.
   for (const char* path :
-       {"src/blas/blas3.cpp", "src/blas/blas1.cpp", "src/blas/blas2.cpp",
-        "src/common/lanes.hpp", "src/twostage/sb2st.cpp",
-        "src/tridiag/stedc.cpp"}) {
+       {"src/blas/blas3.cpp", "src/blas/blas1.cpp", "src/common/lanes.hpp",
+        "src/tridiag/steqr.cpp", "src/solver/syev_small.cpp",
+        "src/lapack/aux.cpp", "src/blas/kernels_util.cpp"}) {
     tseig::tidy::FileInput in;
     in.path = path;
     in.content =
@@ -110,11 +111,15 @@ TEST(TseigTidy, FmaBannedInEveryUnfusedTu) {
   }
 }
 
-TEST(TseigTidy, FmaAllowedOutsideContractTUs) {
-  // fp-contract rules bind only the kernel tiers and the unfused TUs.
+TEST(TseigTidy, FmaBannedInSrcButNotInTests) {
+  // The fp-contract rule binds all of src/: a std::fma in steqr.cpp is a
+  // finding.  Tests and tools stay unbound (their reference loops may spell
+  // a fused step out).
   tseig::tidy::FileInput in;
   in.path = "src/tridiag/steqr.cpp";
   in.content = "#include <cmath>\ndouble f(double a){return std::fma(a,a,a);}\n";
+  EXPECT_EQ(count_check(run_checks(in), "tseig-kernel-fp-contract"), 1);
+  in.path = "tests/test_gemm_kernels.cpp";
   EXPECT_EQ(count_check(run_checks(in), "tseig-kernel-fp-contract"), 0);
 }
 
@@ -147,7 +152,7 @@ TEST(TseigTidy, FindingFormatIsClangShaped) {
 
 // The real tree must audit clean: every invariant the three checks encode
 // already holds in src/ (threads only under src/runtime/, no contraction
-// pragmas in kernel TUs and no FMA in the unfused TUs, steady clock
+// pragmas anywhere and no FMA outside src/blas/kernels/, steady clock
 // everywhere outside src/obs/).  A finding here is a regression or an
 // engine false positive -- both block.
 TEST(TseigTidy, RealSourceTreeAuditsClean) {

@@ -238,13 +238,6 @@ bool in_obs(const std::string& p) { return starts_with(p, "src/obs/"); }
 bool is_kernel_tu(const std::string& p) {
   return starts_with(p, "src/blas/kernels/");
 }
-/// TUs that must round every product: the packed GEMM engine (blas3.cpp)
-/// and the Level-1/2 lane sums (DESIGN.md §18).
-bool is_unfused_tu(const std::string& p) {
-  return p == "src/blas/blas3.cpp" || p == "src/blas/blas1.cpp" ||
-         p == "src/blas/blas2.cpp" || p == "src/common/lanes.hpp" ||
-         p == "src/twostage/sb2st.cpp" || p == "src/tridiag/stedc.cpp";
-}
 
 // ---------------------------------------------------------------------------
 // Reporting helpers.
@@ -308,19 +301,19 @@ bool directive_contains(const std::string& text, const char* needle) {
 }
 
 void check_kernel_fp_contract(const Ctx& ctx, const std::string& path) {
-  const bool unfused = is_unfused_tu(path);
-  if (!unfused && !is_kernel_tu(path)) return;
+  if (!in_src(path)) return;
+  const bool may_fuse = is_kernel_tu(path);
   const std::vector<Token>& t = ctx.lexed->tokens;
   for (size_t k = 0; k < t.size(); ++k) {
     if (t[k].kind != TokKind::identifier) continue;
     const bool called = k + 1 < t.size() && t[k + 1].text == "(";
     // Kernel tiers fuse each k-step explicitly; that is their contract.
-    if (unfused && called && is_fma_identifier(t[k].text)) {
+    if (!may_fuse && called && is_fma_identifier(t[k].text)) {
       ctx.report(kKernelFpContract, t[k].line, t[k].col,
                  "'" + t[k].text +
-                     "' fuses the multiply-add rounding step; blas3.cpp and "
-                     "the Level-1/2 lane sums must round every product "
-                     "(DESIGN.md §11, §18)");
+                     "' fuses the multiply-add rounding step; only the "
+                     "kernel tiers (src/blas/kernels/) may fuse, every other "
+                     "src/ file rounds each product (DESIGN.md §11, §18)");
     }
     // __attribute__((optimize("fast-math"))) and friends.
     if (t[k].text == "optimize" && called) {

@@ -8,19 +8,17 @@
 //                                 loops (parallel_for / run_self_scheduled),
 //                                 or the pool's zero-thread-after-warmup and
 //                                 nesting contracts silently break.
-//   tseig-kernel-fp-contract   -- the microkernel TUs (src/blas/kernels/*)
-//                                 fuse each k-step explicitly and nothing
-//                                 else: no fp-contract, fast-math or
-//                                 reassociation pragmas or attributes.  The
-//                                 GEMM engine (src/blas/blas3.cpp) and the
-//                                 Level-1/2 lane TUs (blas1, blas2,
-//                                 common/lanes.hpp, sb2st, stedc) round
-//                                 every product: the same pragma rules plus
-//                                 no fma()/FMA intrinsics.  One stray fused
-//                                 step and TSEIG_KERNEL=scalar no longer
+//   tseig-kernel-fp-contract   -- one floating-point contract for src/:
+//                                 the microkernel tiers (src/blas/kernels/*)
+//                                 fuse each k-step explicitly, and no other
+//                                 src/ file calls fma() or an FMA
+//                                 intrinsic.  No src/ file may use an
+//                                 fp-contract, fast-math or reassociation
+//                                 pragma or attribute.  One stray fused step
+//                                 and TSEIG_KERNEL=scalar no longer
 //                                 reproduces the SIMD tiers bit for bit, or
-//                                 a lane sum no longer matches its
-//                                 reference loop.
+//                                 the native build no longer gives the
+//                                 generic build's bits.
 //   tseig-no-wallclock-in-kernels -- everything outside src/obs/ must stay
 //                                 on the steady clock (obs::now_seconds);
 //                                 system_clock/gettimeofday timestamps jump

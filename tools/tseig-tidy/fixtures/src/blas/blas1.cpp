@@ -1,6 +1,7 @@
 // Fixture: tseig-kernel-fp-contract must fire on the fma() call and the
-// contraction/reassociation pragmas -- this file sits (virtually) at a
-// Level-1 lane TU path, where every product must round before it is added.
+// contraction/reassociation pragmas -- this file sits (virtually) at a src/
+// path outside src/blas/kernels/, where every product must round before it
+// is added.
 #include <cmath>
 
 #pragma STDC FP_CONTRACT ON
